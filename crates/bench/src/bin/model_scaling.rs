@@ -1,6 +1,6 @@
 //! Model-search scaling sweep: streaming pruned engine vs. the legacy
-//! materializing enumerator, plus the parallel root-split engine vs. the
-//! sequential reference, recorded as `BENCH_model.json`.
+//! materializing enumerator, plus prefix-certificate sharing, recorded as
+//! `BENCH_model.json`.
 //!
 //! For each shape of the [`bench::model_shapes::dekker_variant`] family the
 //! binary measures the streaming engine (`for_each_valid_execution`) and —
@@ -10,29 +10,22 @@
 //! (3 threads × 3 rounds ≈ 5.7 · 10⁷ candidates, tens of GiB materialized)
 //! is streaming-only: the legacy enumerator cannot finish it in memory.
 //!
-//! Every shape is then re-run on the **adaptive parallel** engine
-//! (`allowed_outcomes_par`) at each `--par-workers` count, asserting the
-//! outcome set is identical to the sequential stream and recording the
-//! wall-clock ratio plus whether the engine actually chose to fan out
-//! (`split`). The adaptive policy must keep every shape within noise of
-//! sequential (the `adaptive.never_slower` headline, gated in CI
-//! unconditionally); the ≥2× `best_speedup` floor is only meaningful when
-//! the host actually has cores (`host_parallelism` is recorded in the
-//! JSON so CI can gate it on that).
-//!
-//! A final sweep measures **prefix-certificate sharing**
+//! A second sweep measures **prefix-certificate sharing**
 //! (`tso_model::prefix`) on the `dekker_rmw` family: each `(n, rounds)`
 //! shape is queried under all three RMW atomicities through the verdict
 //! cache; the first rewrite searches, the siblings replay its certificate,
 //! and the JSON records the reduction in *searched* decision nodes versus
-//! the attributed (3-searches) total. CI gates `reduction ≥ 2` on the
-//! family totals.
+//! the attributed (3-searches) total.
+//!
+//! Every run checks the record's gates ([`gates`]) after writing the JSON
+//! and exits non-zero when one fails: engines agree on every outcome set,
+//! the non-trivial shapes keep a ≥10× streaming speedup, and certificate
+//! sharing cuts the family sweep's searched nodes ≥2×.
 //!
 //! Usage:
 //!
 //! ```console
-//! $ cargo run --release -p bench --bin model_scaling \
-//!     [-- --smoke] [--out PATH] [--par-workers 2,4]
+//! $ cargo run --release -p bench --bin model_scaling [-- --smoke] [--out PATH]
 //! ```
 //!
 //! `--smoke` restricts the sweep to the fast shapes (CI's `bench-smoke`
@@ -46,8 +39,8 @@ use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::time::Instant;
 use tso_model::{
-    allowed_outcomes, allowed_outcomes_cached, allowed_outcomes_par_with_stats, check_validity,
-    enumerate_candidates, for_each_valid_execution, Outcome, SearchStats,
+    allowed_outcomes, allowed_outcomes_cached, check_validity, enumerate_candidates,
+    for_each_valid_execution, Outcome, SearchStats,
 };
 
 /// Shapes smaller than this (materialized candidates) are calibration
@@ -55,25 +48,13 @@ use tso_model::{
 /// from the headline `shared` speedup aggregate.
 const SHARED_MIN_CANDIDATES: f64 = 1000.0;
 
-/// Absolute wall-clock slack for the `never_slower` adaptive gate: shapes
-/// finish in tens of microseconds, where scheduler jitter easily exceeds
-/// any relative bound, so a row only violates the floor when it is slower
-/// by *both* the 0.9× ratio and this many milliseconds.
-const ADAPTIVE_NOISE_MS: f64 = 0.5;
+/// Gate: the slowest non-trivial shared shape must keep this streaming
+/// speedup over the legacy enumerator.
+const MIN_SHARED_SPEEDUP: f64 = 10.0;
 
-/// Relative floor for the adaptive gate: parallel must stay within
-/// `1/ADAPTIVE_FLOOR` of sequential on every shape.
-const ADAPTIVE_FLOOR: f64 = 0.9;
-
-/// One parallel measurement of a shape.
-struct ParRow {
-    workers: usize,
-    ms: f64,
-    outcomes_match: bool,
-    /// True when the adaptive engine fanned out (stats.tasks > 1) instead
-    /// of taking its sequential path.
-    split: bool,
-}
+/// Gate: certificate sharing must cut the family sweep's searched nodes
+/// by at least this factor.
+const MIN_PREFIX_REDUCTION: f64 = 2.0;
 
 /// One measured shape.
 struct Row {
@@ -89,21 +70,15 @@ struct Row {
     /// `None` when the legacy enumerator was skipped (infeasible).
     legacy_ms: Option<f64>,
     outcomes_match: Option<bool>,
-    /// Parallel engine at each requested worker count.
-    parallel: Vec<ParRow>,
 }
 
 impl Row {
     fn speedup(&self) -> Option<f64> {
         self.legacy_ms.map(|l| l / self.streaming_ms.max(1e-6))
     }
-
-    fn par_speedup(&self, p: &ParRow) -> f64 {
-        self.streaming_ms / p.ms.max(1e-6)
-    }
 }
 
-fn measure(threads: usize, rounds: usize, run_legacy: bool, par_workers: &[usize]) -> Row {
+fn measure(threads: usize, rounds: usize, run_legacy: bool) -> Row {
     let program = dekker_variant(threads, rounds);
     let events = threads * rounds * 2 + threads; // per-thread W+R pairs + init writes
 
@@ -128,20 +103,6 @@ fn measure(threads: usize, rounds: usize, run_legacy: bool, par_workers: &[usize
         (None, None)
     };
 
-    let parallel = par_workers
-        .iter()
-        .map(|&workers| {
-            let start = Instant::now();
-            let (par, par_stats) = allowed_outcomes_par_with_stats(&program, workers);
-            ParRow {
-                workers,
-                ms: start.elapsed().as_secs_f64() * 1e3,
-                outcomes_match: par == streamed,
-                split: par_stats.tasks > 1,
-            }
-        })
-        .collect();
-
     Row {
         name: format!("dekker n={threads} r={rounds}"),
         threads,
@@ -153,7 +114,6 @@ fn measure(threads: usize, rounds: usize, run_legacy: bool, par_workers: &[usize
         outcomes: streamed.len(),
         legacy_ms,
         outcomes_match,
-        parallel,
     }
 }
 
@@ -221,13 +181,81 @@ fn json_num(v: f64) -> String {
     }
 }
 
-fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism: usize) -> String {
+/// The shared (non-trivial, legacy-measured) shapes the headline covers:
+/// below ~1000 candidates both engines finish in microseconds and the
+/// ratio measures constant overhead, not scaling.
+fn shared_rows(rows: &[Row]) -> Vec<&Row> {
+    rows.iter()
+        .filter(|r| r.legacy_ms.is_some() && r.candidates >= SHARED_MIN_CANDIDATES)
+        .collect()
+}
+
+/// Slowest streaming speedup over the shared shapes (`None` when there
+/// are none).
+fn min_shared_speedup(rows: &[Row]) -> Option<f64> {
+    shared_rows(rows)
+        .iter()
+        .filter_map(|r| r.speedup())
+        .reduce(f64::min)
+}
+
+/// Searched and attributed node totals of the prefix-sharing sweep.
+fn prefix_totals(prefix_rows: &[PrefixRow]) -> (u64, u64) {
+    (
+        prefix_rows.iter().map(|r| r.searched_nodes).sum(),
+        prefix_rows.iter().map(|r| r.attributed_nodes).sum(),
+    )
+}
+
+/// The record's gates; returns one message per failed gate.
+fn gates(rows: &[Row], prefix_rows: &[PrefixRow]) -> Vec<String> {
+    let mut failed = Vec::new();
+    for r in rows {
+        if r.stats.valid == 0 {
+            failed.push(format!("{}: no valid executions", r.name));
+        }
+        if r.outcomes_match == Some(false) {
+            failed.push(format!("{}: engines disagree on the outcome set", r.name));
+        }
+    }
+    match min_shared_speedup(rows) {
+        None => failed.push("no shared (non-trivial) shape measured".to_owned()),
+        Some(min) if min < MIN_SHARED_SPEEDUP => failed.push(format!(
+            "shared streaming speedup {min:.1}x is below the {MIN_SHARED_SPEEDUP}x floor"
+        )),
+        Some(_) => {}
+    }
+    for r in prefix_rows {
+        if !r.outcomes_match {
+            failed.push(format!(
+                "{}: certificate replay disagrees with a direct search",
+                r.name
+            ));
+        }
+        if r.prefix_hits < 2 {
+            failed.push(format!(
+                "{}: siblings did not replay the certificate",
+                r.name
+            ));
+        }
+    }
+    let (searched, attributed) = prefix_totals(prefix_rows);
+    let reduction = attributed as f64 / searched.max(1) as f64;
+    if reduction < MIN_PREFIX_REDUCTION {
+        failed.push(format!(
+            "prefix sharing cut searched nodes {reduction:.1}x, below the \
+             {MIN_PREFIX_REDUCTION}x floor"
+        ));
+    }
+    failed
+}
+
+fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"experiment\": \"model_scaling\",");
     let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
     let _ = writeln!(s, "  \"shapes\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(s, "    {{");
@@ -242,21 +270,6 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
         let _ = writeln!(s, "      \"complete\": {},", r.stats.complete);
         let _ = writeln!(s, "      \"valid\": {},", r.stats.valid);
         let _ = writeln!(s, "      \"outcomes\": {},", r.outcomes);
-        let _ = writeln!(s, "      \"parallel\": [");
-        for (j, p) in r.parallel.iter().enumerate() {
-            let comma = if j + 1 < r.parallel.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "        {{\"workers\": {}, \"ms\": {}, \"speedup_vs_sequential\": {}, \
-                 \"split\": {}, \"outcomes_match\": {}}}{comma}",
-                p.workers,
-                json_num(p.ms),
-                json_num(r.par_speedup(p)),
-                p.split,
-                p.outcomes_match
-            );
-        }
-        let _ = writeln!(s, "      ],");
         match r.legacy_ms {
             Some(ms) => {
                 let _ = writeln!(s, "      \"legacy_ms\": {},", json_num(ms));
@@ -281,18 +294,8 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
         let _ = writeln!(s, "    }}{comma}");
     }
     let _ = writeln!(s, "  ],");
-    // The headline aggregate covers the *non-trivial* shared shapes: below
-    // ~1000 candidates both engines finish in microseconds and the ratio
-    // measures constant overhead, not scaling. The tiny rows stay in
-    // `shapes` for the trajectory.
-    let shared: Vec<&Row> = rows
-        .iter()
-        .filter(|r| r.legacy_ms.is_some() && r.candidates >= SHARED_MIN_CANDIDATES)
-        .collect();
-    let min = shared
-        .iter()
-        .filter_map(|r| r.speedup())
-        .fold(f64::INFINITY, f64::min);
+    let shared = shared_rows(rows);
+    let min = min_shared_speedup(rows).unwrap_or(0.0);
     let geomean = if shared.is_empty() {
         0.0
     } else {
@@ -306,56 +309,8 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
         json_num(SHARED_MIN_CANDIDATES)
     );
     let _ = writeln!(s, "    \"count\": {},", shared.len());
-    let _ = writeln!(
-        s,
-        "    \"min_speedup\": {},",
-        json_num(if min.is_finite() { min } else { 0.0 })
-    );
+    let _ = writeln!(s, "    \"min_speedup\": {},", json_num(min));
     let _ = writeln!(s, "    \"geomean_speedup\": {}", json_num(geomean));
-    let _ = writeln!(s, "  }},");
-    // Parallel headline: best parallel speedup over the non-trivial
-    // shapes (meaningful only when host_parallelism > 1 — CI gates its
-    // floor on that; equality is asserted unconditionally above).
-    let best = rows
-        .iter()
-        .filter(|r| r.candidates >= SHARED_MIN_CANDIDATES)
-        .flat_map(|r| r.parallel.iter().map(move |p| (r, p)))
-        .map(|(r, p)| r.par_speedup(p))
-        .fold(0.0f64, f64::max);
-    let all_match = rows
-        .iter()
-        .all(|r| r.parallel.iter().all(|p| p.outcomes_match));
-    let _ = writeln!(s, "  \"parallel\": {{");
-    let _ = writeln!(s, "    \"all_outcomes_match\": {all_match},");
-    let _ = writeln!(s, "    \"best_speedup\": {}", json_num(best));
-    let _ = writeln!(s, "  }},");
-    // The adaptive never-slower gate: on EVERY shape (including the tiny
-    // calibration rows) the adaptive engine must stay within the relative
-    // floor of sequential, modulo an absolute noise allowance — the whole
-    // point of the split-size estimator is that small shapes no longer pay
-    // fan-out overhead.
-    let min_par_speedup = rows
-        .iter()
-        .flat_map(|r| r.parallel.iter().map(move |p| r.par_speedup(p)))
-        .fold(f64::INFINITY, f64::min);
-    let never_slower = rows.iter().all(|r| {
-        r.parallel
-            .iter()
-            .all(|p| p.ms <= r.streaming_ms / ADAPTIVE_FLOOR + ADAPTIVE_NOISE_MS)
-    });
-    let _ = writeln!(s, "  \"adaptive\": {{");
-    let _ = writeln!(s, "    \"floor\": {},", json_num(ADAPTIVE_FLOOR));
-    let _ = writeln!(s, "    \"noise_ms\": {},", json_num(ADAPTIVE_NOISE_MS));
-    let _ = writeln!(
-        s,
-        "    \"min_speedup\": {},",
-        json_num(if min_par_speedup.is_finite() {
-            min_par_speedup
-        } else {
-            0.0
-        })
-    );
-    let _ = writeln!(s, "    \"never_slower\": {never_slower}");
     let _ = writeln!(s, "  }},");
     // Prefix-certificate sharing over the dekker_rmw family: three
     // atomicity rewrites per shape, one search + two replays each when
@@ -381,8 +336,7 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
         );
     }
     let _ = writeln!(s, "    ],");
-    let searched: u64 = prefix_rows.iter().map(|r| r.searched_nodes).sum();
-    let attributed: u64 = prefix_rows.iter().map(|r| r.attributed_nodes).sum();
+    let (searched, attributed) = prefix_totals(prefix_rows);
     let hits: u64 = prefix_rows.iter().map(|r| r.prefix_hits).sum();
     let prefix_match = prefix_rows.iter().all(|r| r.outcomes_match);
     let _ = writeln!(s, "    \"total_searched_nodes\": {searched},");
@@ -407,21 +361,10 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_model.json".to_owned());
-    let par_workers: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--par-workers")
-        .and_then(|i| args.get(i + 1))
-        .map(|csv| {
-            csv.split(',')
-                .map(|w| w.parse().expect("--par-workers takes e.g. 2,4"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![2, 4]);
 
     // (threads, rounds, run_legacy). Legacy is skipped where the
-    // materialized candidate space stops fitting in memory. The big
-    // streaming-only shapes are exactly where the parallel engine earns
-    // its keep, so dekker n=3 r=3 stays in the smoke sweep too.
+    // materialized candidate space stops fitting in memory; dekker n=3
+    // r=3 stays in the smoke sweep as the streaming-only scale probe.
     let shapes: &[(usize, usize, bool)] = if smoke {
         &[
             (2, 1, true),
@@ -442,39 +385,19 @@ fn main() {
         ]
     };
 
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "model_scaling ({}): streaming pruned search vs legacy enumeration, \
-         parallel workers {:?} (host parallelism {host_parallelism})",
+        "model_scaling ({}): streaming pruned search vs legacy enumeration",
         if smoke { "smoke" } else { "full" },
-        par_workers
     );
-    // Warm the adaptive engine's once-per-process node-rate calibration
-    // outside the timed region, so the first parallel row measures the
-    // engine, not the calibration run.
-    let _ = allowed_outcomes_par_with_stats(&dekker_variant(2, 1), 2);
     println!(
-        "{:<16} {:>8} {:>14} {:>12} {:>12} {:>8} {:>10} {:>16}",
-        "shape",
-        "events",
-        "candidates",
-        "stream ms",
-        "legacy ms",
-        "speedup",
-        "outcomes",
-        "par ms (speedup)"
+        "{:<16} {:>8} {:>14} {:>12} {:>12} {:>8} {:>10}",
+        "shape", "events", "candidates", "stream ms", "legacy ms", "speedup", "outcomes"
     );
     let mut rows = Vec::new();
     for &(n, r, legacy) in shapes {
-        let row = measure(n, r, legacy, &par_workers);
-        let par_col = row
-            .parallel
-            .iter()
-            .map(|p| format!("{}w {:.1} ({:.2}x)", p.workers, p.ms, row.par_speedup(p)))
-            .collect::<Vec<_>>()
-            .join(" ");
+        let row = measure(n, r, legacy);
         println!(
-            "{:<16} {:>8} {:>14.3e} {:>12.2} {:>12} {:>8} {:>10} {:>16}",
+            "{:<16} {:>8} {:>14.3e} {:>12.2} {:>12} {:>8} {:>10}",
             row.name,
             row.events,
             row.candidates,
@@ -483,19 +406,7 @@ fn main() {
                 .map_or("skipped".into(), |v| format!("{v:.2}")),
             row.speedup().map_or("-".into(), |v| format!("{v:.1}x")),
             row.outcomes,
-            par_col,
         );
-        if let Some(false) = row.outcomes_match {
-            eprintln!("ERROR: {}: engines disagree on the outcome set", row.name);
-            std::process::exit(1);
-        }
-        if let Some(bad) = row.parallel.iter().find(|p| !p.outcomes_match) {
-            eprintln!(
-                "ERROR: {}: parallel engine at {} workers disagrees with sequential",
-                row.name, bad.workers
-            );
-            std::process::exit(1);
-        }
         rows.push(row);
     }
 
@@ -525,22 +436,78 @@ fn main() {
             row.prefix_hits,
             row.ms,
         );
-        if !row.outcomes_match {
-            eprintln!(
-                "ERROR: {}: certificate replay disagrees with a direct search",
-                row.name
-            );
-            std::process::exit(1);
-        }
         prefix_rows.push(row);
     }
 
-    let json = to_json(
-        &rows,
-        &prefix_rows,
-        if smoke { "smoke" } else { "full" },
-        host_parallelism,
-    );
+    let json = to_json(&rows, &prefix_rows, if smoke { "smoke" } else { "full" });
     std::fs::write(&out_path, &json).expect("write BENCH_model.json");
     println!("\nwrote {out_path}");
+    let failed = gates(&rows, &prefix_rows);
+    for f in &failed {
+        eprintln!("GATE FAILED: {f}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    println!("all gates passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(candidates: f64, legacy_ms: Option<f64>, outcomes_match: Option<bool>) -> Row {
+        Row {
+            name: format!("shape {candidates}"),
+            threads: 2,
+            rounds: 2,
+            events: 10,
+            candidates,
+            streaming_ms: 1.0,
+            stats: SearchStats {
+                valid: 3,
+                ..SearchStats::default()
+            },
+            outcomes: 3,
+            legacy_ms,
+            outcomes_match,
+        }
+    }
+
+    fn family(searched_nodes: u64, prefix_hits: u64) -> PrefixRow {
+        PrefixRow {
+            name: "family".to_owned(),
+            threads: 2,
+            rounds: 2,
+            searched_nodes,
+            attributed_nodes: 300,
+            prefix_hits,
+            outcomes_match: true,
+            ms: 1.0,
+        }
+    }
+
+    #[test]
+    fn passing_rows_pass_every_gate() {
+        let rows = [
+            row(4.0, Some(0.1), Some(true)), // calibration row, not shared
+            row(5832.0, Some(30.0), Some(true)),
+            row(5.0e7, None, None), // streaming-only
+        ];
+        assert_eq!(gates(&rows, &[family(100, 2)]), Vec::<String>::new());
+    }
+
+    #[test]
+    fn failing_rows_fail_their_gates() {
+        let rows = [
+            row(5832.0, Some(5.0), Some(true)), // 5x: below the floor
+            row(324.0, Some(0.8), Some(false)), // engines disagree
+        ];
+        let failed = gates(&rows, &[family(200, 1)]);
+        assert_eq!(failed.len(), 4, "{failed:?}");
+        assert!(failed.iter().any(|f| f.contains("engines disagree")));
+        assert!(failed.iter().any(|f| f.contains("speedup")));
+        assert!(failed.iter().any(|f| f.contains("did not replay")));
+        assert!(failed.iter().any(|f| f.contains("prefix sharing")));
+    }
 }

@@ -1,6 +1,5 @@
-//! Simulator engine scaling: the event-driven cycle-skipping engine and
-//! the adaptive hybrid engine vs. the lockstep reference, recorded as
-//! `BENCH_sim.json`.
+//! Simulator engine scaling: the event-driven cycle-skipping engine vs.
+//! the lockstep reference, recorded as `BENCH_sim.json`.
 //!
 //! Two families of shapes, all on paper-latency machines:
 //!
@@ -17,14 +16,18 @@
 //!
 //! A third family scales the machine itself: 128- and 256-core
 //! Table-2-latency configurations (`SimConfig::paper_scaled`), where
-//! lockstep pays the full core count every cycle and the density-adaptive
-//! engines must not.
+//! lockstep pays the full core count every cycle and the event engine
+//! must not.
 //!
-//! Every shape runs all three [`StepMode`]s over identical inputs and
-//! asserts the results are **cycle-identical** (stats, reads, final
+//! Every shape runs both [`StepMode`]s over identical inputs and records
+//! whether the results are **cycle-identical** (stats, reads, final
 //! memory — the engine-equivalence contract of
-//! `tso-sim/tests/engine_equiv.rs`) before recording the wall-clock
-//! ratios.
+//! `tso-sim/tests/engine_equiv.rs`) beside the wall-clock ratio.
+//!
+//! Every run checks the record's gates ([`gates`]) after writing the JSON
+//! and exits non-zero when one fails: the engines agree on every shape,
+//! every shape simulated cycles, a ≥128-core shape is present, and the
+//! best 32-core shape keeps a ≥5× event-engine speedup.
 //!
 //! Usage:
 //!
@@ -138,7 +141,6 @@ struct Row {
     cycles: u64,
     event_ms: f64,
     lockstep_ms: f64,
-    hybrid_ms: f64,
     results_match: bool,
     paper_scale: bool,
 }
@@ -147,11 +149,13 @@ impl Row {
     fn speedup(&self) -> f64 {
         self.lockstep_ms / self.event_ms.max(1e-6)
     }
-
-    fn hybrid_speedup(&self) -> f64 {
-        self.lockstep_ms / self.hybrid_ms.max(1e-6)
-    }
 }
+
+/// Gate: the best 32-core shape's event-engine speedup over lockstep.
+const MIN_HEADLINE_SPEEDUP: f64 = 5.0;
+
+/// Gate: the sweep must include a scaled machine at least this wide.
+const SCALED_CORES: usize = 128;
 
 fn run_all(runs: &[(SimConfig, Vec<Trace>)], mode: StepMode) -> (Vec<SimResult>, f64) {
     let start = Instant::now();
@@ -192,11 +196,10 @@ fn measure(shape: &Shape) -> Row {
     let _ = run_all(&runs, StepMode::EventDriven);
     let (ev, mut event_ms) = run_all(&runs, StepMode::EventDriven);
     let (ls, mut lockstep_ms) = run_all(&runs, StepMode::Lockstep);
-    let (hy, mut hybrid_ms) = run_all(&runs, StepMode::Hybrid);
-    // The remaining passes rotate the engine order: slow drift in machine
-    // speed (frequency scaling, throttling) would otherwise systematically
-    // tax whichever engine always ran last in the rotation.
-    const ORDER: [StepMode; 3] = [StepMode::EventDriven, StepMode::Lockstep, StepMode::Hybrid];
+    // The remaining passes alternate the engine order: slow drift in
+    // machine speed (frequency scaling, throttling) would otherwise
+    // systematically tax whichever engine always ran second.
+    const ORDER: [StepMode; 2] = [StepMode::EventDriven, StepMode::Lockstep];
     for p in 1..PASSES {
         for k in 0..ORDER.len() {
             let mode = ORDER[(p + k) % ORDER.len()];
@@ -204,11 +207,10 @@ fn measure(shape: &Shape) -> Row {
             match mode {
                 StepMode::EventDriven => event_ms = event_ms.min(ms),
                 StepMode::Lockstep => lockstep_ms = lockstep_ms.min(ms),
-                StepMode::Hybrid => hybrid_ms = hybrid_ms.min(ms),
             }
         }
     }
-    let results_match = same_results(&ev, &ls) && same_results(&hy, &ls);
+    let results_match = same_results(&ev, &ls);
     assert!(
         ev.iter().all(|r| !r.deadlocked),
         "{}: deadlocked — the avoidance scheme failed",
@@ -221,10 +223,49 @@ fn measure(shape: &Shape) -> Row {
         cycles: ev.iter().map(|r| r.stats.cycles).sum(),
         event_ms,
         lockstep_ms,
-        hybrid_ms,
         results_match,
         paper_scale: shape.cores() == 32,
     }
+}
+
+/// The headline shapes: the paper-scale (32-core) rows — the
+/// corpus-on-Table-2 configuration the scheduler was built for — or every
+/// row when none is paper-scale. The kernel rows stay recorded as the
+/// dense lower bound.
+fn headline(rows: &[Row]) -> Vec<&Row> {
+    let paper: Vec<&Row> = rows.iter().filter(|r| r.paper_scale).collect();
+    if paper.is_empty() {
+        rows.iter().collect()
+    } else {
+        paper
+    }
+}
+
+/// The record's gates; returns one message per failed gate.
+fn gates(rows: &[Row]) -> Vec<String> {
+    let mut failed = Vec::new();
+    for r in rows {
+        if !r.results_match {
+            failed.push(format!("{}: engines disagree", r.name));
+        }
+        if r.cycles == 0 {
+            failed.push(format!("{}: simulated no cycles", r.name));
+        }
+    }
+    if !rows.iter().any(|r| r.cores >= SCALED_CORES) {
+        failed.push(format!("no scaled-machine (>= {SCALED_CORES} cores) shape"));
+    }
+    let head = headline(rows);
+    if !head.iter().any(|r| r.paper_scale) {
+        failed.push("no paper-scale (32-core) headline shape".to_owned());
+    }
+    let max = head.iter().map(|r| r.speedup()).fold(0.0, f64::max);
+    if max < MIN_HEADLINE_SPEEDUP {
+        failed.push(format!(
+            "best headline speedup {max:.2}x is below the {MIN_HEADLINE_SPEEDUP}x floor"
+        ));
+    }
+    failed
 }
 
 fn to_json(rows: &[Row], mode: &str) -> String {
@@ -243,40 +284,18 @@ fn to_json(rows: &[Row], mode: &str) -> String {
         let _ = writeln!(s, "      \"simulated_cycles\": {},", r.cycles);
         let _ = writeln!(s, "      \"event_ms\": {:.3},", r.event_ms);
         let _ = writeln!(s, "      \"lockstep_ms\": {:.3},", r.lockstep_ms);
-        let _ = writeln!(s, "      \"hybrid_ms\": {:.3},", r.hybrid_ms);
         let _ = writeln!(s, "      \"speedup\": {:.3},", r.speedup());
-        let _ = writeln!(s, "      \"hybrid_speedup\": {:.3},", r.hybrid_speedup());
         let _ = writeln!(s, "      \"paper_scale\": {},", r.paper_scale);
         let _ = writeln!(s, "      \"results_match\": {}", r.results_match);
         let _ = writeln!(s, "    }}{comma}");
     }
     let _ = writeln!(s, "  ],");
-    // Headline: the best paper-scale (32-core) shape — the corpus-on-
-    // Table-2 configuration the scheduler was built for. The kernel rows
-    // stay recorded as the dense lower bound.
-    let headline: Vec<&Row> = {
-        let paper: Vec<&Row> = rows.iter().filter(|r| r.paper_scale).collect();
-        if paper.is_empty() {
-            rows.iter().collect()
-        } else {
-            paper
-        }
-    };
+    let headline = headline(rows);
     let max = headline.iter().map(|r| r.speedup()).fold(0.0, f64::max);
     let geomean = if headline.is_empty() {
         0.0
     } else {
         let log_sum: f64 = headline.iter().map(|r| r.speedup().ln()).sum();
-        (log_sum / headline.len() as f64).exp()
-    };
-    let hybrid_max = headline
-        .iter()
-        .map(|r| r.hybrid_speedup())
-        .fold(0.0, f64::max);
-    let hybrid_geomean = if headline.is_empty() {
-        0.0
-    } else {
-        let log_sum: f64 = headline.iter().map(|r| r.hybrid_speedup().ln()).sum();
         (log_sum / headline.len() as f64).exp()
     };
     let _ = writeln!(s, "  \"headline\": {{");
@@ -287,9 +306,7 @@ fn to_json(rows: &[Row], mode: &str) -> String {
         headline.iter().all(|r| r.paper_scale)
     );
     let _ = writeln!(s, "    \"max_speedup\": {max:.3},");
-    let _ = writeln!(s, "    \"geomean_speedup\": {geomean:.3},");
-    let _ = writeln!(s, "    \"hybrid_max_speedup\": {hybrid_max:.3},");
-    let _ = writeln!(s, "    \"hybrid_geomean_speedup\": {hybrid_geomean:.3}");
+    let _ = writeln!(s, "    \"geomean_speedup\": {geomean:.3}");
     let _ = writeln!(s, "  }}");
     let _ = writeln!(s, "}}");
     s
@@ -350,7 +367,7 @@ fn main() {
             kernel(Benchmark::WsqMstRr, Atomicity::Type3),
             // The scaled machines the paper never evaluated: same Table 2
             // latencies, 128/256 cores. Lockstep pays every core every
-            // cycle; the adaptive engines must not.
+            // cycle; the event engine must not.
             Shape::Kernel {
                 bench: Benchmark::Genome,
                 cores: 128,
@@ -367,34 +384,72 @@ fn main() {
     };
 
     println!(
-        "sim_scaling ({}): event-driven + hybrid vs lockstep reference",
+        "sim_scaling ({}): event-driven vs lockstep reference",
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:<42} {:>12} {:>9} {:>9} {:>12} {:>7} {:>7}",
-        "shape", "sim cycles", "event ms", "hyb ms", "lockstep ms", "ev x", "hyb x"
+        "{:<42} {:>12} {:>9} {:>12} {:>7}",
+        "shape", "sim cycles", "event ms", "lockstep ms", "speedup"
     );
     let mut rows = Vec::new();
     for shape in &shapes {
         let row = measure(shape);
         println!(
-            "{:<42} {:>12} {:>9.1} {:>9.1} {:>12.1} {:>6.1}x {:>6.1}x",
+            "{:<42} {:>12} {:>9.1} {:>12.1} {:>6.1}x",
             row.name,
             row.cycles,
             row.event_ms,
-            row.hybrid_ms,
             row.lockstep_ms,
             row.speedup(),
-            row.hybrid_speedup()
         );
-        if !row.results_match {
-            eprintln!("ERROR: {}: engines disagree", row.name);
-            std::process::exit(1);
-        }
         rows.push(row);
     }
 
     let json = to_json(&rows, if smoke { "smoke" } else { "full" });
     std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
     println!("\nwrote {out_path}");
+    let failed = gates(&rows);
+    for f in &failed {
+        eprintln!("GATE FAILED: {f}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    println!("all gates passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(cores: usize, speedup: f64, results_match: bool) -> Row {
+        Row {
+            name: format!("{cores} cores"),
+            cores,
+            runs: 1,
+            cycles: 1000,
+            event_ms: 10.0,
+            lockstep_ms: 10.0 * speedup,
+            results_match,
+            paper_scale: cores == 32,
+        }
+    }
+
+    #[test]
+    fn passing_rows_pass_every_gate() {
+        let rows = [row(32, 8.0, true), row(32, 1.6, true), row(128, 3.2, true)];
+        assert_eq!(gates(&rows), Vec::<String>::new());
+    }
+
+    #[test]
+    fn failing_rows_fail_their_gates() {
+        let mut empty = row(32, 4.0, true);
+        empty.cycles = 0;
+        let failed = gates(&[empty, row(32, 2.0, false)]);
+        assert_eq!(failed.len(), 4, "{failed:?}");
+        assert!(failed.iter().any(|f| f.contains("engines disagree")));
+        assert!(failed.iter().any(|f| f.contains("no cycles")));
+        assert!(failed.iter().any(|f| f.contains("scaled-machine")));
+        assert!(failed.iter().any(|f| f.contains("headline speedup")));
+    }
 }

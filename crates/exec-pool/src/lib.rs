@@ -1,164 +1,30 @@
-//! Shared channel-fed worker pool.
+//! Shared worker pool for test-level fan-out.
 //!
-//! Both parallel engines in the workspace — the differential litmus
-//! harness (`crates/harness`) and the axiomatic model's root-split search
-//! (`tso-model::par`) — distribute *indexed tasks* over a fixed set of
-//! worker threads pulling from a shared queue: an idle worker steals the
+//! The differential litmus harness (`crates/harness`: a corpus batch, or
+//! one campaign chunk) distributes *indexed tasks* over a fixed set of
+//! worker threads pulling from a shared queue: an idle worker takes the
 //! next index the moment it frees up, so long-tail tasks never serialize
-//! the batch. This crate is that one implementation, extracted so the two
-//! engines cannot drift apart.
+//! the batch. Each task is one whole test; the model search and the
+//! simulator runs inside it stay on that task's thread.
 //!
-//! Three properties the callers rely on:
+//! Two properties the callers rely on:
 //!
 //! * **Stable worker ids.** Each worker is handed a dense id `0..workers`
 //!   at spawn and reports it with every result, so per-task attribution
 //!   (e.g. the harness JSON report's per-test `worker` field) does not
 //!   depend on OS scheduling or spawn order.
-//! * **Cooperative early exit.** A shared [`AtomicBool`] stop flag makes
-//!   the pool drain its queue without executing the remaining tasks; a
-//!   skipped task comes back as `None`. This is what gives the parallel
-//!   `outcome_allowed` its early exit.
-//! * **Oversubscription guard.** Worker threads are marked with a
-//!   thread-local flag; [`effective_workers`] collapses a *nested* pool to
-//!   one worker. `litmus_run --jobs N` therefore runs N harness workers
-//!   whose per-test model searches stay sequential, instead of N × M
-//!   threads fighting over the same cores.
+//! * **Crash isolation.** Each task runs under [`catch_unwind`]: a
+//!   panicking task comes back as a [`TaskPanic`], its worker keeps
+//!   pulling tasks, and every other result survives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker threads spawned by [`run_indexed`] since process start. The
-/// inline single-worker path spawns none, so the delta across a call is a
-/// direct observation of whether work left the calling thread — tests for
-/// adaptive engines pin their "stayed sequential" claims on it.
-static SPAWNED_THREADS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of pool worker threads ever spawned by this process
-/// (see `SPAWNED_THREADS`).
-pub fn spawned_threads() -> u64 {
-    SPAWNED_THREADS.load(Ordering::Relaxed)
-}
-
-thread_local! {
-    /// True on threads spawned as pool workers (see the oversubscription
-    /// guard in the crate docs).
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when the current thread is a pool worker — i.e. a nested
-/// [`run_indexed`] from here would oversubscribe the machine.
-pub fn in_pool_worker() -> bool {
-    IN_POOL_WORKER.with(Cell::get)
-}
-
-/// The worker count a pool should actually use: `requested`, clamped to 1
-/// on pool-worker threads (the oversubscription guard) and to at least 1
-/// everywhere.
-pub fn effective_workers(requested: usize) -> usize {
-    if in_pool_worker() {
-        1
-    } else {
-        requested.max(1)
-    }
-}
-
-/// Default worker count for callers with no explicit setting: the host's
-/// available parallelism, passed through [`effective_workers`].
-pub fn default_workers() -> usize {
-    effective_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Runs `f(worker_id, task_index)` for every `task_index in 0..tasks` on
-/// `workers` pool threads, returning the results **in task order**.
-///
-/// * Tasks are pulled from a shared queue, so workers load-balance
-///   automatically; `worker_id` is the dense, stable id (`0..workers`) of
-///   the thread that executed the task.
-/// * When `stop` becomes true, pending tasks are skipped and come back as
-///   `None` (tasks already executing run to completion — cooperative
-///   cancellation inside `f` is the caller's business, typically by
-///   checking the same flag).
-/// * `workers` is clamped by [`effective_workers`] and to the task count;
-///   a one-worker pool runs inline on the calling thread (no spawn, no
-///   worker marking), so sequential fallbacks cost nothing.
-pub fn run_indexed<T, F>(workers: usize, tasks: usize, stop: &AtomicBool, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let workers = effective_workers(workers).min(tasks.max(1));
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    if workers <= 1 {
-        for (idx, slot) in slots.iter_mut().enumerate() {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            *slot = Some(f(0, idx));
-        }
-        return slots;
-    }
-
-    let (task_tx, task_rx) = mpsc::channel::<usize>();
-    for idx in 0..tasks {
-        task_tx.send(idx).expect("queue accepts all indices");
-    }
-    drop(task_tx);
-    let task_rx = Arc::new(Mutex::new(task_rx));
-    let (res_tx, res_rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for worker_id in 0..workers {
-            let task_rx = Arc::clone(&task_rx);
-            let res_tx = res_tx.clone();
-            let f = &f;
-            SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
-            scope.spawn(move || {
-                IN_POOL_WORKER.with(|w| w.set(true));
-                loop {
-                    // Hold the lock only to pop the next index; the task
-                    // itself runs with the queue free for the other workers.
-                    let idx = match task_rx.lock().expect("task queue lock").recv() {
-                        Ok(i) => i,
-                        Err(_) => break, // queue drained
-                    };
-                    if stop.load(Ordering::Relaxed) {
-                        continue; // drain without executing
-                    }
-                    if res_tx.send((idx, f(worker_id, idx))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        for (idx, result) in res_rx {
-            slots[idx] = Some(result);
-        }
-    });
-    slots
-}
-
-/// [`run_indexed`] without early exit: every task runs, every slot is
-/// `Some`.
-pub fn run_all<T, F>(workers: usize, tasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let never = AtomicBool::new(false);
-    run_indexed(workers, tasks, &never, f)
-        .into_iter()
-        .map(|r| r.expect("no stop flag, every task ran"))
-        .collect()
-}
-
-/// A task that panicked inside a crash-isolated pool run
-/// ([`run_indexed_catching`]): which worker it died on and the rendered
-/// panic payload.
+/// A task that panicked inside [`run_all_catching`]: which worker it died
+/// on and the rendered panic payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskPanic {
     /// Dense id of the worker the task panicked on (the worker itself
@@ -189,54 +55,88 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Crash-isolated [`run_indexed`]: each task runs under
-/// [`catch_unwind`], so a panicking task comes back as
-/// `Some(Err(TaskPanic))` instead of tearing down the pool — the worker
-/// that caught it is reused for the next task, and every other task's
-/// result survives. `None` still means "drained by the stop flag without
-/// running".
+/// Runs `f(worker_id, task_index)` for every `task_index in 0..tasks` on
+/// `workers` threads, returning each task's result or [`TaskPanic`] **in
+/// task order**.
+///
+/// * Tasks are pulled from a shared counter, so workers load-balance
+///   automatically; `worker_id` is the dense, stable id (`0..workers`) of
+///   the thread that executed the task.
+/// * `workers` is clamped to `1..=tasks`; a one-worker pool runs inline on
+///   the calling thread (no spawn), so sequential callers cost nothing.
+/// * A panicking task is caught and reported; the worker that caught it
+///   is reused for the next task.
 ///
 /// The closure must not hold state it expects to be consistent after a
 /// panic (the pool asserts unwind safety on the caller's behalf —
 /// callers fold per-task results, they do not share mutable state across
 /// tasks). Panics still print through the process panic hook, so a
 /// crashing task is loud in logs even though it no longer kills the run.
-pub fn run_indexed_catching<T, F>(
-    workers: usize,
-    tasks: usize,
-    stop: &AtomicBool,
-    f: F,
-) -> Vec<Option<Result<T, TaskPanic>>>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    run_indexed(workers, tasks, stop, |worker, idx| {
-        catch_unwind(AssertUnwindSafe(|| f(worker, idx))).map_err(|payload| TaskPanic {
-            worker,
-            message: panic_message(payload),
-        })
-    })
-}
-
-/// [`run_indexed_catching`] without early exit: every task runs and
-/// yields either its result or its [`TaskPanic`].
 pub fn run_all_catching<T, F>(workers: usize, tasks: usize, f: F) -> Vec<Result<T, TaskPanic>>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
 {
-    let never = AtomicBool::new(false);
-    run_indexed_catching(workers, tasks, &never, f)
+    let run = |worker: usize, idx: usize| {
+        catch_unwind(AssertUnwindSafe(|| f(worker, idx))).map_err(|payload| TaskPanic {
+            worker,
+            message: panic_message(payload),
+        })
+    };
+    let workers = workers.clamp(1, tasks.max(1));
+    if workers == 1 {
+        return (0..tasks).map(|idx| run(0, idx)).collect();
+    }
+
+    // The counter only hands out indices; results reach this thread
+    // through `join`, which orders every worker's writes before it.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<Result<T, TaskPanic>>> = (0..tasks).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let (next, run) = (&next, &run);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= tasks {
+                            return done;
+                        }
+                        done.push((idx, run(worker, idx)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .expect("tasks are caught, workers never unwind");
+            for (idx, result) in done {
+                slots[idx] = Some(result);
+            }
+        }
+    });
+    slots
         .into_iter()
-        .map(|r| r.expect("no stop flag, every task ran"))
+        .map(|slot| slot.expect("every task ran"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    fn run_all<T: Send>(
+        workers: usize,
+        tasks: usize,
+        f: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<T> {
+        run_all_catching(workers, tasks, f)
+            .into_iter()
+            .map(|r| r.expect("no task panics"))
+            .collect()
+    }
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -247,82 +147,20 @@ mod tests {
     #[test]
     fn worker_ids_are_dense_and_stable() {
         let ids = run_all(3, 64, |worker, _| worker);
+        // Which worker wins each index is up to the OS scheduler; the ids
+        // themselves must stay in range.
         assert!(ids.iter().all(|&w| w < 3));
-        // With 64 tasks over 3 workers at least one non-zero id must appear
-        // (worker 0 cannot win every race for the queue lock 64 times in a
-        // row while two peers spin on it — and even if it did, the inline
-        // single-worker path is the only mode allowed to be all-zero).
-        // Keep the assertion scheduling-proof: ids are just in range.
     }
 
     #[test]
-    fn one_worker_runs_inline_without_marking() {
-        assert!(!in_pool_worker());
+    fn one_worker_runs_inline_on_the_calling_thread() {
+        let caller = std::thread::current().id();
         let out = run_all(1, 4, |worker, idx| {
             assert_eq!(worker, 0);
-            assert!(!in_pool_worker(), "inline path must not mark the caller");
+            assert_eq!(std::thread::current().id(), caller);
             idx
         });
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert!(!in_pool_worker());
-    }
-
-    #[test]
-    fn nested_pools_collapse_to_one_worker() {
-        let saw_nested_parallel = AtomicUsize::new(0);
-        run_all(4, 8, |_, _| {
-            assert!(in_pool_worker());
-            saw_nested_parallel
-                .fetch_add(usize::from(effective_workers(16) != 1), Ordering::Relaxed);
-            // A nested pool still computes — just inline.
-            let inner = run_all(16, 3, |w, i| {
-                assert_eq!(w, 0);
-                i
-            });
-            assert_eq!(inner, vec![0, 1, 2]);
-        });
-        assert_eq!(
-            saw_nested_parallel.load(Ordering::Relaxed),
-            0,
-            "effective_workers must clamp to 1 inside a pool worker"
-        );
-    }
-
-    #[test]
-    fn stop_flag_skips_pending_tasks() {
-        let stop = AtomicBool::new(false);
-        let executed = AtomicUsize::new(0);
-        // Single worker, deterministic order: task 2 raises the flag, so
-        // tasks 3.. are skipped (drained as None).
-        let out = run_indexed(1, 10, &stop, |_, idx| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if idx == 2 {
-                stop.store(true, Ordering::Relaxed);
-            }
-            idx
-        });
-        assert_eq!(executed.load(Ordering::Relaxed), 3);
-        assert_eq!(out[..3], [Some(0), Some(1), Some(2)]);
-        assert!(out[3..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn stop_flag_drains_multi_worker_pools() {
-        let stop = AtomicBool::new(true); // pre-set: nothing should execute
-        let out: Vec<Option<usize>> = run_indexed(4, 100, &stop, |_, idx| idx);
-        assert!(out.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn spawned_threads_moves_with_multi_worker_pools() {
-        // The counter is process-wide and only ever grows; concurrent
-        // tests can add to it but never subtract, so the delta across a
-        // 3-worker run is at least 3. (The complementary zero-spawn
-        // assertion lives in tso-model's single-test `adaptive_pool`
-        // integration binary, where no concurrent pool can race it.)
-        let before = spawned_threads();
-        let _ = run_all(3, 8, |_, i| i);
-        assert!(spawned_threads() >= before + 3);
     }
 
     #[test]
@@ -385,27 +223,5 @@ mod tests {
             out[1].as_ref().unwrap_err().message,
             "non-string panic payload"
         );
-    }
-
-    #[test]
-    fn catching_pools_still_honor_the_stop_flag() {
-        let stop = AtomicBool::new(false);
-        let out = run_indexed_catching(1, 10, &stop, |_, idx| {
-            if idx == 1 {
-                stop.store(true, Ordering::Relaxed);
-            }
-            idx
-        });
-        assert_eq!(out[0], Some(Ok(0)));
-        assert_eq!(out[1], Some(Ok(1)));
-        assert!(out[2..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn effective_workers_floors_at_one() {
-        assert_eq!(effective_workers(0), 1);
-        assert_eq!(effective_workers(1), 1);
-        assert_eq!(effective_workers(8), 8);
-        assert!(default_workers() >= 1);
     }
 }

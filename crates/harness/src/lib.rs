@@ -13,14 +13,14 @@
 //!    (read values *and* final memory) must be in the model's allowed set.
 //!
 //! The batch runner ([`run_batch`]) distributes tests over the shared
-//! [`exec_pool`] worker pool — tests are pulled from a channel-fed queue,
-//! so an idle worker steals the next test the moment it frees up and
-//! long-tail tests don't serialize the batch. Each outcome records the
-//! **stable worker id** (`0..jobs`, assigned at spawn) that executed it,
-//! so per-test timings in the JSON report attribute to real workers
-//! rather than implicit spawn order. The pool's oversubscription guard
-//! keeps the per-test *model* searches sequential inside harness workers:
-//! `--jobs N` means N threads, not N × model-workers.
+//! [`exec_pool`] worker pool — tests are pulled from a shared queue, so an
+//! idle worker takes the next test the moment it frees up and long-tail
+//! tests don't serialize the batch. Each outcome records the **stable
+//! worker id** (`0..jobs`, assigned at spawn) that executed it, so
+//! per-test timings in the JSON report attribute to real workers rather
+//! than implicit spawn order. Test-level fan-out is the only parallelism:
+//! each test's model searches and simulator runs stay on its worker's
+//! thread, so `--jobs N` means N threads.
 //!
 //! Model queries go through `tso-model`'s memoized outcome-set cache
 //! (canonical-fingerprint keyed): the verdict check and the three
@@ -170,8 +170,9 @@ pub struct TestOutcome {
     /// How many verdict-cache misses were answered by replaying a prefix
     /// certificate from an atomicity sibling instead of searching.
     pub prefix_hits: u32,
-    /// How many of this test's model queries ran a search that fanned
-    /// out across pool workers (the adaptive engine chose to split).
+    /// Always 0: a model search never fans out across workers, and no
+    /// report prints this. The field remains only because code outside
+    /// this workspace builds `TestOutcome` with struct literals.
     pub split_decisions: u32,
     /// True when a model query behind this test hit its search budget:
     /// the answer is a sound subset, so non-observation is *unknown*, not
@@ -274,7 +275,6 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
     let mut model_queries = 1u32;
     let mut model_cache_hits = u32::from(check.cache_hit);
     let mut prefix_hits = u32::from(check.prefix_hit);
-    let mut split_decisions = u32::from(check.split);
 
     let mut differential = Vec::with_capacity(Atomicity::ALL.len());
     for atomicity in Atomicity::ALL {
@@ -289,7 +289,6 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
         model_queries += 1;
         model_cache_hits += u32::from(allowed.hit);
         prefix_hits += u32::from(allowed.prefix_hit);
-        split_decisions += u32::from(allowed.split);
         let found = allowed.outcomes.iter().any(|o| {
             o.read_values() == sim_reads
                 && o.final_memory().iter().all(|&(a, v)| {
@@ -330,7 +329,7 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
         model_queries,
         model_cache_hits,
         prefix_hits,
-        split_decisions,
+        split_decisions: 0,
         unknown,
         crashed: false,
     }
@@ -362,9 +361,9 @@ pub fn run_batch(tests: &[Litmus], jobs: usize) -> (Vec<TestOutcome>, Duration) 
     run_batch_on(tests, jobs, MachineKind::Small)
 }
 
-/// Runs `tests` on `jobs` workers of the shared [`exec_pool`] (a
-/// channel-fed queue; idle workers pull the next index, so stragglers
-/// never serialize the batch), with the differential side on `machine`.
+/// Runs `tests` on `jobs` workers of the shared [`exec_pool`] (a shared
+/// queue; idle workers pull the next index, so stragglers never
+/// serialize the batch), with the differential side on `machine`.
 /// Returns per-test outcomes in input order — each stamped with the
 /// stable id of the worker that executed it — plus the batch wall-clock.
 pub fn run_batch_on(

@@ -178,15 +178,6 @@ impl Report {
         self.outcomes.iter().map(|o| u64::from(o.prefix_hits)).sum()
     }
 
-    /// Model searches across the reported tests where the adaptive engine
-    /// chose to fan out across pool workers.
-    pub fn split_decisions(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .map(|o| u64::from(o.split_decisions))
-            .sum()
-    }
-
     /// The full report as JSON (hand-rolled — the build is hermetic, no
     /// serde). Failures carry their diagnosis; passing tests are counted,
     /// not listed.
@@ -226,7 +217,6 @@ impl Report {
         let _ = writeln!(s, "  \"model_queries\": {},", self.model_queries());
         let _ = writeln!(s, "  \"model_query_hits\": {},", self.model_query_hits());
         let _ = writeln!(s, "  \"prefix_hits\": {},", self.prefix_hits());
-        let _ = writeln!(s, "  \"split_decisions\": {},", self.split_decisions());
         match &self.model_cache {
             Some(c) => {
                 let _ = writeln!(s, "  \"model_cache\": {{");
@@ -306,21 +296,17 @@ impl Report {
                 s,
                 "    {{\"name\": \"{}\", \"worker\": {}, \"micros\": {}, \
                  \"model_nodes\": {}, \"model_pruned\": {}, \"model_valid\": {}, \
-                 \"model_tasks\": {}, \"model_workers\": {}, \
                  \"model_queries\": {}, \"model_cache_hits\": {}, \
-                 \"prefix_hits\": {}, \"split_decisions\": {}}}{comma}",
+                 \"prefix_hits\": {}}}{comma}",
                 json_escape(&o.name),
                 o.worker,
                 o.micros,
                 o.model_stats.nodes,
                 o.model_stats.pruned,
                 o.model_stats.valid,
-                o.model_stats.tasks,
-                o.model_stats.workers,
                 o.model_queries,
                 o.model_cache_hits,
                 o.prefix_hits,
-                o.split_decisions,
             );
         }
         let _ = writeln!(s, "  ]");
@@ -403,7 +389,6 @@ mod tests {
             "\"prefix_cache\": {",
             "\"nodes_saved\":",
             "\"prefix_hits\":",
-            "\"split_decisions\":",
             "\"crashed\": 0",
             "\"unknown\": 0",
             "\"degraded\": false",

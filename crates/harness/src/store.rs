@@ -27,7 +27,7 @@
 //! kind 1 (verdict):
 //! body    := fingerprint:u64
 //!            key_words:u32  key:u64[key_words]
-//!            stats:u64[6]                    (nodes pruned complete valid tasks workers)
+//!            stats:u64[6]                    (nodes pruned complete valid 1 1)
 //!            outcome_count:u32 outcome*
 //! outcome := reads:u32 read_value:u64[reads]
 //!            mem:u32  (addr:u64 value:u64)[mem]
@@ -140,8 +140,11 @@ pub const KIND_VERDICT: u32 = 1;
 /// Record kind tag for a prefix-certificate record (format version 2).
 pub const KIND_CERT: u32 = 2;
 
-/// Number of `u64` stats words in a record (`nodes`, `pruned`, `complete`,
-/// `valid`, `tasks`, `workers` — the additive [`SearchStats`] counters).
+/// Number of `u64` stats words in a record: `nodes`, `pruned`, `complete`,
+/// `valid` (the additive [`SearchStats`] counters), then two words that
+/// once held the parallel search's task and worker counts. Every search
+/// now runs as one task on one worker, so writers put `1, 1` there and
+/// readers ignore them — files stay byte-identical to earlier builds'.
 pub const STATS_WORDS: usize = 6;
 
 /// One allowed outcome in storable form: the read values in `(thread, po)`
@@ -157,7 +160,7 @@ pub type StoredOutcome = (Vec<u64>, Vec<(u64, u64)>);
 pub struct StoredVerdict {
     /// The allowed outcomes, one [`StoredOutcome`] per model outcome.
     pub outcomes: Vec<StoredOutcome>,
-    /// The additive [`SearchStats`] counters, in record order.
+    /// The stats words, in record order (see [`STATS_WORDS`]).
     pub stats: [u64; STATS_WORDS],
 }
 
@@ -174,14 +177,7 @@ impl StoredVerdict {
                     )
                 })
                 .collect(),
-            stats: [
-                stats.nodes,
-                stats.pruned,
-                stats.complete,
-                stats.valid,
-                stats.tasks,
-                stats.workers,
-            ],
+            stats: [stats.nodes, stats.pruned, stats.complete, stats.valid, 1, 1],
         }
     }
 
@@ -197,14 +193,12 @@ impl StoredVerdict {
                 )
             })
             .collect();
-        let [nodes, pruned, complete, valid, tasks, workers] = self.stats;
+        let [nodes, pruned, complete, valid, _, _] = self.stats;
         let stats = SearchStats {
             nodes,
             pruned,
             complete,
             valid,
-            tasks,
-            workers,
             stopped_early: false,
             budget_exhausted: false,
         };
@@ -929,6 +923,80 @@ mod tests {
         assert_eq!(s.len(), 1, "one key survives");
         assert_eq!(s.lookup(&k), Some(&v2), "the later record wins");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn record_encoding_matches_golden_bytes() {
+        // One verdict from a real search and one certificate, encoded and
+        // compared byte for byte with the format's field layout. Any drift
+        // in the encoding — including the two trailing stats words, which
+        // must stay `1, 1` — fails here even though a round trip would
+        // still succeed.
+        use tso_model::ProgramBuilder;
+        let mut b = ProgramBuilder::new();
+        b.thread()
+            .write(rmw_types::Addr(0), 1)
+            .read(rmw_types::Addr(0));
+        let (outcomes, stats) = tso_model::allowed_outcomes_with_stats(&b.build());
+        let verdict = StoredVerdict::from_model(&outcomes, &stats);
+        let record = encode_frame(&encode_verdict_payload(
+            &[1, 2],
+            0x1122_3344_5566_7788,
+            &verdict,
+            2,
+        ));
+        let golden = concat!(
+            "7c000000",         // len = 8 + payload bytes
+            "ffc855ee6d01d6e9", // checksum
+            "01000000",         // kind 1 (verdict)
+            "8877665544332211", // fingerprint
+            "02000000",         // key_words
+            "0100000000000000",
+            "0200000000000000", // key
+            "0300000000000000", // nodes
+            "0100000000000000", // pruned
+            "0100000000000000", // complete
+            "0100000000000000", // valid
+            "0100000000000000",
+            "0100000000000000", // 1 1
+            "01000000",         // outcome_count
+            "01000000",
+            "0100000000000000", // reads: [1]
+            "01000000",
+            "0000000000000000",
+            "0100000000000000", // mem: [(0, 1)]
+        );
+        assert_eq!(hex(&record), golden, "verdict record");
+
+        let cert = CertData {
+            leaves: vec![(vec![1], vec![0])],
+            nodes: 1,
+            pruned: 0,
+            complete: 1,
+        };
+        let record = encode_frame(&encode_cert_payload(&[1, 0], 0x99, &cert));
+        let golden = concat!(
+            "5c000000",         // len = 8 + payload bytes
+            "6d8d5eeb84374c2a", // checksum
+            "02000000",         // kind 2 (certificate)
+            "9900000000000000", // fingerprint
+            "02000000",         // key_words
+            "0100000000000000",
+            "0000000000000000", // masked key
+            "0100000000000000", // nodes
+            "0000000000000000", // pruned
+            "0100000000000000", // complete
+            "01000000",         // leaf_count
+            "01000000",
+            "0100000000000000", // ws: [1]
+            "01000000",
+            "0000000000000000", // rf: [0]
+        );
+        assert_eq!(hex(&record), golden, "certificate record");
     }
 
     #[test]

@@ -118,10 +118,6 @@ pub struct CheckResult {
     /// prefix certificate from an atomicity sibling instead of searching
     /// (`tso_model::prefix`). Always false on a cache hit.
     pub prefix_hit: bool,
-    /// True when the search behind this verdict fanned out across pool
-    /// workers (the adaptive engine chose to split). Always false on a
-    /// cache or prefix hit.
-    pub split: bool,
     /// True when the verdict is *inconclusive*: the model search hit an
     /// installed [`tso_model::SearchBudget`] and the target outcome was
     /// not among the (sound but possibly incomplete) outcomes it did
@@ -161,8 +157,7 @@ impl Litmus {
     /// The verdict rides on the **memoized** outcome-set cache
     /// ([`allowed_outcomes_cached`]): the program is canonicalized under
     /// thread- and address-renaming, its full allowed-outcome set is
-    /// proven once per equivalence class (on the parallel root-split
-    /// search when cores are available), and the target is tested against
+    /// proven once per equivalence class, and the target is tested against
     /// that set. Checking the same program again — or any of its permuted
     /// siblings, or its `with_atomicity` rewrites when it has no RMWs —
     /// costs a lookup, not a search. When the target is observed, a
@@ -199,7 +194,6 @@ impl Litmus {
             model_stats: cached.stats,
             cache_hit: cached.hit,
             prefix_hit: cached.prefix_hit,
-            split: cached.split,
             unknown,
         }
     }

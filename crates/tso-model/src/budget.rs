@@ -22,26 +22,22 @@
 //! * a truncated result never poisons any cache tier — the in-memory
 //!   verdict cache, the persistent [`VerdictStore`](crate::VerdictStore),
 //!   and the prefix-certificate store all skip budget-exhausted answers,
-//!   so a later (or un-budgeted) query recomputes from scratch;
-//! * the parallel engine's once-per-process node-rate calibration runs
-//!   outside the budget, so an installed budget cannot skew the adaptive
-//!   split policy.
+//!   so a later (or un-budgeted) query recomputes from scratch.
 //!
 //! With no budget installed — or with one installed but never hit — every
 //! result and every [`SearchStats`](crate::SearchStats) is bit-identical
 //! to the un-budgeted engine.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::cell::Cell;
+use std::sync::{OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// A bound on the work one cache-tier model query may spend.
 ///
 /// Both limits are optional; an all-`None` budget never exhausts. The
 /// node limit counts decision nodes (the same quantity as
-/// [`SearchStats::nodes`](crate::SearchStats::nodes)) across *all*
-/// subtree tasks of one query; the deadline is measured from the moment
-/// the query starts its search.
+/// [`SearchStats::nodes`](crate::SearchStats::nodes)) of one query; the
+/// deadline is measured from the moment the query starts its search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchBudget {
     /// Maximum decision nodes a single query may explore.
@@ -79,14 +75,13 @@ pub fn current_budget() -> Option<SearchBudget> {
     *budget_slot().read().expect("search budget lock")
 }
 
-/// Live accounting for one budgeted query: shared by every subtree task
-/// of the query's search, so the node limit is global to the query, not
-/// per-task.
+/// Live accounting for one budgeted query. A query searches on one
+/// thread, so plain cells suffice.
 pub(crate) struct QueryBudget {
     max_nodes: Option<u64>,
     deadline: Option<Instant>,
-    nodes: AtomicU64,
-    exhausted: AtomicBool,
+    nodes: Cell<u64>,
+    exhausted: Cell<bool>,
 }
 
 /// How many charged nodes elapse between wall-clock checks: `Instant::now`
@@ -94,18 +89,30 @@ pub(crate) struct QueryBudget {
 const DEADLINE_CHECK_MASK: u64 = 1023;
 
 impl QueryBudget {
+    /// Starts accounting under `budget`, with the deadline counted from
+    /// now.
+    fn start(budget: SearchBudget) -> QueryBudget {
+        QueryBudget {
+            max_nodes: budget.max_nodes,
+            deadline: budget.max_time.map(|t| Instant::now() + t),
+            nodes: Cell::new(0),
+            exhausted: Cell::new(false),
+        }
+    }
+
     /// Charges one decision node against the budget. Returns `true` when
     /// the budget is (now) exhausted — the search must stop.
     pub(crate) fn charge(&self) -> bool {
-        if self.exhausted.load(Ordering::Relaxed) {
+        if self.exhausted.get() {
             return true;
         }
-        let n = self.nodes.fetch_add(1, Ordering::Relaxed) + 1;
+        let n = self.nodes.get() + 1;
+        self.nodes.set(n);
         let over_nodes = self.max_nodes.is_some_and(|m| n > m);
         let over_time =
             n & DEADLINE_CHECK_MASK == 0 && self.deadline.is_some_and(|d| Instant::now() >= d);
         if over_nodes || over_time {
-            self.exhausted.store(true, Ordering::Relaxed);
+            self.exhausted.set(true);
             return true;
         }
         false
@@ -114,18 +121,11 @@ impl QueryBudget {
 
 /// Starts accounting for one query under the installed budget, or `None`
 /// when no (limiting) budget is installed — the common case, which costs
-/// one `RwLock` read and no allocation.
-pub(crate) fn begin_query() -> Option<Arc<QueryBudget>> {
-    let budget = current_budget()?;
-    if budget.is_unlimited() {
-        return None;
-    }
-    Some(Arc::new(QueryBudget {
-        max_nodes: budget.max_nodes,
-        deadline: budget.max_time.map(|t| Instant::now() + t),
-        nodes: AtomicU64::new(0),
-        exhausted: AtomicBool::new(false),
-    }))
+/// one `RwLock` read.
+pub(crate) fn begin_query() -> Option<QueryBudget> {
+    current_budget()
+        .filter(|b| !b.is_unlimited())
+        .map(QueryBudget::start)
 }
 
 /// True when a limiting budget is installed (the cache layer routes
@@ -146,12 +146,7 @@ mod tests {
     #[test]
     fn unlimited_budgets_never_begin_accounting() {
         assert!(SearchBudget::default().is_unlimited());
-        let qb = QueryBudget {
-            max_nodes: None,
-            deadline: None,
-            nodes: AtomicU64::new(0),
-            exhausted: AtomicBool::new(false),
-        };
+        let qb = QueryBudget::start(SearchBudget::default());
         for _ in 0..10_000 {
             assert!(!qb.charge());
         }
@@ -159,12 +154,10 @@ mod tests {
 
     #[test]
     fn node_limit_trips_exactly_past_the_cap() {
-        let qb = QueryBudget {
+        let qb = QueryBudget::start(SearchBudget {
             max_nodes: Some(5),
-            deadline: None,
-            nodes: AtomicU64::new(0),
-            exhausted: AtomicBool::new(false),
-        };
+            max_time: None,
+        });
         for _ in 0..5 {
             assert!(!qb.charge());
         }
@@ -175,10 +168,8 @@ mod tests {
     #[test]
     fn expired_deadline_trips_at_the_next_check_window() {
         let qb = QueryBudget {
-            max_nodes: None,
             deadline: Some(Instant::now() - Duration::from_secs(1)),
-            nodes: AtomicU64::new(0),
-            exhausted: AtomicBool::new(false),
+            ..QueryBudget::start(SearchBudget::default())
         };
         // The deadline is only consulted every `DEADLINE_CHECK_MASK + 1`
         // nodes; it must trip within one window.

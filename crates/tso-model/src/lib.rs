@@ -30,15 +30,9 @@
 //! [`enumerate_candidates`] survives as a materializing compatibility
 //! wrapper.
 //!
-//! Three layers scale that engine across cores and across a corpus
-//! (each observationally invisible — same sets, same verdicts, same
-//! decision stats):
+//! Three layers scale that engine across a corpus (each observationally
+//! invisible — same sets, same verdicts, same decision stats):
 //!
-//! * [`par`] — **adaptive parallel search**: shapes predicted (via a
-//!   once-per-process calibrated node rate) to be too small to amortize
-//!   fan-out run sequentially; larger ones expand their first decision
-//!   levels into independent subtree tasks fanned out on the shared
-//!   `exec-pool` workers, merged deterministically;
 //! * [`canon`] — **symmetry reduction**: programs are canonicalized
 //!   under thread- and address-renaming
 //!   ([`Program::canonicalize`](program::Program::canonicalize));
@@ -78,7 +72,6 @@ pub mod execution;
 pub mod graph;
 pub mod lemmas;
 pub mod outcome;
-pub mod par;
 pub mod prefix;
 pub mod program;
 pub mod search;
@@ -92,10 +85,6 @@ pub use execution::{enumerate_candidates, CandidateExecution};
 pub use graph::DiGraph;
 pub use outcome::{
     allowed_outcomes, allowed_outcomes_with_stats, find_execution, outcome_allowed, Outcome,
-};
-pub use par::{
-    allowed_outcomes_par, allowed_outcomes_par_with_stats, fold_valid_executions_par,
-    fold_valid_executions_split, outcome_allowed_par, valid_executions_par,
 };
 pub use program::{Instr, Program, ProgramBuilder, ThreadBuilder};
 pub use search::{any_valid_execution, for_each_valid_execution, valid_executions, SearchStats};

@@ -25,9 +25,9 @@
 //! disjunctions are solved fresh *for the querying program's atomicity*.
 //! The replayed stats are bit-identical to what a sequential search of
 //! the querying program would report (`nodes`/`pruned` attributed from
-//! the certificate, `complete`/`valid` produced by the replay,
-//! `tasks = workers = 1`); the decision nodes skipped are tallied in
-//! [`counters`] as `nodes_saved`, not hidden in the stats.
+//! the certificate, `complete`/`valid` produced by the replay); the
+//! decision nodes skipped are tallied in [`counters`] as `nodes_saved`,
+//! not hidden in the stats.
 //!
 //! Certificates can outlive the process through a [`CertificateStore`]
 //! (the harness's record file implements it beside the verdict store), so
@@ -37,7 +37,7 @@ use crate::canon::Canonical;
 use crate::event::EventId;
 use crate::outcome::Outcome;
 use crate::search::{self, Prefix, SearchStats};
-use rmw_types::fasthash::{FastHashMap, FastHasher};
+use rmw_types::fasthash::{FastHashMap, FastHashSet, FastHasher};
 use std::collections::BTreeSet;
 use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,15 +235,13 @@ pub(crate) struct PrefixAnswer {
     pub stats: SearchStats,
     /// True when a certificate replay (not a fresh search) answered.
     pub prefix_hit: bool,
-    /// True when a fresh search ran and the adaptive engine fanned out.
-    pub split: bool,
 }
 
 /// Answers an outcome-set query for a canonical program through the
 /// certificate tier: replay a matching certificate if one exists, else
-/// run the recording adaptive search and certify the result. Called by
+/// run the recording search and certify the result. Called by
 /// [`crate::cache`] on verdict-cache misses.
-pub(crate) fn query(canon: &Canonical, workers: usize) -> PrefixAnswer {
+pub(crate) fn query(canon: &Canonical) -> PrefixAnswer {
     QUERIES.fetch_add(1, Ordering::Relaxed);
     let masked = canon.masked_key();
 
@@ -269,8 +267,8 @@ pub(crate) fn query(canon: &Canonical, workers: usize) -> PrefixAnswer {
         }
     }
 
+    let sc = search::build_ctx(canon.program());
     if let Some(cert) = cert {
-        let sc = search::build_ctx(canon.program());
         if fits(&cert, &sc) {
             HITS.fetch_add(1, Ordering::Relaxed);
             if from_store {
@@ -281,15 +279,10 @@ pub(crate) fn query(canon: &Canonical, workers: usize) -> PrefixAnswer {
             let mut outcomes = BTreeSet::new();
             let mut stats = SearchStats::default();
             for leaf in &cert.leaves {
-                stats.absorb(&search::run_prefix(
-                    &sc,
-                    leaf,
-                    &mut |exec| {
-                        outcomes.insert(Outcome::of_execution(exec));
-                        std::ops::ControlFlow::Continue(())
-                    },
-                    None,
-                ));
+                stats.absorb(&search::run_prefix(&sc, leaf, &mut |exec| {
+                    outcomes.insert(Outcome::of_execution(exec));
+                    std::ops::ControlFlow::Continue(())
+                }));
             }
             debug_assert_eq!(stats.complete, cert.complete);
             // Attribute the skipped decision work so the stats equal a
@@ -297,28 +290,35 @@ pub(crate) fn query(canon: &Canonical, workers: usize) -> PrefixAnswer {
             stats.nodes = cert.nodes;
             stats.pruned = cert.pruned;
             stats.complete = cert.complete;
-            stats.tasks = 1;
-            stats.workers = 1;
             stats.stopped_early = false;
             stats.budget_exhausted = false;
             return PrefixAnswer {
                 outcomes,
                 stats,
                 prefix_hit: true,
-                split: false,
             };
         }
         // A store entry that does not fit the program is treated as a
         // miss (and left in place for whichever program it does fit).
     }
 
-    // Fresh search, recording the leaves for the certificate. The
-    // `stopped_early` gate below also covers budget exhaustion (which
-    // always sets it), so a truncated search never certifies its
-    // incomplete leaf set.
-    let (outcomes, stats, leaves) =
-        crate::par::allowed_outcomes_recording(canon.program(), workers);
-    let split = stats.tasks > 1;
+    // Fresh search under the installed budget (if any), recording the
+    // leaves for the certificate. The `stopped_early` gate below also
+    // covers budget exhaustion (which always sets it), so a truncated
+    // search never certifies its incomplete leaf set.
+    let budget = crate::budget::begin_query();
+    let mut found = FastHashSet::<Outcome>::default();
+    let mut leaves = Vec::new();
+    let stats = search::run_ctx_budgeted(
+        &sc,
+        &mut |exec| {
+            found.insert(Outcome::of_execution(exec));
+            std::ops::ControlFlow::Continue(())
+        },
+        Some(&mut leaves),
+        budget.as_ref(),
+    );
+    let outcomes: BTreeSet<Outcome> = found.into_iter().collect();
     if !stats.stopped_early && leaves.len() <= MAX_CERT_LEAVES {
         let fresh = Arc::new(Certificate {
             leaves,
@@ -347,7 +347,6 @@ pub(crate) fn query(canon: &Canonical, workers: usize) -> PrefixAnswer {
         outcomes,
         stats,
         prefix_hit: false,
-        split,
     }
 }
 
@@ -378,7 +377,7 @@ mod tests {
         let tag = 9101;
         let first = rmw_program(tag, Atomicity::Type1);
         let canon1 = first.canonicalize();
-        let miss = query(&canon1, 1);
+        let miss = query(&canon1);
         assert!(!miss.prefix_hit, "unique program must record, not replay");
         assert_eq!(miss.outcomes, allowed_outcomes(canon1.program()));
 
@@ -386,7 +385,7 @@ mod tests {
             let sibling = rmw_program(tag, a);
             let canon = sibling.canonicalize();
             let before = counters();
-            let hit = query(&canon, 1);
+            let hit = query(&canon);
             let after = counters();
             assert!(hit.prefix_hit, "{a:?} shares the masked key");
             assert!(after.hits > before.hits);
@@ -467,14 +466,14 @@ mod tests {
         let p = rmw_program(9301, Atomicity::Type1);
         let canon = p.canonicalize();
         let masked = canon.masked_key();
-        let _ = query(&canon, 1);
+        let _ = query(&canon);
         assert!(store.saves.load(Ordering::Relaxed) >= 1);
         assert!(store.entries.lock().unwrap().contains_key(&masked));
 
         // Simulate a restart: drop the memory tier, keep the store.
         certs().lock().unwrap().remove(&masked);
         let before = counters();
-        let again = query(&canon, 1);
+        let again = query(&canon);
         let after = counters();
         assert!(again.prefix_hit, "store-loaded certificate must replay");
         assert!(after.store_hits > before.store_hits);

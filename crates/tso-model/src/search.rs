@@ -37,21 +37,14 @@
 //! ([`for_each_valid_execution`]); returning [`ControlFlow::Break`] stops
 //! the search, which is what gives `outcome_allowed` its early exit.
 //!
-//! # Parallelism hooks
+//! # Prefix-replay hooks
 //!
-//! The decision tree has an exploitable shape: the first few decision
-//! levels partition the remaining search into *independent* subtrees. The
-//! crate-private primitives at the bottom of this module —
-//! `build_ctx` (the immutable per-program context), `split_prefixes`
-//! (a bounded DFS over the first `ws`-placement — and, for `ws`-trivial
-//! programs, `rf` — levels, yielding viable decision prefixes in exactly
-//! the order the sequential engine would visit them), and `run_prefix`
-//! (replay a prefix, then resume the ordinary DFS below it, with an
-//! optional cooperative stop flag) — are what [`crate::par`] fans out over
-//! the shared `exec-pool` workers. The split counts decision nodes
-//! exactly as the sequential engine would for those levels, so
-//! `split stats + Σ task stats` equals the sequential [`SearchStats`]
-//! identically, at any task granularity.
+//! The crate-private primitives at the bottom of this module back the
+//! prefix-certificate tier ([`crate::prefix`]): `build_ctx` (the
+//! immutable per-program context), `run_ctx_budgeted` (the sequential DFS
+//! with optional complete-leaf recording and an optional query budget),
+//! and `run_prefix` (replay one recorded full-depth leaf path straight to
+//! its leaf, re-solving only the atomicity disjunctions).
 
 use crate::budget::QueryBudget;
 use crate::event::{EventId, RmwHalf};
@@ -65,18 +58,14 @@ use crate::validity::{atomicity_disjuncts, solve_ato, Disjunct, Validity};
 use rmw_types::Addr;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Counters describing one search run, for benchmarks and scaling reports.
 ///
-/// The decision-tree counters (`nodes`, `pruned`, `complete`, `valid`) are
-/// *engine-independent*: the parallel root-split engine ([`crate::par`])
-/// reports exactly the sequential engine's numbers at every worker count
-/// (asserted by `tests/par_equiv.rs`), because the split phase counts the
-/// top-of-tree decisions once and each subtree task counts only its own.
-/// `tasks`/`workers` describe the parallel plumbing and legitimately vary
-/// with the worker count (both are 1 on the sequential engine).
+/// A certificate replay ([`crate::prefix`]) reports exactly the numbers a
+/// fresh search of the same program would (asserted by
+/// `tests/prefix_equiv.rs`), so the counters describe the program, not
+/// which tier answered it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Partial-assignment decision nodes explored (one per `ws` placement
@@ -89,10 +78,6 @@ pub struct SearchStats {
     pub complete: u64,
     /// Valid executions yielded to the visitor.
     pub valid: u64,
-    /// Independent subtree tasks the search ran as (1 = sequential).
-    pub tasks: u64,
-    /// Worker threads those tasks were distributed over (1 = sequential).
-    pub workers: u64,
     /// True when the visitor stopped the search early.
     pub stopped_early: bool,
     /// True when a [`SearchBudget`](crate::budget::SearchBudget) ran out
@@ -106,17 +91,14 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Accumulates another run's counters into `self`: decision counters
-    /// and `tasks` add, `workers` takes the maximum, `stopped_early` ORs.
-    /// Used both by the parallel engine (merging per-task stats) and by
-    /// consumers aggregating several searches (e.g. the harness's
-    /// per-test model stats across its four model queries).
+    /// add, the two flags OR. Used both by certificate replay (summing
+    /// per-leaf stats) and by consumers aggregating several searches (e.g.
+    /// the harness's per-test model stats across its four model queries).
     pub fn absorb(&mut self, other: &SearchStats) {
         self.nodes += other.nodes;
         self.pruned += other.pruned;
         self.complete += other.complete;
         self.valid += other.valid;
-        self.tasks += other.tasks;
-        self.workers = self.workers.max(other.workers);
         self.stopped_early |= other.stopped_early;
         self.budget_exhausted |= other.budget_exhausted;
     }
@@ -199,7 +181,8 @@ struct LocWrites {
 }
 
 /// Immutable per-program search context: everything the DFS reads but
-/// never writes. Shared by reference across the parallel subtree tasks.
+/// never writes. Built once per query and shared by its recording search
+/// or its certificate replays.
 pub(crate) struct SearchCtx {
     ctx: Arc<ExecCtx>,
     mode: Mode,
@@ -218,7 +201,7 @@ pub(crate) struct SearchCtx {
 }
 
 /// Builds the search context for the valid-only (pruned) engine — the
-/// parallel front end in [`crate::par`] starts here.
+/// certificate tier in [`crate::prefix`] starts here.
 pub(crate) fn build_ctx(program: &Program) -> SearchCtx {
     SearchCtx::build(program, Mode::ValidOnly)
 }
@@ -335,23 +318,6 @@ impl SearchCtx {
         }
     }
 
-    /// Branching factor of each decision level, in decision order: for
-    /// every location the factors `k, k-1, …, 1` of its placement steps,
-    /// then one factor per read (`rf` source count). Used to pick the
-    /// root-split depth.
-    fn level_factors(&self) -> Vec<usize> {
-        let mut factors = Vec::new();
-        for loc in &self.locs {
-            for placed in 0..loc.writes.len() {
-                factors.push(loc.writes.len() - placed);
-            }
-        }
-        for choices in &self.rf_choices {
-            factors.push(choices.len());
-        }
-        factors
-    }
-
     /// The decision shape `(total non-init writes, reads)` — the exact
     /// lengths a full-depth leaf path must have. [`crate::prefix`] uses
     /// this (plus [`SearchCtx::max_event_id`]) to reject a persisted
@@ -366,74 +332,22 @@ impl SearchCtx {
     pub(crate) fn max_event_id(&self) -> usize {
         self.ctx.events.len()
     }
-
-    /// Upper estimate of the decision nodes a search of this program can
-    /// visit: the node count of the *unpruned* decision tree, i.e. the sum
-    /// over decision levels of the running product of branching factors.
-    /// Pruning only shrinks the real count, so thresholding on this value
-    /// errs toward "the subtree is big" — the safe direction for the
-    /// adaptive split policy in [`crate::par`], which only fans out above
-    /// a generous floor. Saturates instead of overflowing on deep shapes.
-    pub(crate) fn estimate_nodes(&self) -> u64 {
-        let mut total = 1u64; // the root itself
-        let mut width = 1u64;
-        for &f in &self.level_factors() {
-            width = width.saturating_mul(f as u64);
-            total = total.saturating_add(width);
-            if total >= u64::MAX / 2 {
-                return u64::MAX / 2;
-            }
-        }
-        total
-    }
 }
 
-/// A decision prefix identifying one independent subtree of the search:
-/// the first `ws` placements (in decision order, locations in address
-/// order), and — only when every write is already placed — the first
-/// `rf` choices. Produced by [`split_prefixes`], consumed by
-/// [`run_prefix`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The full decision path of one complete leaf: every location's `ws`
+/// placements (in decision order, locations in address order), then every
+/// read's `rf` source (in read order). Recorded by [`run_ctx_budgeted`],
+/// replayed by [`run_prefix`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Prefix {
     pub(crate) ws: Vec<EventId>,
     pub(crate) rf: Vec<EventId>,
 }
 
-/// Enumerates the viable decision prefixes at a depth chosen so their
-/// count reaches `target` (or the whole tree if it never does), in
-/// exactly the order the sequential DFS visits those subtrees. The
-/// returned stats cover the split levels' decision nodes — sequential
-/// totals are `split stats + Σ` [`run_prefix`] stats.
-pub(crate) fn split_prefixes(sc: &SearchCtx, target: usize) -> (Vec<Prefix>, SearchStats) {
-    let factors = sc.level_factors();
-    let mut depth = 0usize;
-    let mut product = 1u64;
-    while depth < factors.len() && product < target as u64 {
-        product = product.saturating_mul(factors[depth] as u64);
-        depth += 1;
-    }
-    let mut out = Vec::new();
-    let mut stats = SearchStats::default();
-    if depth == 0 {
-        // No decisions to split on (or target ≤ 1): one task, whole tree.
-        out.push(Prefix::default());
-        return (out, stats);
-    }
-    let mut sink = |_: &CandidateExecution| ControlFlow::Continue(());
-    let mut search = Search::new(sc, &mut sink, None);
-    let mut path = Prefix::default();
-    search.split_ws(0, depth, &mut path, &mut out);
-    stats.absorb(&search.stats);
-    // `absorb` summed the split's zeroed tasks/workers; the caller sets
-    // the real values after merging task stats.
-    (out, stats)
-}
-
 /// Runs the full sequential DFS from a prebuilt context, optionally
 /// recording the decision path of every complete leaf into `leaves` (in
 /// DFS order — the order [`run_prefix`] replays them for a certificate
-/// hit, see [`crate::prefix`]). Reports `tasks = workers = 1` like
-/// [`for_each_valid_execution`]; the context must be `ValidOnly` when
+/// hit, see [`crate::prefix`]). The context must be `ValidOnly` when
 /// recording (only complete leaves of the pruned engine are meaningful
 /// certificate entries).
 pub(crate) fn run_ctx(
@@ -447,103 +361,56 @@ pub(crate) fn run_ctx(
 /// [`run_ctx`] under an optional [`QueryBudget`]: the DFS additionally
 /// charges every decision node against `budget` and aborts (marking the
 /// stats budget-exhausted) when it runs out. `budget = None` is exactly
-/// [`run_ctx`] — the calibration path and every pre-budget caller go
-/// through that and can never be truncated.
+/// [`run_ctx`] — every un-budgeted caller goes through that and can never
+/// be truncated.
 pub(crate) fn run_ctx_budgeted(
     sc: &SearchCtx,
     visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
     leaves: Option<&mut Vec<Prefix>>,
     budget: Option<&QueryBudget>,
 ) -> SearchStats {
-    let mut search = Search::new(sc, visitor, None);
+    let mut search = Search::new(sc, visitor);
     search.leaves = leaves;
     search.budget = budget;
     // A `Break` here is just the early exit reaching the root.
     let _ = search.search_ws(0);
-    let mut stats = search.stats;
-    stats.tasks = 1;
-    stats.workers = 1;
-    stats
+    search.stats
 }
 
-/// Replays `prefix` (whose viability the split already established) and
-/// resumes the ordinary DFS below it, yielding to `visitor`. `stop` is a
-/// cooperative cancellation flag checked at every decision node.
+/// Replays one recorded full-depth leaf path `leaf` (every `ws` placement
+/// and every `rf` choice — the shape [`crate::prefix`] checks before
+/// replaying) straight to its leaf, yielding to `visitor`: zero decision
+/// nodes, one `complete`, with the atomicity disjunctions solved for
+/// *this* context's program. That is exactly how a certificate's leaves
+/// answer a sibling program.
 pub(crate) fn run_prefix(
     sc: &SearchCtx,
-    prefix: &Prefix,
+    leaf: &Prefix,
     visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    stop: Option<&AtomicBool>,
 ) -> SearchStats {
-    run_prefix_with(sc, prefix, visitor, stop, None, None)
-}
-
-/// [`run_prefix`] with optional complete-leaf recording (the recording
-/// engine behind certificate capture on the split path). A *full-depth*
-/// `prefix` — one naming every `ws` placement and every `rf` choice —
-/// replays straight to the leaf: zero decision nodes, one `complete`,
-/// with the atomicity disjunctions solved for *this* context's program.
-/// That degenerate case is exactly how [`crate::prefix`] replays a
-/// certificate's leaves for a sibling program.
-pub(crate) fn run_prefix_with(
-    sc: &SearchCtx,
-    prefix: &Prefix,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    stop: Option<&AtomicBool>,
-    leaves: Option<&mut Vec<Prefix>>,
-    budget: Option<&QueryBudget>,
-) -> SearchStats {
-    let mut search = Search::new(sc, visitor, stop);
-    search.leaves = leaves;
-    search.budget = budget;
-
-    // Replay the ws placements. Decision order fills locations in order,
-    // so the prefix entries for the current location form the contiguous
-    // slice `prefix.ws[loc_start..]`.
-    let (mut li, mut loc_start) = (0usize, 0usize);
-    for (pos, &w) in prefix.ws.iter().enumerate() {
-        while sc.locs[li].writes.len() == pos - loc_start {
-            li += 1;
-            loc_start = pos;
-        }
-        let placed = &prefix.ws[loc_start..pos];
-        let mut added = Vec::new();
-        for &u in &sc.locs[li].writes {
-            if u != w && !placed.contains(&u) {
+    let mut search = Search::new(sc, visitor);
+    // Decision order fills locations in address order, so each
+    // location's serialization is the next `writes.len()` entries.
+    let mut placements = leaf.ws.iter().copied();
+    for loc in &sc.locs {
+        let order: Vec<EventId> = placements.by_ref().take(loc.writes.len()).collect();
+        for (k, &w) in order.iter().enumerate() {
+            let mut added = Vec::new();
+            for &u in &order[k + 1..] {
                 search.add_com_edge(w, u, &mut added);
             }
         }
         search
             .ws
-            .get_mut(&sc.locs[li].addr)
+            .get_mut(&loc.addr)
             .expect("ws has every addr")
-            .push(w);
-        // The edges stay committed for the lifetime of the task.
+            .extend(order);
     }
-
-    if prefix.rf.is_empty() {
-        // Resume mid-placement (or at the rf phase if everything is
-        // placed — `place_writes` falls through on an empty remainder).
-        if li < sc.locs.len() {
-            let placed = &prefix.ws[loc_start..];
-            let mut remaining: Vec<EventId> = sc.locs[li]
-                .writes
-                .iter()
-                .copied()
-                .filter(|u| !placed.contains(u))
-                .collect();
-            let _ = search.place_writes(li, &mut remaining);
-        } else {
-            let _ = search.search_rf(0);
-        }
-    } else {
-        // An rf prefix implies every write was placed during the split.
-        for (ri, &w) in prefix.rf.iter().enumerate() {
-            let mut added = Vec::new();
-            search.push_rf(ri, w, &mut added);
-        }
-        let _ = search.search_rf(prefix.rf.len());
+    for (ri, &w) in leaf.rf.iter().enumerate() {
+        let mut added = Vec::new();
+        search.push_rf(ri, w, &mut added);
     }
+    let _ = search.complete();
     search.stats
 }
 
@@ -558,10 +425,9 @@ struct Search<'a> {
     ws: BTreeMap<Addr, Vec<EventId>>,
     rf: BTreeMap<EventId, EventId>,
     stats: SearchStats,
-    stop: Option<&'a AtomicBool>,
-    /// When set, every decision node is charged against this (shared)
-    /// query budget; exhaustion aborts the run with
-    /// `stats.budget_exhausted` set.
+    /// When set, every decision node is charged against this query
+    /// budget; exhaustion aborts the run with `stats.budget_exhausted`
+    /// set.
     budget: Option<&'a QueryBudget>,
     visitor: &'a mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
     /// When set, every complete leaf's full decision path is appended (in
@@ -582,7 +448,6 @@ impl<'a> Search<'a> {
     fn new(
         sc: &'a SearchCtx,
         visitor: &'a mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-        stop: Option<&'a AtomicBool>,
     ) -> Self {
         Search {
             sc,
@@ -592,17 +457,15 @@ impl<'a> Search<'a> {
             ws: sc.base_ws.clone(),
             rf: BTreeMap::new(),
             stats: SearchStats::default(),
-            stop,
             budget: None,
             visitor,
             leaves: None,
         }
     }
 
-    /// The full decision path of the current (complete) assignment: every
-    /// location's non-init serialization in decision order, then every
-    /// read's `rf` source in read order. Feeding this back through
-    /// [`run_prefix`] replays straight to the same leaf.
+    /// The full decision path of the current (complete) assignment.
+    /// Feeding this back through [`run_prefix`] replays straight to the
+    /// same leaf.
     fn leaf_path(&self) -> Prefix {
         let mut ws = Vec::new();
         for loc in &self.sc.locs {
@@ -612,14 +475,9 @@ impl<'a> Search<'a> {
         Prefix { ws, rf }
     }
 
-    /// True when a cooperative stop was requested or the query budget ran
-    /// out; the caller unwinds with `Break` (marking the run as stopped
-    /// early, and as budget-exhausted in the latter case).
+    /// True when the query budget ran out; the caller unwinds with
+    /// `Break`, and the run is marked stopped early and budget-exhausted.
     fn should_stop(&mut self) -> bool {
-        if self.stop.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            self.stats.stopped_early = true;
-            return true;
-        }
         if self.budget.is_some_and(QueryBudget::charge) {
             self.stats.stopped_early = true;
             self.stats.budget_exhausted = true;
@@ -725,8 +583,8 @@ impl<'a> Search<'a> {
     /// Commits read `ri`'s `rf` choice `w`: the value-dependency edge (for
     /// RMW read halves), the `rf` map entry, and — in pruning mode — the
     /// implied `rfe` and `fr` `com` edges, recorded in `added` for undo.
-    /// The dep-cycle check is the *caller's* job (a prefix replay skips it;
-    /// the split established viability already).
+    /// The dep-cycle check is the *caller's* job (a leaf replay skips it;
+    /// the recording search established viability already).
     fn push_rf(&mut self, ri: usize, w: EventId, added: &mut Vec<(usize, usize, bool, bool)>) {
         let r = self.sc.reads[ri];
         if self.sc.ctx.events[r.index()].rmw.is_some() {
@@ -812,93 +670,6 @@ impl<'a> Search<'a> {
             self.stats.stopped_early = true;
         }
         flow
-    }
-
-    /// Split-phase mirror of [`Search::search_ws`]: descend `depth_left`
-    /// more decision levels, emitting every viable prefix.
-    fn split_ws(&mut self, li: usize, depth_left: usize, path: &mut Prefix, out: &mut Vec<Prefix>) {
-        if depth_left == 0 {
-            out.push(path.clone());
-            return;
-        }
-        let Some(loc) = self.sc.locs.get(li) else {
-            self.split_rf(0, depth_left, path, out);
-            return;
-        };
-        let mut remaining = loc.writes.clone();
-        self.split_place(li, &mut remaining, depth_left, path, out);
-    }
-
-    /// Split-phase mirror of [`Search::place_writes`], counting nodes and
-    /// prunes exactly as the sequential engine would at these levels.
-    fn split_place(
-        &mut self,
-        li: usize,
-        remaining: &mut Vec<EventId>,
-        depth_left: usize,
-        path: &mut Prefix,
-        out: &mut Vec<Prefix>,
-    ) {
-        if depth_left == 0 {
-            out.push(path.clone());
-            return;
-        }
-        if remaining.is_empty() {
-            self.split_ws(li + 1, depth_left, path, out);
-            return;
-        }
-        let addr = self.sc.locs[li].addr;
-        for i in 0..remaining.len() {
-            let w = remaining.remove(i);
-            self.stats.nodes += 1;
-            let mut added = Vec::new();
-            for &u in remaining.iter() {
-                self.add_com_edge(w, u, &mut added);
-            }
-            self.ws.get_mut(&addr).expect("ws has every addr").push(w);
-
-            if self.still_acyclic(&added) {
-                path.ws.push(w);
-                self.split_place(li, remaining, depth_left - 1, path, out);
-                path.ws.pop();
-            } else {
-                self.stats.pruned += 1;
-            }
-
-            self.ws.get_mut(&addr).expect("ws has every addr").pop();
-            self.remove_com_edges(&added);
-            remaining.insert(i, w);
-        }
-    }
-
-    /// Split-phase mirror of [`Search::search_rf`] — reached only when the
-    /// program has so little `ws` choice that the split extends into the
-    /// `rf` levels to find enough independent subtrees.
-    fn split_rf(&mut self, ri: usize, depth_left: usize, path: &mut Prefix, out: &mut Vec<Prefix>) {
-        if depth_left == 0 || ri >= self.sc.reads.len() {
-            out.push(path.clone());
-            return;
-        }
-        let r = self.sc.reads[ri];
-        let is_rmw_read = self.sc.ctx.events[r.index()].rmw.is_some();
-        for ci in 0..self.sc.rf_choices[ri].len() {
-            let w = self.sc.rf_choices[ri][ci];
-            self.stats.nodes += 1;
-            if is_rmw_read && self.dep.reaches(r.index(), w.index()) {
-                self.stats.pruned += 1;
-                continue;
-            }
-            let mut added = Vec::new();
-            self.push_rf(ri, w, &mut added);
-            if self.still_acyclic(&added) {
-                path.rf.push(w);
-                self.split_rf(ri + 1, depth_left - 1, path, out);
-                path.rf.pop();
-            } else {
-                self.stats.pruned += 1;
-            }
-            self.pop_rf(ri, w, &added);
-        }
     }
 
     /// Adds a `com` edge to both incremental graphs, recording which of the
@@ -1003,7 +774,6 @@ mod tests {
         assert_eq!(streamed, legacy_valid_read_values(&p));
         assert_eq!(stats.valid as usize, valid_executions(&p).len());
         assert!(!stats.stopped_early);
-        assert_eq!((stats.tasks, stats.workers), (1, 1));
     }
 
     #[test]
@@ -1129,8 +899,6 @@ mod tests {
             pruned: 2,
             complete: 3,
             valid: 1,
-            tasks: 1,
-            workers: 4,
             stopped_early: false,
             budget_exhausted: false,
         };
@@ -1139,8 +907,6 @@ mod tests {
             pruned: 1,
             complete: 2,
             valid: 2,
-            tasks: 2,
-            workers: 2,
             stopped_early: true,
             budget_exhausted: true,
         };
@@ -1149,49 +915,8 @@ mod tests {
         assert_eq!(a.pruned, 3);
         assert_eq!(a.complete, 5);
         assert_eq!(a.valid, 3);
-        assert_eq!(a.tasks, 3);
-        assert_eq!(a.workers, 4);
         assert!(a.stopped_early);
         assert!(a.budget_exhausted);
-    }
-
-    #[test]
-    fn split_plus_task_stats_equal_sequential_stats() {
-        // The invariant the parallel engine's determinism rests on:
-        // split-phase nodes plus per-subtree nodes add up to exactly the
-        // sequential engine's counts, whatever the split target.
-        let mut b = ProgramBuilder::new();
-        b.thread().write(X, 1).write(Y, 1).read(Y);
-        b.thread()
-            .write(Y, 2)
-            .rmw(X, RmwKind::TestAndSet, Atomicity::Type3);
-        b.thread().read(X).read(Y);
-        let p = b.build();
-        let seq = for_each_valid_execution(&p, |_| ControlFlow::Continue(()));
-        for target in [2usize, 4, 16, 64, 1 << 20] {
-            let sc = build_ctx(&p);
-            let (prefixes, mut total) = split_prefixes(&sc, target);
-            let mut yielded = Vec::new();
-            for prefix in &prefixes {
-                let mut visitor = |e: &CandidateExecution| {
-                    yielded.push(e.read_values());
-                    ControlFlow::Continue(())
-                };
-                total.absorb(&run_prefix(&sc, prefix, &mut visitor, None));
-            }
-            assert_eq!(total.nodes, seq.nodes, "target {target}");
-            assert_eq!(total.pruned, seq.pruned, "target {target}");
-            assert_eq!(total.complete, seq.complete, "target {target}");
-            assert_eq!(total.valid, seq.valid, "target {target}");
-            // Task order is DFS order: concatenation reproduces the
-            // sequential yield sequence exactly.
-            let mut seq_yield = Vec::new();
-            for_each_valid_execution(&p, |e| {
-                seq_yield.push(e.read_values());
-                ControlFlow::Continue(())
-            });
-            assert_eq!(yielded, seq_yield, "target {target}");
-        }
     }
 
     #[test]
@@ -1220,72 +945,14 @@ mod tests {
         let mut replay_yield = Vec::new();
         let mut replay = SearchStats::default();
         for leaf in &leaves {
-            replay.absorb(&run_prefix(
-                &sc,
-                leaf,
-                &mut |e| {
-                    replay_yield.push(e.read_values());
-                    ControlFlow::Continue(())
-                },
-                None,
-            ));
+            replay.absorb(&run_prefix(&sc, leaf, &mut |e| {
+                replay_yield.push(e.read_values());
+                ControlFlow::Continue(())
+            }));
         }
         assert_eq!(replay.nodes, 0, "full-depth replay explores no decisions");
         assert_eq!(replay.complete, stats.complete);
         assert_eq!(replay.valid, stats.valid);
         assert_eq!(replay_yield, seq_yield);
-    }
-
-    #[test]
-    fn estimate_nodes_bounds_the_real_search_from_above() {
-        for p in [sb(), {
-            let mut b = ProgramBuilder::new();
-            b.thread().write(X, 1).write(X, 2).read(Y);
-            b.thread()
-                .write(Y, 1)
-                .rmw(X, RmwKind::TestAndSet, Atomicity::Type1);
-            b.build()
-        }] {
-            let sc = build_ctx(&p);
-            let real = for_each_valid_execution(&p, |_| ControlFlow::Continue(()));
-            assert!(
-                sc.estimate_nodes() >= real.nodes,
-                "estimate {} below real {}",
-                sc.estimate_nodes(),
-                real.nodes
-            );
-        }
-    }
-
-    #[test]
-    fn split_extends_into_rf_levels_when_ws_is_trivial() {
-        // Single-write locations: the only ws order is forced, so subtree
-        // tasks must come from rf choices.
-        let p = sb();
-        let sc = build_ctx(&p);
-        let (prefixes, _) = split_prefixes(&sc, 4);
-        assert!(
-            prefixes.len() > 1,
-            "expected rf-level split, got {} task(s)",
-            prefixes.len()
-        );
-        assert!(prefixes.iter().any(|p| !p.rf.is_empty()));
-    }
-
-    #[test]
-    fn stop_flag_aborts_the_search() {
-        let p = sb();
-        let sc = build_ctx(&p);
-        let (prefixes, _) = split_prefixes(&sc, 1);
-        assert_eq!(prefixes.len(), 1);
-        let stop = AtomicBool::new(true);
-        let mut seen = 0u32;
-        let mut visitor = |_: &CandidateExecution| {
-            seen += 1;
-            ControlFlow::Continue(())
-        };
-        let stats = run_prefix(&sc, &prefixes[0], &mut visitor, Some(&stop));
-        assert_eq!(seen, 0, "pre-set stop flag must abort before any yield");
-        assert!(stats.stopped_early);
     }
 }

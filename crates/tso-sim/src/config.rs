@@ -20,15 +20,6 @@ pub enum StepMode {
     /// stall-dominated (paper-scale) workloads.
     #[default]
     EventDriven,
-    /// Adaptive engine: tracks armed-event density over a sliding window
-    /// of visited cycles and switches between dense stepping (tick every
-    /// live core, no next-event scans — the lockstep shape) and sparse
-    /// event-driven jumps. State hands off cycle-exactly at every switch:
-    /// `now`, the watchdog (`last_progress`), and the pending
-    /// wheel/overflow contents all survive a transition untouched, so the
-    /// result is cycle-identical to both other engines whatever the
-    /// switch schedule.
-    Hybrid,
 }
 
 /// Full machine configuration.

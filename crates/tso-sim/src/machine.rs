@@ -1,9 +1,7 @@
 //! The machine: cores + shared memory system, advanced in lockstep (every
-//! core, every cycle), by the cycle-skipping event scheduler, or by the
-//! adaptive hybrid engine that switches between those two stepping styles
-//! on armed-event density.
+//! core, every cycle) or by the cycle-skipping event scheduler.
 //!
-//! All three engines run the same per-cycle semantics (`Core::tick` in
+//! Both engines run the same per-cycle semantics (`Core::tick` in
 //! core-id order, then network delivery bookkeeping and coordinated
 //! filter resets) and are cycle-identical in every observable; see
 //! [`crate::sched`] for the exactness contract and
@@ -18,20 +16,6 @@ use coherence::CoherenceSystem;
 use interconnect::{Cycle, Mesh, Network, TrafficClass};
 use rmw_types::fasthash::{FastHashMap, FastHashSet};
 use rmw_types::Value;
-
-/// Hybrid-engine policy window: visited cycles between armed-density
-/// evaluations. Mode switches happen only at window boundaries, which
-/// bounds switch thrash to one per window.
-const HYBRID_WINDOW: u64 = 64;
-/// Enter dense stepping when more than half the live cores are due per
-/// simulated cycle over a window (`sum_due * DENSE_ENTER_DEN >
-/// live * span * DENSE_ENTER_NUM`).
-const DENSE_ENTER_NUM: u64 = 1;
-const DENSE_ENTER_DEN: u64 = 2;
-/// Leave dense stepping when density falls below a quarter — the gap
-/// between the two thresholds is the hysteresis.
-const DENSE_EXIT_NUM: u64 = 1;
-const DENSE_EXIT_DEN: u64 = 4;
 
 /// Outcome of a simulation run.
 #[derive(Debug, Clone)]
@@ -148,7 +132,6 @@ impl Machine {
         match self.config.step_mode {
             StepMode::Lockstep => self.run_lockstep(),
             StepMode::EventDriven => self.run_event_driven(),
-            StepMode::Hybrid => self.run_hybrid(),
         }
     }
 
@@ -251,165 +234,6 @@ impl Machine {
             due.clear();
             flags = self.shared.sched.drain_due(self.now, &mut due);
         }
-    }
-
-    /// The adaptive engine: the event loop generalized over two stepping
-    /// phases. **Sparse** cycles are exactly [`Machine::run_event_driven`]
-    /// cycles (jump to the next armed event, tick only due cores);
-    /// **dense** cycles are exactly lockstep cycles (advance by one, tick
-    /// every live core — provably identical because ticks at cycles a
-    /// core never armed are no-ops, the same argument that makes the
-    /// event engine exact). A sliding window over the visited cycles
-    /// tracks armed-event density and switches phase at window
-    /// boundaries. Every switch is a cycle-exact handoff: `now`,
-    /// `last_progress`, the watchdog/`max_cycles` stop computation, and
-    /// the pending wheel/overflow contents are shared loop state that a
-    /// phase change never touches — the wheel keeps arming (and keeps
-    /// its single-cycle bucket invariant: dense phases drain every
-    /// visited cycle too), so a sparse phase can resume at any boundary.
-    fn run_hybrid(mut self) -> SimResult {
-        let mut bloom_resets = 0u64;
-        if self.num_live == 0 {
-            return self.finish(false, false, bloom_resets);
-        }
-        // Every live core is due at cycle 0, exactly like lockstep's first
-        // tick; afterwards the due set comes from the armed events.
-        let mut due: Vec<usize> = (0..self.cores.len()).filter(|&i| self.live[i]).collect();
-        let mut flags = Due::default();
-        let mut blocked_snap: Vec<usize> = Vec::new();
-        let mut dense = false;
-        let mut due_count = due.len() as u64;
-        // Density window accumulators: due-core count and simulated span.
-        let (mut win_due, mut win_visited, mut win_start) = (0u64, 0u64, 0u64);
-        loop {
-            win_due += due_count;
-            win_visited += 1;
-            let changed = if dense {
-                self.engine.dense_cycles += 1;
-                // Mid-window dense cycles tick every live core next cycle
-                // too, so arms landing exactly next cycle are redundant —
-                // drop them at the source (the dominant dense-phase cost).
-                // The window's *last* cycle keeps arming: the next cycle
-                // may execute in the sparse phase.
-                self.shared
-                    .sched
-                    .set_skip_core_arms_at(if win_visited < HYBRID_WINDOW {
-                        self.now + 1
-                    } else {
-                        0
-                    });
-                let (changed, acted) = self.dense_cycle(&mut bloom_resets);
-                self.shared.sched.set_skip_core_arms_at(0);
-                // With next-cycle arms suppressed, drained events no
-                // longer measure density; acting ticks do.
-                due_count = acted;
-                changed
-            } else {
-                self.engine.sparse_cycles += 1;
-                self.event_cycle(&due, &mut blocked_snap, flags, &mut bloom_resets)
-            };
-            if changed && self.num_live == 0 {
-                // Lockstep notices completion at the top of the next
-                // cycle; report the identical cycle count.
-                self.now += 1;
-                return self.finish(false, false, bloom_resets);
-            }
-            if self.shared.lock_released && !self.blocked_ids.is_empty() {
-                // Dense cycles tick blocked cores anyway (lockstep's
-                // per-cycle re-poll), but the arm must still happen: the
-                // next cycle may execute in the sparse phase.
-                self.shared.sched.wake_blocked(self.now, self.now + 1);
-            }
-            let next_delivery = self.shared.net.next_delivery();
-            if next_delivery != self.armed_delivery {
-                if let Some(at) = next_delivery {
-                    self.shared.sched.wake_machine(
-                        self.now,
-                        at.max(self.now + 1),
-                        EventKind::NetDelivery,
-                    );
-                }
-                self.armed_delivery = next_delivery;
-            }
-            // Stop computation shared with the event engine (see there for
-            // the watchdog/truncation argument); phase only decides the
-            // *candidate* next cycle, never the stop cycle.
-            let fire = self
-                .shared
-                .last_progress
-                .saturating_add(self.config.deadlock_threshold)
-                .saturating_add(1);
-            let stop = fire.min(self.config.max_cycles);
-            if win_visited >= HYBRID_WINDOW {
-                let span = (self.now + 1).saturating_sub(win_start).max(1);
-                let live = self.num_live as u64;
-                let was = dense;
-                if dense {
-                    dense = win_due * DENSE_EXIT_DEN >= live * span * DENSE_EXIT_NUM;
-                } else {
-                    dense = win_due * DENSE_ENTER_DEN > live * span * DENSE_ENTER_NUM;
-                }
-                self.engine.mode_switches += u64::from(was != dense);
-                (win_due, win_visited, win_start) = (0, 0, self.now + 1);
-            }
-            let next = if dense {
-                // Dense: visit the very next cycle, lockstep-style. Cycles
-                // with nothing due are visited as no-ops (ticks there
-                // cannot act), so exactness is unaffected.
-                Some(self.now + 1).filter(|&at| at < stop)
-            } else {
-                self.shared
-                    .sched
-                    .next_after(self.now)
-                    .filter(|&at| at < stop)
-            };
-            match next {
-                Some(at) => {
-                    debug_assert!(at > self.now, "scheduler moved time backwards");
-                    self.now = at;
-                }
-                _ => {
-                    let truncated = self.config.max_cycles <= fire;
-                    self.now = stop;
-                    return self.finish(!truncated, truncated, bloom_resets);
-                }
-            }
-            due.clear();
-            if dense {
-                // The due list is not needed for ticking (every live core
-                // ticks); drain anyway to keep the wheel's single-cycle
-                // bucket invariant. The count is not the density signal
-                // here — suppressed arms never land — so the acting-tick
-                // count from `dense_cycle` stands in (set above).
-                (flags, _) = self.shared.sched.drain_due_counted(self.now);
-            } else {
-                flags = self.shared.sched.drain_due(self.now, &mut due);
-                due_count = due.len() as u64;
-            }
-        }
-    }
-
-    /// One simulated cycle at `self.now` in the hybrid engine's dense
-    /// phase: lockstep semantics — deliver due network messages, then
-    /// tick every live core in id order — while maintaining the
-    /// blocked/live bookkeeping the sparse phase depends on. Ticking
-    /// cores without a due event is exact for the same reason skipping
-    /// them is: such ticks cannot act (see `crate::sched`). Returns
-    /// whether anything changed plus the acting-tick count (the dense
-    /// phase's density signal).
-    fn dense_cycle(&mut self, bloom_resets: &mut u64) -> (bool, u64) {
-        self.engine.visited_cycles += 1;
-        self.shared.lock_released = false;
-        let mut changed = self.deliver_due_messages();
-        let mut acted = 0u64;
-        for i in 0..self.cores.len() {
-            if self.live[i] {
-                let a = self.tick_core(i);
-                acted += u64::from(a);
-                changed |= a;
-            }
-        }
-        (changed | self.apply_filter_reset(bloom_resets), acted)
     }
 
     /// One simulated cycle at `self.now` under the event engine. `due`
@@ -959,10 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_mode_is_cycle_identical_and_goes_dense_under_load() {
-        // Nonstop register spins keep every core acting every cycle, so the
-        // hybrid's density window must flip it into dense stepping; the
-        // result must still equal both reference engines bit-for-bit.
+    fn saturated_spin_machine_is_cycle_identical_in_both_engines() {
+        // Nonstop register spins keep every core acting nearly every
+        // cycle — the densest shape there is, where the event engine arms
+        // `now + 1` for every core. Its result must still equal the
+        // lockstep reference bit-for-bit.
         let spin = |n: u64| {
             Trace::new(vec![
                 Op::MovImm(0, n),
@@ -981,34 +806,20 @@ mod tests {
             cfg.step_mode = mode;
             Machine::new(cfg, vec![spin(400), spin(300)]).run()
         };
-        let hy = mk(StepMode::Hybrid);
         let ls = mk(StepMode::Lockstep);
         let ev = mk(StepMode::EventDriven);
-        for r in [&ls, &ev] {
-            assert_eq!(hy.stats, r.stats);
-            assert_eq!(hy.per_core, r.per_core);
-            assert_eq!(hy.reads, r.reads);
-            assert_eq!(hy.memory, r.memory);
-            assert_eq!(hy.net, r.net);
-            assert_eq!(hy.deadlocked, r.deadlocked);
-            assert_eq!(hy.truncated, r.truncated);
-        }
-        assert!(
-            hy.engine.mode_switches >= 1 && hy.engine.dense_cycles > 0,
-            "a saturated machine must trigger dense stepping: {:?}",
-            hy.engine
-        );
-        assert_eq!(
-            hy.engine.visited_cycles,
-            hy.engine.dense_cycles + hy.engine.sparse_cycles
-        );
-        assert_eq!(ls.engine.mode_switches, 0);
-        assert_eq!(ev.engine.mode_switches, 0);
+        assert_eq!(ev.stats, ls.stats);
+        assert_eq!(ev.per_core, ls.per_core);
+        assert_eq!(ev.reads, ls.reads);
+        assert_eq!(ev.memory, ls.memory);
+        assert_eq!(ev.net, ls.net);
+        assert_eq!(ev.deadlocked, ls.deadlocked);
+        assert_eq!(ev.truncated, ls.truncated);
     }
 
     #[test]
     fn futex_wait_wake_round_trip() {
-        for mode in [StepMode::EventDriven, StepMode::Lockstep, StepMode::Hybrid] {
+        for mode in [StepMode::EventDriven, StepMode::Lockstep] {
             let mut cfg = SimConfig::small(2);
             cfg.step_mode = mode;
             let t0 = Trace::new(vec![Op::FutexWait(addr(0), Src::Imm(0)), Op::read(addr(1))]);
@@ -1060,14 +871,11 @@ mod tests {
         };
         let ev = mk(StepMode::EventDriven);
         let ls = mk(StepMode::Lockstep);
-        let hy = mk(StepMode::Hybrid);
-        assert!(ev.truncated && ls.truncated && hy.truncated);
-        assert!(!ev.deadlocked && !ls.deadlocked && !hy.deadlocked);
+        assert!(ev.truncated && ls.truncated);
+        assert!(!ev.deadlocked && !ls.deadlocked);
         assert_eq!(ev.stats.cycles, 5_000);
         assert_eq!(ev.stats, ls.stats);
         assert_eq!(ev.per_core, ls.per_core);
-        assert_eq!(hy.stats, ls.stats);
-        assert_eq!(hy.per_core, ls.per_core);
         assert!(ev.stats.spin_retries > 0, "back-edges counted as retries");
     }
 
@@ -1086,7 +894,7 @@ mod tests {
             Op::AddImm(0, 10),
             Op::WriteFrom(addr(2), 0),
         ]);
-        for mode in [StepMode::EventDriven, StepMode::Lockstep, StepMode::Hybrid] {
+        for mode in [StepMode::EventDriven, StepMode::Lockstep] {
             let mut cfg = SimConfig::small(1);
             cfg.step_mode = mode;
             let r = Machine::new(cfg, vec![t.clone()]).run();

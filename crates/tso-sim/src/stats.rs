@@ -47,14 +47,6 @@ pub struct EngineStats {
     pub acting_ticks: u64,
     /// Events armed in the scheduler (0 for lockstep).
     pub events_armed: u64,
-    /// Hybrid engine only: dense↔sparse mode switches performed.
-    pub mode_switches: u64,
-    /// Hybrid engine only: visited cycles executed in dense
-    /// (lockstep-style) stepping.
-    pub dense_cycles: u64,
-    /// Hybrid engine only: visited cycles executed in sparse
-    /// (event-jump) stepping.
-    pub sparse_cycles: u64,
 }
 
 impl RmwCostBreakdown {
