@@ -13,9 +13,11 @@
 //! $ cargo run --release -p bench --bin harness_scaling [-- --smoke] [--out PATH]
 //! ```
 
+use bench::SweepArgs;
+use harness::jsonx::{arr, fixed, obj};
 use harness::{full_corpus, run_batch, smoke_filter, SMOKE_CAP};
 use litmus::Litmus;
-use std::fmt::Write as _;
+use tso_model::CacheCounters;
 
 struct Row {
     jobs: usize,
@@ -23,18 +25,49 @@ struct Row {
     tests_per_sec: f64,
 }
 
+/// The record: the sweep's header fields, the warm-up's cache counters,
+/// and one entry per jobs row.
+fn to_json(
+    mode: &str,
+    corpus_total: usize,
+    selected: usize,
+    hw: usize,
+    cache: &CacheCounters,
+    rows: &[Row],
+) -> String {
+    let base = rows.first().map_or(0.0, |r| r.elapsed_ms);
+    let sweep = rows.iter().map(|r| {
+        obj([
+            ("jobs", r.jobs.into()),
+            ("elapsed_ms", fixed(r.elapsed_ms, 3)),
+            ("tests_per_sec", fixed(r.tests_per_sec, 1)),
+            ("speedup_vs_jobs1", fixed(base / r.elapsed_ms.max(1e-6), 3)),
+        ])
+    });
+    obj([
+        ("experiment", "harness_scaling".into()),
+        ("paper", "conf_pldi_RajaramNSE13".into()),
+        ("mode", mode.into()),
+        ("corpus_total", corpus_total.into()),
+        ("selected", selected.into()),
+        ("host_parallelism", hw.into()),
+        ("disagreements", 0u64.into()),
+        // Memoization accounting at the end of the warm-up pass:
+        // `queries` counts every outcome-set lookup (corpus generation +
+        // one full differential pass), `invocations` the model searches
+        // that actually ran — the gap is the symmetry + memoization saving.
+        ("model_cache", cache.into()),
+        ("sweep", arr(sweep)),
+    ])
+    .render()
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_harness.json".to_owned());
+    let args = SweepArgs::from_env("harness_scaling", "BENCH_harness.json");
 
     let corpus = full_corpus(litmus::gen::DEFAULT_SEED, litmus::gen::DEFAULT_RANDOM_COUNT);
     let corpus_total = corpus.len();
-    let mut tests: Vec<Litmus> = if smoke {
+    let mut tests: Vec<Litmus> = if args.smoke {
         let mut t: Vec<Litmus> = corpus.into_iter().filter(smoke_filter).collect();
         t.truncate(SMOKE_CAP);
         t
@@ -52,7 +85,7 @@ fn main() {
 
     println!(
         "harness_scaling ({}): {} tests, host parallelism {hw}",
-        if smoke { "smoke" } else { "full" },
+        args.mode(),
         tests.len()
     );
     println!(
@@ -65,7 +98,7 @@ fn main() {
     // same hot cache and the jobs ratio measures worker scaling, not
     // cache position.
     let _ = run_batch(&tests, 1);
-    let cache_after_warmup = tso_model::cache::counters();
+    let cache = tso_model::cache::counters();
     let mut rows: Vec<Row> = Vec::new();
     for &jobs in &sweep {
         let (outcomes, elapsed) = run_batch(&tests, jobs);
@@ -87,50 +120,24 @@ fn main() {
         rows.push(row);
     }
 
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"harness_scaling\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"corpus_total\": {corpus_total},");
-    let _ = writeln!(s, "  \"selected\": {},", tests.len());
-    let _ = writeln!(s, "  \"host_parallelism\": {hw},");
-    let _ = writeln!(s, "  \"disagreements\": 0,");
-    // Memoization accounting at the end of the warm-up pass: `queries`
-    // counts every outcome-set lookup (corpus generation + one full
-    // differential pass), `invocations` the model searches that actually
-    // ran — the gap is the symmetry + memoization saving.
-    let _ = writeln!(s, "  \"model_cache\": {{");
-    let _ = writeln!(s, "    \"queries\": {},", cache_after_warmup.queries);
-    let _ = writeln!(
-        s,
-        "    \"invocations\": {},",
-        cache_after_warmup.invocations
-    );
-    let _ = writeln!(s, "    \"hits\": {},", cache_after_warmup.hits());
-    let _ = writeln!(s, "    \"store_hits\": {},", cache_after_warmup.store_hits);
-    let _ = writeln!(s, "    \"entries\": {}", cache_after_warmup.entries);
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"sweep\": [");
-    let base = rows.first().map_or(0.0, |r| r.elapsed_ms);
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"jobs\": {}, \"elapsed_ms\": {:.3}, \"tests_per_sec\": {:.1}, \
-             \"speedup_vs_jobs1\": {:.3}}}{comma}",
-            r.jobs,
-            r.elapsed_ms,
-            r.tests_per_sec,
-            base / r.elapsed_ms.max(1e-6)
-        );
+    let json = to_json(args.mode(), corpus_total, tests.len(), hw, &cache, &rows);
+    std::fs::write(&args.out, &json).expect("write BENCH_harness.json");
+    println!("\nwrote {}", args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_record_re_renders_byte_identically() {
+        let row = |jobs, elapsed_ms| Row {
+            jobs,
+            elapsed_ms,
+            tests_per_sec: 250.0 / elapsed_ms,
+        };
+        let rows = [row(1, 90.0), row(2, 60.0)];
+        let json = to_json("smoke", 554, 250, 2, &CacheCounters::default(), &rows);
+        assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    std::fs::write(&out_path, &s).expect("write BENCH_harness.json");
-    println!("\nwrote {out_path}");
 }

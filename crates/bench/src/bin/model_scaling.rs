@@ -33,9 +33,10 @@
 //! current directory).
 
 use bench::model_shapes::{dekker_rmw, dekker_variant, dekker_variant_candidates};
+use bench::SweepArgs;
+use harness::jsonx::{arr, fixed, obj, Value};
 use rmw_types::Atomicity;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::time::Instant;
 use tso_model::{
@@ -173,12 +174,11 @@ fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
     }
 }
 
-fn json_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.6}")
-    }
+/// A measurement as a JSON number: integral values without decimals,
+/// everything else with six.
+fn num(v: f64) -> Value {
+    let integral = v.fract() == 0.0 && v.abs() < 1e15;
+    fixed(v, if integral { 0 } else { 6 })
 }
 
 /// The shared (non-trivial, legacy-measured) shapes the headline covers:
@@ -251,49 +251,24 @@ fn gates(rows: &[Row], prefix_rows: &[PrefixRow]) -> Vec<String> {
 }
 
 fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"model_scaling\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"shapes\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(s, "      \"threads\": {},", r.threads);
-        let _ = writeln!(s, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(s, "      \"events\": {},", r.events);
-        let _ = writeln!(s, "      \"candidates\": {},", json_num(r.candidates));
-        let _ = writeln!(s, "      \"streaming_ms\": {},", json_num(r.streaming_ms));
-        let _ = writeln!(s, "      \"nodes\": {},", r.stats.nodes);
-        let _ = writeln!(s, "      \"pruned\": {},", r.stats.pruned);
-        let _ = writeln!(s, "      \"complete\": {},", r.stats.complete);
-        let _ = writeln!(s, "      \"valid\": {},", r.stats.valid);
-        let _ = writeln!(s, "      \"outcomes\": {},", r.outcomes);
-        match r.legacy_ms {
-            Some(ms) => {
-                let _ = writeln!(s, "      \"legacy_ms\": {},", json_num(ms));
-                let _ = writeln!(
-                    s,
-                    "      \"speedup\": {},",
-                    json_num(r.speedup().unwrap_or(0.0))
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"outcomes_match\": {}",
-                    r.outcomes_match.unwrap_or(false)
-                );
-            }
-            None => {
-                let _ = writeln!(s, "      \"legacy_ms\": null,");
-                let _ = writeln!(s, "      \"speedup\": null,");
-                let _ = writeln!(s, "      \"outcomes_match\": null");
-            }
-        }
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
+    let shapes = rows.iter().map(|r| {
+        obj([
+            ("name", r.name.as_str().into()),
+            ("threads", r.threads.into()),
+            ("rounds", r.rounds.into()),
+            ("events", r.events.into()),
+            ("candidates", num(r.candidates)),
+            ("streaming_ms", num(r.streaming_ms)),
+            ("nodes", r.stats.nodes.into()),
+            ("pruned", r.stats.pruned.into()),
+            ("complete", r.stats.complete.into()),
+            ("valid", r.stats.valid.into()),
+            ("outcomes", r.outcomes.into()),
+            ("legacy_ms", r.legacy_ms.map(num).into()),
+            ("speedup", r.speedup().map(num).into()),
+            ("outcomes_match", r.outcomes_match.into()),
+        ])
+    });
     let shared = shared_rows(rows);
     let min = min_shared_speedup(rows).unwrap_or(0.0);
     let geomean = if shared.is_empty() {
@@ -302,65 +277,59 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
         let log_sum: f64 = shared.iter().filter_map(|r| r.speedup()).map(f64::ln).sum();
         (log_sum / shared.len() as f64).exp()
     };
-    let _ = writeln!(s, "  \"shared\": {{");
-    let _ = writeln!(
-        s,
-        "    \"min_candidates\": {},",
-        json_num(SHARED_MIN_CANDIDATES)
-    );
-    let _ = writeln!(s, "    \"count\": {},", shared.len());
-    let _ = writeln!(s, "    \"min_speedup\": {},", json_num(min));
-    let _ = writeln!(s, "    \"geomean_speedup\": {}", json_num(geomean));
-    let _ = writeln!(s, "  }},");
     // Prefix-certificate sharing over the dekker_rmw family: three
     // atomicity rewrites per shape, one search + two replays each when
     // the certificate tier works.
-    let _ = writeln!(s, "  \"prefix_sharing\": {{");
-    let _ = writeln!(s, "    \"rows\": [");
-    for (i, r) in prefix_rows.iter().enumerate() {
-        let comma = if i + 1 < prefix_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"name\": \"{}\", \"threads\": {}, \"rounds\": {}, \
-             \"searched_nodes\": {}, \"attributed_nodes\": {}, \"prefix_hits\": {}, \
-             \"reduction\": {}, \"ms\": {}, \"outcomes_match\": {}}}{comma}",
-            r.name,
-            r.threads,
-            r.rounds,
-            r.searched_nodes,
-            r.attributed_nodes,
-            r.prefix_hits,
-            json_num(r.reduction()),
-            json_num(r.ms),
-            r.outcomes_match
-        );
-    }
-    let _ = writeln!(s, "    ],");
+    let families = prefix_rows.iter().map(|r| {
+        obj([
+            ("name", r.name.as_str().into()),
+            ("threads", r.threads.into()),
+            ("rounds", r.rounds.into()),
+            ("searched_nodes", r.searched_nodes.into()),
+            ("attributed_nodes", r.attributed_nodes.into()),
+            ("prefix_hits", r.prefix_hits.into()),
+            ("reduction", num(r.reduction())),
+            ("ms", num(r.ms)),
+            ("outcomes_match", r.outcomes_match.into()),
+        ])
+    });
     let (searched, attributed) = prefix_totals(prefix_rows);
     let hits: u64 = prefix_rows.iter().map(|r| r.prefix_hits).sum();
-    let prefix_match = prefix_rows.iter().all(|r| r.outcomes_match);
-    let _ = writeln!(s, "    \"total_searched_nodes\": {searched},");
-    let _ = writeln!(s, "    \"total_attributed_nodes\": {attributed},");
-    let _ = writeln!(s, "    \"prefix_hits\": {hits},");
-    let _ = writeln!(
-        s,
-        "    \"reduction\": {},",
-        json_num(attributed as f64 / searched.max(1) as f64)
-    );
-    let _ = writeln!(s, "    \"all_outcomes_match\": {prefix_match}");
-    let _ = writeln!(s, "  }}");
-    let _ = writeln!(s, "}}");
-    s
+    obj([
+        ("experiment", "model_scaling".into()),
+        ("paper", "conf_pldi_RajaramNSE13".into()),
+        ("mode", mode.into()),
+        ("shapes", arr(shapes)),
+        (
+            "shared",
+            obj([
+                ("min_candidates", num(SHARED_MIN_CANDIDATES)),
+                ("count", shared.len().into()),
+                ("min_speedup", num(min)),
+                ("geomean_speedup", num(geomean)),
+            ]),
+        ),
+        (
+            "prefix_sharing",
+            obj([
+                ("rows", arr(families)),
+                ("total_searched_nodes", searched.into()),
+                ("total_attributed_nodes", attributed.into()),
+                ("prefix_hits", hits.into()),
+                ("reduction", num(attributed as f64 / searched.max(1) as f64)),
+                (
+                    "all_outcomes_match",
+                    prefix_rows.iter().all(|r| r.outcomes_match).into(),
+                ),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_model.json".to_owned());
+    let args = SweepArgs::from_env("model_scaling", "BENCH_model.json");
+    let smoke = args.smoke;
 
     // (threads, rounds, run_legacy). Legacy is skipped where the
     // materialized candidate space stops fitting in memory; dekker n=3
@@ -387,7 +356,7 @@ fn main() {
 
     println!(
         "model_scaling ({}): streaming pruned search vs legacy enumeration",
-        if smoke { "smoke" } else { "full" },
+        args.mode(),
     );
     println!(
         "{:<16} {:>8} {:>14} {:>12} {:>12} {:>8} {:>10}",
@@ -439,9 +408,9 @@ fn main() {
         prefix_rows.push(row);
     }
 
-    let json = to_json(&rows, &prefix_rows, if smoke { "smoke" } else { "full" });
-    std::fs::write(&out_path, &json).expect("write BENCH_model.json");
-    println!("\nwrote {out_path}");
+    let json = to_json(&rows, &prefix_rows, args.mode());
+    std::fs::write(&args.out, &json).expect("write BENCH_model.json");
+    println!("\nwrote {}", args.out);
     let failed = gates(&rows, &prefix_rows);
     for f in &failed {
         eprintln!("GATE FAILED: {f}");
@@ -495,6 +464,8 @@ mod tests {
             row(5.0e7, None, None), // streaming-only
         ];
         assert_eq!(gates(&rows, &[family(100, 2)]), Vec::<String>::new());
+        let json = to_json(&rows, &[family(100, 2)], "smoke");
+        assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
 
     #[test]

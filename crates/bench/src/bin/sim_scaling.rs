@@ -35,9 +35,9 @@
 //! $ cargo run --release -p bench --bin sim_scaling [-- --smoke] [--out PATH]
 //! ```
 
-use bench::{config_for, SEED};
+use bench::{config_for, SweepArgs, SEED};
+use harness::jsonx::{arr, fixed, obj};
 use rmw_types::Atomicity;
-use std::fmt::Write as _;
 use std::time::Instant;
 use tso_sim::{lower_with_line_size, Machine, SimConfig, SimResult, StepMode, Trace};
 use workloads::Benchmark;
@@ -269,27 +269,19 @@ fn gates(rows: &[Row]) -> Vec<String> {
 }
 
 fn to_json(rows: &[Row], mode: &str) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"sim_scaling\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"shapes\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(s, "      \"cores\": {},", r.cores);
-        let _ = writeln!(s, "      \"machine_runs\": {},", r.runs);
-        let _ = writeln!(s, "      \"simulated_cycles\": {},", r.cycles);
-        let _ = writeln!(s, "      \"event_ms\": {:.3},", r.event_ms);
-        let _ = writeln!(s, "      \"lockstep_ms\": {:.3},", r.lockstep_ms);
-        let _ = writeln!(s, "      \"speedup\": {:.3},", r.speedup());
-        let _ = writeln!(s, "      \"paper_scale\": {},", r.paper_scale);
-        let _ = writeln!(s, "      \"results_match\": {}", r.results_match);
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
+    let shapes = rows.iter().map(|r| {
+        obj([
+            ("name", r.name.as_str().into()),
+            ("cores", r.cores.into()),
+            ("machine_runs", r.runs.into()),
+            ("simulated_cycles", r.cycles.into()),
+            ("event_ms", fixed(r.event_ms, 3)),
+            ("lockstep_ms", fixed(r.lockstep_ms, 3)),
+            ("speedup", fixed(r.speedup(), 3)),
+            ("paper_scale", r.paper_scale.into()),
+            ("results_match", r.results_match.into()),
+        ])
+    });
     let headline = headline(rows);
     let max = headline.iter().map(|r| r.speedup()).fold(0.0, f64::max);
     let geomean = if headline.is_empty() {
@@ -298,47 +290,28 @@ fn to_json(rows: &[Row], mode: &str) -> String {
         let log_sum: f64 = headline.iter().map(|r| r.speedup().ln()).sum();
         (log_sum / headline.len() as f64).exp()
     };
-    let _ = writeln!(s, "  \"headline\": {{");
-    let _ = writeln!(s, "    \"count\": {},", headline.len());
-    let _ = writeln!(
-        s,
-        "    \"paper_scale\": {},",
-        headline.iter().all(|r| r.paper_scale)
-    );
-    let _ = writeln!(s, "    \"max_speedup\": {max:.3},");
-    let _ = writeln!(s, "    \"geomean_speedup\": {geomean:.3}");
-    let _ = writeln!(s, "  }}");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-fn usage() -> ! {
-    eprintln!("usage: sim_scaling [--smoke] [--out PATH]");
-    std::process::exit(2);
+    obj([
+        ("experiment", "sim_scaling".into()),
+        ("paper", "conf_pldi_RajaramNSE13".into()),
+        ("mode", mode.into()),
+        ("shapes", arr(shapes)),
+        (
+            "headline",
+            obj([
+                ("count", headline.len().into()),
+                ("paper_scale", headline.iter().all(|r| r.paper_scale).into()),
+                ("max_speedup", fixed(max, 3)),
+                ("geomean_speedup", fixed(geomean, 3)),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_sim.json".to_owned();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a value");
-                    usage()
-                })
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
+    let args = SweepArgs::from_env("sim_scaling", "BENCH_sim.json");
 
-    let shapes: Vec<Shape> = if smoke {
+    let shapes: Vec<Shape> = if args.smoke {
         vec![
             Shape::LitmusCorpus,
             Shape::LitmusAtScale,
@@ -385,7 +358,7 @@ fn main() {
 
     println!(
         "sim_scaling ({}): event-driven vs lockstep reference",
-        if smoke { "smoke" } else { "full" }
+        args.mode()
     );
     println!(
         "{:<42} {:>12} {:>9} {:>12} {:>7}",
@@ -405,9 +378,9 @@ fn main() {
         rows.push(row);
     }
 
-    let json = to_json(&rows, if smoke { "smoke" } else { "full" });
-    std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
-    println!("\nwrote {out_path}");
+    let json = to_json(&rows, args.mode());
+    std::fs::write(&args.out, &json).expect("write BENCH_sim.json");
+    println!("\nwrote {}", args.out);
     let failed = gates(&rows);
     for f in &failed {
         eprintln!("GATE FAILED: {f}");
@@ -439,6 +412,8 @@ mod tests {
     fn passing_rows_pass_every_gate() {
         let rows = [row(32, 8.0, true), row(32, 1.6, true), row(128, 3.2, true)];
         assert_eq!(gates(&rows), Vec::<String>::new());
+        let json = to_json(&rows, "smoke");
+        assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
 
     #[test]

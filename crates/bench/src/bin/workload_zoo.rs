@@ -10,7 +10,10 @@
 //! simulated cost (cycles, RMW cost, overhead fraction) and the
 //! contention/fairness profile (spin retries and cycles, futex
 //! wait/wake/blocked counters, lock handoffs and wake-to-acquire
-//! latency, per-core work spread) — and asserts:
+//! latency, per-core work spread).
+//!
+//! Every run checks the record's gates ([`gates`]) after writing the
+//! JSON and exits non-zero when one fails:
 //!
 //! * the kernel's correctness invariant holds (mutual exclusion, FIFO
 //!   order, refcount balance, …) — atomicity changes *when* RMWs cost,
@@ -19,7 +22,10 @@
 //!   (`results_match`), extending the engine-equivalence contract to
 //!   futex/branch/register control flow at paper scale;
 //! * per kernel, the final memory image is identical across the three
-//!   atomicities (`outcome_invariant`).
+//!   atomicities (`outcome_invariant`);
+//! * every cell's fairness is in (0, 1], the zoo as a whole records
+//!   futex waits and spin retries, and at least ten kernels each have a
+//!   row per atomicity.
 //!
 //! Usage:
 //!
@@ -27,9 +33,9 @@
 //! $ cargo run --release -p bench --bin workload_zoo [-- --smoke] [--out PATH]
 //! ```
 
-use bench::config_for;
+use bench::{config_for, SweepArgs};
+use harness::jsonx::{arr, fixed, obj};
 use rmw_types::Atomicity;
-use std::fmt::Write as _;
 use tso_sim::{Machine, SimResult, SimStats, StepMode};
 use workloads::zoo::ZooKernel;
 
@@ -92,6 +98,53 @@ fn measure(kernel: ZooKernel, atomicity: Atomicity, n: usize, iters: u64) -> (Ro
     (row, ev)
 }
 
+/// Gate: the zoo must keep at least this many kernels.
+const MIN_KERNELS: usize = 10;
+
+/// The record's gates; returns one message per failed gate. `invariant`
+/// pairs each kernel with whether its final memory matched across the
+/// three atomicities.
+fn gates(rows: &[Row], invariant: &[(ZooKernel, bool)]) -> Vec<String> {
+    let mut failed = Vec::new();
+    for r in rows {
+        let fair = r.fairness > 0.0 && r.fairness <= 1.0;
+        for (ok, what) in [
+            (r.invariant_ok, "invariant broken"),
+            (r.results_match, "engines diverged"),
+            (fair, "fairness outside (0, 1]"),
+        ] {
+            if !ok {
+                failed.push(format!("{} {}: {what}", r.kernel, r.atomicity));
+            }
+        }
+    }
+    for &(kernel, same_memory) in invariant {
+        if !same_memory {
+            failed.push(format!(
+                "{kernel}: final memory differs between atomicities"
+            ));
+        }
+        let cells = rows.iter().filter(|r| r.kernel == kernel);
+        if !cells.map(|r| r.atomicity).eq(Atomicity::ALL) {
+            failed.push(format!("{kernel}: not one row per atomicity"));
+        }
+    }
+    if invariant.len() < MIN_KERNELS {
+        failed.push(format!(
+            "{} kernels, below the floor of {MIN_KERNELS}",
+            invariant.len()
+        ));
+    }
+    // The sleeping and spinning kernels must actually exercise their paths.
+    if rows.iter().all(|r| r.stats.futex_waits == 0) {
+        failed.push("no futex waits recorded across the zoo".to_owned());
+    }
+    if rows.iter().all(|r| r.stats.spin_retries == 0) {
+        failed.push("no spin retries recorded across the zoo".to_owned());
+    }
+    failed
+}
+
 fn to_json(
     rows: &[Row],
     invariant: &[(ZooKernel, bool)],
@@ -99,101 +152,69 @@ fn to_json(
     n: usize,
     iters: u64,
 ) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"workload_zoo\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"machine\": {{ \"cores\": {n}, \"table2\": true }},");
-    let _ = writeln!(s, "  \"iters_per_core\": {iters},");
-    let _ = writeln!(s, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
+    let cells = rows.iter().map(|r| {
         let st = &r.stats;
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"kernel\": \"{}\",", r.kernel);
-        let _ = writeln!(s, "      \"atomicity\": \"{}\",", r.atomicity);
-        let _ = writeln!(s, "      \"cycles\": {},", st.cycles);
-        let _ = writeln!(s, "      \"rmw_count\": {},", st.rmw_count);
-        let _ = writeln!(s, "      \"avg_rmw_cost\": {:.3},", st.avg_rmw_cost());
-        let _ = writeln!(
-            s,
-            "      \"rmw_overhead_fraction\": {:.5},",
-            st.rmw_overhead_fraction()
-        );
-        let _ = writeln!(s, "      \"spin_retries\": {},", st.spin_retries);
-        let _ = writeln!(s, "      \"spin_cycles\": {},", st.spin_cycles);
-        let _ = writeln!(s, "      \"futex_waits\": {},", st.futex_waits);
-        let _ = writeln!(s, "      \"futex_immediate\": {},", st.futex_immediate);
-        let _ = writeln!(s, "      \"futex_wakes\": {},", st.futex_wakes);
-        let _ = writeln!(s, "      \"futex_wakeups\": {},", st.futex_wakeups);
-        let _ = writeln!(s, "      \"blocked_cycles\": {},", st.blocked_cycles);
-        let _ = writeln!(s, "      \"handoffs\": {},", st.handoffs);
-        let _ = writeln!(
-            s,
-            "      \"avg_wake_to_acquire\": {:.3},",
-            st.avg_wake_to_acquire()
-        );
-        let _ = writeln!(s, "      \"fairness_min_max_ops\": {:.4},", r.fairness);
-        let _ = writeln!(s, "      \"invariant_ok\": {},", r.invariant_ok);
-        let _ = writeln!(s, "      \"results_match\": {}", r.results_match);
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"kernels\": [");
-    for (i, (k, outcome_invariant)) in invariant.iter().enumerate() {
-        let comma = if i + 1 < invariant.len() { "," } else { "" };
-        let by_atomicity: Vec<String> = rows
+        obj([
+            ("kernel", r.kernel.name().into()),
+            ("atomicity", r.atomicity.to_string().into()),
+            ("cycles", st.cycles.into()),
+            ("rmw_count", st.rmw_count.into()),
+            ("avg_rmw_cost", fixed(st.avg_rmw_cost(), 3)),
+            (
+                "rmw_overhead_fraction",
+                fixed(st.rmw_overhead_fraction(), 5),
+            ),
+            ("spin_retries", st.spin_retries.into()),
+            ("spin_cycles", st.spin_cycles.into()),
+            ("futex_waits", st.futex_waits.into()),
+            ("futex_immediate", st.futex_immediate.into()),
+            ("futex_wakes", st.futex_wakes.into()),
+            ("futex_wakeups", st.futex_wakeups.into()),
+            ("blocked_cycles", st.blocked_cycles.into()),
+            ("handoffs", st.handoffs.into()),
+            ("avg_wake_to_acquire", fixed(st.avg_wake_to_acquire(), 3)),
+            ("fairness_min_max_ops", fixed(r.fairness, 4)),
+            ("invariant_ok", r.invariant_ok.into()),
+            ("results_match", r.results_match.into()),
+        ])
+    });
+    let kernels = invariant.iter().map(|&(kernel, outcome_invariant)| {
+        let by_atomicity = rows
             .iter()
-            .filter(|r| r.kernel == *k)
-            .map(|r| format!("\"{}\": {}", r.atomicity, r.stats.cycles))
-            .collect();
-        let _ = writeln!(
-            s,
-            "    {{ \"kernel\": \"{k}\", \"outcome_invariant\": {outcome_invariant}, \
-             \"cycles_by_atomicity\": {{ {} }} }}{comma}",
-            by_atomicity.join(", ")
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-fn usage() -> ! {
-    eprintln!("usage: workload_zoo [--smoke] [--out PATH]");
-    std::process::exit(2);
+            .filter(|r| r.kernel == kernel)
+            .map(|r| (r.atomicity.to_string(), r.stats.cycles.into()));
+        obj([
+            ("kernel", kernel.name().into()),
+            ("outcome_invariant", outcome_invariant.into()),
+            ("cycles_by_atomicity", obj(by_atomicity)),
+        ])
+    });
+    obj([
+        ("experiment", "workload_zoo".into()),
+        ("paper", "conf_pldi_RajaramNSE13".into()),
+        ("mode", mode.into()),
+        (
+            "machine",
+            obj([("cores", n.into()), ("table2", true.into())]),
+        ),
+        ("iters_per_core", iters.into()),
+        ("rows", arr(cells)),
+        ("kernels", arr(kernels)),
+    ])
+    .render()
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = "BENCH_zoo.json".to_owned();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a value");
-                    usage()
-                })
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
+    let args = SweepArgs::from_env("workload_zoo", "BENCH_zoo.json");
 
     // The full Table 2 machine in both modes; smoke only trims the
     // per-core iteration count (CI must still cover every cell).
     let n = 32;
-    let iters = if smoke { 3 } else { 12 };
+    let iters = if args.smoke { 3 } else { 12 };
 
     println!(
         "workload_zoo ({}): {} kernels x 3 atomicities on the {n}-core Table 2 machine",
-        if smoke { "smoke" } else { "full" },
+        args.mode(),
         ZooKernel::ALL.len()
     );
     println!(
@@ -202,7 +223,6 @@ fn main() {
     );
     let mut rows: Vec<Row> = Vec::new();
     let mut invariant: Vec<(ZooKernel, bool)> = Vec::new();
-    let mut failed = false;
     for kernel in ZooKernel::ALL {
         let mut memories = Vec::new();
         for atomicity in Atomicity::ALL {
@@ -219,34 +239,89 @@ fn main() {
                 row.fairness,
                 row.invariant_ok && row.results_match
             );
-            if !row.invariant_ok || !row.results_match {
-                eprintln!(
-                    "ERROR: {} {}: invariant_ok={} results_match={}",
-                    kernel, atomicity, row.invariant_ok, row.results_match
-                );
-                failed = true;
-            }
             memories.push(result.memory);
             rows.push(row);
         }
-        let outcome_invariant = memories.windows(2).all(|w| w[0] == w[1]);
-        if !outcome_invariant {
-            eprintln!("ERROR: {kernel}: final memory differs between atomicities");
-            failed = true;
-        }
-        invariant.push((kernel, outcome_invariant));
+        invariant.push((kernel, memories.windows(2).all(|w| w[0] == w[1])));
     }
 
-    let json = to_json(
-        &rows,
-        &invariant,
-        if smoke { "smoke" } else { "full" },
-        n,
-        iters,
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_zoo.json");
-    println!("\nwrote {out_path}");
-    if failed {
+    let json = to_json(&rows, &invariant, args.mode(), n, iters);
+    std::fs::write(&args.out, &json).expect("write BENCH_zoo.json");
+    println!("\nwrote {}", args.out);
+    let failed = gates(&rows, &invariant);
+    for f in &failed {
+        eprintln!("GATE FAILED: {f}");
+    }
+    if !failed.is_empty() {
         std::process::exit(1);
+    }
+    println!("all gates passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(kernel: ZooKernel, atomicity: Atomicity) -> Row {
+        Row {
+            kernel,
+            atomicity,
+            stats: SimStats {
+                cycles: 1000,
+                rmw_count: 10,
+                futex_waits: 1,
+                spin_retries: 2,
+                ..SimStats::default()
+            },
+            fairness: 0.5,
+            invariant_ok: true,
+            results_match: true,
+        }
+    }
+
+    /// One row per atomicity for each of the first `kernels` zoo kernels,
+    /// every one passing.
+    fn zoo(kernels: usize) -> (Vec<Row>, Vec<(ZooKernel, bool)>) {
+        let kernels = &ZooKernel::ALL[..kernels];
+        let rows = kernels
+            .iter()
+            .flat_map(|&k| Atomicity::ALL.map(|a| row(k, a)))
+            .collect();
+        (rows, kernels.iter().map(|&k| (k, true)).collect())
+    }
+
+    #[test]
+    fn passing_rows_pass_every_gate() {
+        let (rows, invariant) = zoo(MIN_KERNELS);
+        assert_eq!(gates(&rows, &invariant), Vec::<String>::new());
+        let json = to_json(&rows, &invariant, "smoke", 32, 3);
+        assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
+    }
+
+    #[test]
+    fn failing_rows_fail_their_gates() {
+        let (mut rows, mut invariant) = zoo(MIN_KERNELS - 1);
+        rows.remove(8); // the third kernel loses its type-3 row
+        rows[0].invariant_ok = false;
+        rows[1].results_match = false;
+        rows[2].fairness = 0.0;
+        invariant[1].1 = false;
+        rows.iter_mut().for_each(|r| r.stats.futex_waits = 0);
+        let failed = gates(&rows, &invariant);
+        assert_eq!(failed.len(), 7, "{failed:?}");
+        for needle in [
+            "invariant",
+            "engines",
+            "fairness",
+            "memory",
+            "per atomicity",
+            "floor",
+            "futex",
+        ] {
+            assert!(
+                failed.iter().any(|f| f.contains(needle)),
+                "{needle}: {failed:?}"
+            );
+        }
     }
 }

@@ -42,6 +42,63 @@ pub fn cli_scale() -> (usize, usize) {
     (cores, memops)
 }
 
+/// The command line of the sweep binaries (`model_scaling`,
+/// `sim_scaling`, `harness_scaling`, `workload_zoo`):
+/// `[--smoke] [--out PATH]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepArgs {
+    /// `--smoke`: the fast subset CI runs.
+    pub smoke: bool,
+    /// `--out PATH`: where the JSON record is written.
+    pub out: String,
+}
+
+impl SweepArgs {
+    /// Parses the process arguments of sweep binary `name`, whose record
+    /// defaults to `default_out`. `--help`, an unknown argument, or an
+    /// `--out` without a value prints usage and exits with status 2.
+    pub fn from_env(name: &str, default_out: &str) -> SweepArgs {
+        SweepArgs::parse(std::env::args().skip(1), default_out).unwrap_or_else(|complaint| {
+            if !complaint.is_empty() {
+                eprintln!("{name}: {complaint}");
+            }
+            eprintln!("usage: {name} [--smoke] [--out PATH]");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args`. The error is the complaint to print (empty for
+    /// `--help`).
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        default_out: &str,
+    ) -> Result<SweepArgs, String> {
+        let mut parsed = SweepArgs {
+            smoke: false,
+            out: default_out.to_owned(),
+        };
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--out" => parsed.out = it.next().ok_or("--out needs a value")?,
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown argument {other}")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The record's `mode` field: `"smoke"` or `"full"`.
+    pub fn mode(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
+        }
+    }
+}
+
 /// A simulator configuration scaled from Table 2 to `cores` cores
 /// (the mesh resizes accordingly; all latencies stay at paper values).
 /// Thin wrapper over [`SimConfig::paper_scaled`] that also sets the RMW
@@ -185,6 +242,24 @@ mod tests {
         assert!(c.validate().is_ok());
         let full = config_for(32, Atomicity::Type1);
         assert_eq!(full.mesh().num_nodes(), 32);
+    }
+
+    #[test]
+    fn sweep_args_are_strict() {
+        let parse = |args: &[&str]| SweepArgs::parse(args.iter().map(|a| a.to_string()), "d.json");
+        let smoke = parse(&["--out", "x.json", "--smoke"]).unwrap();
+        assert_eq!(
+            (smoke.smoke, smoke.out.as_str(), smoke.mode()),
+            (true, "x.json", "smoke")
+        );
+        assert_eq!(parse(&[]).unwrap().out, "d.json");
+        // A typo must not silently run the full sweep.
+        assert_eq!(
+            parse(&["--smok"]),
+            Err("unknown argument --smok".to_owned())
+        );
+        assert!(parse(&["--out"]).is_err());
+        assert_eq!(parse(&["--help"]), Err(String::new()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `litmus_run` — the parallel differential litmus harness CLI.
 //!
-//! Runs the full 500+ test corpus (hand-written classic + paper tests,
+//! Runs the full 550+ test corpus (hand-written classic + paper tests,
 //! generated families, seeded random programs) through the axiomatic model
 //! and the timing simulator under all three RMW atomicities, and reports
 //! any disagreement.
@@ -22,9 +22,7 @@
 //! * `--out PATH` — also write the chosen format to `PATH`;
 //! * `--seed N` / `--random N` — corpus generation knobs;
 //! * `--store PATH` — persistent verdict store: model search results are
-//!   loaded from / appended to `PATH`, so reruns skip proven searches;
-//! * `--no-baseline` — skip the `--jobs 1` reference run that the speedup
-//!   figure in the JSON report is computed from.
+//!   loaded from / appended to `PATH`, so reruns skip proven searches.
 //!
 //! Subcommands (see `README.md` for a campaign walkthrough):
 //!
@@ -44,13 +42,12 @@
 //! `merge`, if the merged campaign failed).
 
 use harness::campaign::{
-    default_checkpoint_name, merge_reports, run_campaign, CampaignConfig, StoreCounters,
-    DEFAULT_CHUNK,
+    default_checkpoint_name, merge_reports, run_campaign, CampaignConfig, DEFAULT_CHUNK,
 };
-use harness::store::{SharedStore, Store};
+use harness::jsonx::Value;
+use harness::store::{with_store, Store};
 use harness::{faults, full_corpus, run_batch_on, smoke_filter, MachineKind, Report, SMOKE_CAP};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 use tso_model::SearchBudget;
 
@@ -62,10 +59,8 @@ struct Args {
     out: Option<String>,
     seed: u64,
     random: usize,
-    baseline: bool,
     machine: MachineKind,
     store: Option<PathBuf>,
-    faults: Option<(u64, u64)>,
     budget_nodes: Option<u64>,
     budget_ms: Option<u64>,
 }
@@ -74,7 +69,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: litmus_run [--filter SUBSTR] [--jobs N] [--smoke] [--machine small|paper|128|256]\n\
          \x20                [--format summary|json|tap] [--out PATH] [--seed N] [--random N]\n\
-         \x20                [--store PATH] [--no-baseline] [--faults SEED:RATE]\n\
+         \x20                [--store PATH] [--faults SEED:RATE]\n\
          \x20                [--budget-nodes N] [--budget-ms N]\n\
          \x20      litmus_run campaign [--count N] [--shard I/N] [--seed N] [--jobs N]\n\
          \x20                [--machine small|paper|128|256] [--chunk N] [--store PATH | --no-store]\n\
@@ -94,12 +89,63 @@ fn next_value(it: &mut impl Iterator<Item = String>, name: &str) -> String {
     })
 }
 
-/// Parses a `--faults SEED:RATE` value or dies with usage.
-fn parse_faults(spec: &str) -> (u64, u64) {
-    faults::parse_spec(spec).unwrap_or_else(|| {
-        eprintln!("--faults must be SEED:RATE with RATE a probability in [0, 1] (e.g. 42:0.01)");
+/// Prints `msg` and exits with status 2 (an operational failure, as
+/// opposed to a failed verification, which exits 1).
+fn die(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Parses the `FILE... [FLAG PATH]` arguments of the `merge` and
+/// `compact` subcommands: at least one input file plus an optional `flag`.
+fn files_and_flag(argv: Vec<String>, sub: &str, flag: &str) -> (Vec<String>, Option<String>) {
+    let mut paths = Vec::new();
+    let mut value = None;
+    let mut it = argv.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--help" | "-h" => usage(),
+            f if f == flag => value = Some(next_value(&mut it, flag)),
+            f if f.starts_with("--") => {
+                eprintln!("unknown {sub} flag {f}");
+                usage();
+            }
+            path => paths.push(path.to_owned()),
+        }
+    }
+    if paths.is_empty() {
+        eprintln!("{sub} needs at least one input file");
+        usage();
+    }
+    (paths, value)
+}
+
+/// The next argument parsed as `flag`'s value, or die with usage.
+fn next_parsed<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    next_value(it, flag).parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs a number");
         usage()
     })
+}
+
+/// The next argument parsed as a `--machine` value, or die with usage.
+fn next_machine(it: &mut impl Iterator<Item = String>) -> MachineKind {
+    MachineKind::parse(&next_value(it, "--machine")).unwrap_or_else(|| {
+        eprintln!("--machine must be small, paper, 128, or 256");
+        usage()
+    })
+}
+
+/// Installs random fault injection from a `--faults SEED:RATE` value, or
+/// dies with usage. It takes effect during flag parsing, so everything
+/// after — the store open included — runs under test.
+fn install_faults(spec: &str) {
+    let (seed, rate_ppm) = faults::parse_spec(spec).unwrap_or_else(|| {
+        eprintln!("--faults must be SEED:RATE with RATE a probability in [0, 1] (e.g. 42:0.01)");
+        usage()
+    });
+    eprintln!("litmus_run: fault injection active (seed {seed}, rate {rate_ppm} ppm)");
+    faults::install_random(seed, rate_ppm);
 }
 
 /// Writes a rendered report to `--out`, degrading to a warning on
@@ -124,10 +170,8 @@ fn parse_corpus_args(rest: Vec<String>) -> Args {
         out: None,
         seed: litmus::gen::DEFAULT_SEED,
         random: litmus::gen::DEFAULT_RANDOM_COUNT,
-        baseline: true,
         machine: MachineKind::Small,
         store: None,
-        faults: None,
         budget_nodes: None,
         budget_ms: None,
     };
@@ -135,50 +179,17 @@ fn parse_corpus_args(rest: Vec<String>) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--filter" => args.filter = Some(next_value(&mut it, "--filter")),
-            "--jobs" => {
-                args.jobs = next_value(&mut it, "--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--jobs" => args.jobs = next_parsed(&mut it, "--jobs"),
             "--smoke" => args.smoke = true,
             "--format" => args.format = next_value(&mut it, "--format"),
             "--out" => args.out = Some(next_value(&mut it, "--out")),
-            "--seed" => {
-                args.seed = next_value(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--random" => {
-                args.random = next_value(&mut it, "--random")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--no-baseline" => args.baseline = false,
+            "--seed" => args.seed = next_parsed(&mut it, "--seed"),
+            "--random" => args.random = next_parsed(&mut it, "--random"),
             "--store" => args.store = Some(PathBuf::from(next_value(&mut it, "--store"))),
-            "--faults" => {
-                args.faults = Some(parse_faults(&next_value(&mut it, "--faults")));
-            }
-            "--budget-nodes" => {
-                args.budget_nodes = Some(
-                    next_value(&mut it, "--budget-nodes")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--budget-ms" => {
-                args.budget_ms = Some(
-                    next_value(&mut it, "--budget-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--machine" => {
-                args.machine =
-                    MachineKind::parse(&next_value(&mut it, "--machine")).unwrap_or_else(|| {
-                        eprintln!("--machine must be small, paper, 128, or 256");
-                        usage()
-                    })
-            }
+            "--faults" => install_faults(&next_value(&mut it, "--faults")),
+            "--budget-nodes" => args.budget_nodes = Some(next_parsed(&mut it, "--budget-nodes")),
+            "--budget-ms" => args.budget_ms = Some(next_parsed(&mut it, "--budget-ms")),
+            "--machine" => args.machine = next_machine(&mut it),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -215,11 +226,6 @@ fn main() {
 fn corpus_main(argv: Vec<String>) {
     let args = parse_corpus_args(argv);
 
-    // Fault injection first, so even the store open is under test.
-    if let Some((seed, rate_ppm)) = args.faults {
-        eprintln!("litmus_run: fault injection active (seed {seed}, rate {rate_ppm} ppm)");
-        faults::install_random(seed, rate_ppm);
-    }
     // Search budgets: exhausted searches answer `unknown` (reported,
     // never cached) instead of running unboundedly.
     if args.budget_nodes.is_some() || args.budget_ms.is_some() {
@@ -229,135 +235,54 @@ fn corpus_main(argv: Vec<String>) {
         });
     }
 
-    // Install the persistent verdict store (if any) before corpus
+    // Attach the persistent verdict store (if any) before corpus
     // generation: the generated families derive their verdicts through
     // the model cache, so a warm store already pays off there. A store
     // that fails to open degrades to a store-less run (reported via the
     // JSON `degraded` flag) — persistence is an optimization, not a
     // prerequisite for verification.
-    let store = args
-        .store
-        .as_ref()
-        .map(|path| match SharedStore::open(path) {
-            Ok(shared) => {
-                let shared = Arc::new(shared);
-                tso_model::cache::set_store(shared.clone());
-                tso_model::prefix::set_store(shared.clone());
-                (Some(shared), path, None)
-            }
-            Err(e) => {
-                eprintln!(
-                    "cannot open store {} ({e}) — continuing without persistence",
-                    path.display()
-                );
-                (None, path, Some(e.to_string()))
-            }
-        });
-
-    let corpus = full_corpus(args.seed, args.random);
-    let corpus_total = corpus.len();
-    let mut selected: Vec<litmus::Litmus> = corpus
-        .into_iter()
-        .filter(|l| args.filter.as_deref().map_or(true, |f| l.name.contains(f)))
-        .filter(|l| !args.smoke || smoke_filter(l))
-        .collect();
-    if args.smoke {
-        selected.truncate(SMOKE_CAP);
-    }
-    eprintln!(
-        "litmus_run: corpus {corpus_total} tests, running {} on {} jobs, {} machine{}",
-        selected.len(),
-        args.jobs,
-        args.machine,
-        if args.smoke { " (smoke)" } else { "" }
-    );
-
-    // An untimed warm-up pass first. When a baseline comparison is
-    // coming, it covers the full selection: besides the one-time process
-    // costs (page faults, allocator growth, lazy init) it fully
-    // populates the memoized verdict cache, so the jobs-1 reference run
-    // and the measured run see identical (hot-cache) model work and the
-    // ratio is a clean worker-scaling figure rather than a cache-position
-    // artifact. Without a baseline nobody compares timings, and the
-    // simulator side is *not* memoized — so a capped slice keeps plain
-    // correctness runs from paying the corpus twice.
-    let measuring_baseline = args.baseline && args.jobs > 1;
-    let warmup = if measuring_baseline {
-        selected.len()
-    } else {
-        selected.len().min(32)
-    };
-    let _ = run_batch_on(&selected[..warmup], args.jobs.max(1), args.machine);
-    let baseline_jobs1_ms = measuring_baseline.then(|| {
-        let (_, elapsed) = run_batch_on(&selected, 1, args.machine);
-        elapsed.as_secs_f64() * 1e3
-    });
-    let (outcomes, elapsed) = run_batch_on(&selected, args.jobs, args.machine);
-
-    let store_counters = store.as_ref().map(|(shared, path, open_error)| {
-        let path = path.display().to_string();
-        match shared {
-            Some(shared) => StoreCounters {
-                path,
-                open_error: open_error.clone(),
-                loads: shared.loads(),
-                cert_loads: shared.cert_loads(),
-                save_errors: shared.save_errors(),
-                appended: shared.with(|s| s.appended()),
-                keys: shared.with(|s| s.len() as u64),
-                certs: shared.with(|s| s.cert_count() as u64),
-                recovered_bytes: shared.with(|s| s.recovered_bytes()),
-                skipped_records: shared.with(|s| s.open_stats().skipped_records),
-            },
-            None => StoreCounters {
-                path,
-                open_error: open_error.clone(),
-                loads: 0,
-                cert_loads: 0,
-                save_errors: 0,
-                appended: 0,
-                keys: 0,
-                certs: 0,
-                recovered_bytes: 0,
-                skipped_records: 0,
-            },
+    let ((corpus_total, outcomes, elapsed), store) = with_store(args.store.as_deref(), || {
+        let corpus = full_corpus(args.seed, args.random);
+        let corpus_total = corpus.len();
+        let mut selected: Vec<litmus::Litmus> = corpus
+            .into_iter()
+            .filter(|l| args.filter.as_deref().map_or(true, |f| l.name.contains(f)))
+            .filter(|l| !args.smoke || smoke_filter(l))
+            .collect();
+        if args.smoke {
+            selected.truncate(SMOKE_CAP);
         }
+        eprintln!(
+            "litmus_run: corpus {corpus_total} tests, running {} on {} jobs, {} machine{}",
+            selected.len(),
+            args.jobs,
+            args.machine,
+            if args.smoke { " (smoke)" } else { "" }
+        );
+        let (outcomes, elapsed) = run_batch_on(&selected, args.jobs, args.machine);
+        (corpus_total, outcomes, elapsed)
     });
+    if let Some(st) = store.as_ref().filter(|st| st.open_error.is_none()) {
+        eprintln!(
+            "store {}: {} verdicts + {} certs loaded, {} records appended, \
+             {} keys + {} certs on disk, {} save errors swallowed",
+            st.path, st.loads, st.cert_loads, st.appended, st.keys, st.certs, st.save_errors
+        );
+    }
     let report = Report {
         outcomes,
         corpus_total,
         jobs: args.jobs,
         machine: args.machine,
         elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        baseline_jobs1_ms,
         // Process-cumulative: covers corpus generation (the generated
-        // families derive their verdicts through the same cache), the
-        // warm-up, and the timed runs — queries vs. invocations is the
-        // memoization + symmetry saving for the whole corpus run.
+        // families derive their verdicts through the same cache) and the
+        // timed run — queries vs. invocations is the memoization +
+        // symmetry saving for the whole corpus run.
         model_cache: Some(tso_model::cache::counters()),
         prefix_cache: Some(tso_model::prefix::counters()),
-        store: store_counters,
+        store,
     };
-
-    if let Some((Some(shared), path, _)) = &store {
-        let _ = tso_model::cache::take_store();
-        let _ = tso_model::prefix::take_store();
-        eprintln!(
-            "store {}: {} verdicts + {} certs loaded, {} records appended, \
-             {} keys + {} certs on disk{}",
-            path.display(),
-            shared.loads(),
-            shared.cert_loads(),
-            shared.with(|s| s.appended()),
-            shared.with(|s| s.len()),
-            shared.with(|s| s.cert_count()),
-            if shared.save_errors() > 0 {
-                format!(" ({} save errors swallowed)", shared.save_errors())
-            } else {
-                String::new()
-            },
-        );
-    }
 
     let rendered = match args.format.as_str() {
         "json" => report.to_json(),
@@ -397,21 +322,12 @@ fn campaign_main(argv: Vec<String>) {
     cfg.chunk = DEFAULT_CHUNK;
     let mut out: Option<String> = None;
     let mut checkpoint_set = false;
-    let mut fault_spec: Option<(u64, u64)> = None;
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--faults" => fault_spec = Some(parse_faults(&next_value(&mut it, "--faults"))),
-            "--seed" => {
-                cfg.seed = next_value(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--count" => {
-                cfg.count = next_value(&mut it, "--count")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--faults" => install_faults(&next_value(&mut it, "--faults")),
+            "--seed" => cfg.seed = next_parsed(&mut it, "--seed"),
+            "--count" => cfg.count = next_parsed(&mut it, "--count"),
             "--shard" => {
                 let (shard, shards) =
                     parse_shard(&next_value(&mut it, "--shard")).unwrap_or_else(|| {
@@ -421,16 +337,8 @@ fn campaign_main(argv: Vec<String>) {
                 cfg.shard = shard;
                 cfg.shards = shards;
             }
-            "--jobs" => {
-                cfg.jobs = next_value(&mut it, "--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--chunk" => {
-                cfg.chunk = next_value(&mut it, "--chunk")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--jobs" => cfg.jobs = next_parsed(&mut it, "--jobs"),
+            "--chunk" => cfg.chunk = next_parsed(&mut it, "--chunk"),
             "--store" => cfg.store_path = Some(PathBuf::from(next_value(&mut it, "--store"))),
             "--no-store" => cfg.store_path = None,
             "--checkpoint" => {
@@ -439,20 +347,8 @@ fn campaign_main(argv: Vec<String>) {
             }
             "--resume" => cfg.resume = true,
             "--out" => out = Some(next_value(&mut it, "--out")),
-            "--max-chunks" => {
-                cfg.max_chunks = Some(
-                    next_value(&mut it, "--max-chunks")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--machine" => {
-                cfg.machine =
-                    MachineKind::parse(&next_value(&mut it, "--machine")).unwrap_or_else(|| {
-                        eprintln!("--machine must be small, paper, 128, or 256");
-                        usage()
-                    })
-            }
+            "--max-chunks" => cfg.max_chunks = Some(next_parsed(&mut it, "--max-chunks")),
+            "--machine" => cfg.machine = next_machine(&mut it),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown campaign flag {other}");
@@ -462,10 +358,6 @@ fn campaign_main(argv: Vec<String>) {
     }
     if !checkpoint_set {
         cfg.checkpoint_path = PathBuf::from(default_checkpoint_name(cfg.shard, cfg.shards));
-    }
-    if let Some((seed, rate_ppm)) = fault_spec {
-        eprintln!("litmus_run campaign: fault injection active (seed {seed}, rate {rate_ppm} ppm)");
-        faults::install_random(seed, rate_ppm);
     }
 
     eprintln!(
@@ -484,10 +376,7 @@ fn campaign_main(argv: Vec<String>) {
         if cfg.resume { " (resuming)" } else { "" },
     );
 
-    let report = run_campaign(&cfg).unwrap_or_else(|e| {
-        eprintln!("campaign failed: {e}");
-        std::process::exit(2);
-    });
+    let report = run_campaign(&cfg).unwrap_or_else(|e| die(format!("campaign failed: {e}")));
     let rendered = report.to_json();
     print!("{rendered}");
     eprintln!(
@@ -521,74 +410,28 @@ fn campaign_main(argv: Vec<String>) {
 }
 
 fn merge_main(argv: Vec<String>) {
-    let mut paths: Vec<String> = Vec::new();
-    let mut out: Option<String> = None;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(next_value(&mut it, "--out")),
-            "--help" | "-h" => usage(),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown merge flag {flag}");
-                usage();
-            }
-            path => paths.push(path.to_owned()),
-        }
-    }
-    if paths.is_empty() {
-        eprintln!("merge needs at least one shard report");
-        usage();
-    }
+    let (paths, out) = files_and_flag(argv, "merge", "--out");
     let inputs: Vec<(String, String)> = paths
         .iter()
         .map(|p| {
-            let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
-                eprintln!("cannot read {p}: {e}");
-                std::process::exit(2);
-            });
+            let text =
+                std::fs::read_to_string(p).unwrap_or_else(|e| die(format!("cannot read {p}: {e}")));
             (p.clone(), text)
         })
         .collect();
-    let merged = merge_reports(&inputs).unwrap_or_else(|e| {
-        eprintln!("merge failed: {e}");
-        std::process::exit(2);
-    });
-    print!("{merged}");
+    let merged = merge_reports(&inputs).unwrap_or_else(|e| die(format!("merge failed: {e}")));
+    let rendered = merged.render();
+    print!("{rendered}");
     if let Some(path) = &out {
-        std::fs::write(path, &merged).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote {path}");
+        write_out(path, &rendered);
     }
-    if merged.contains("\"passed\": false") {
+    if merged.get("passed").and_then(Value::as_bool) != Some(true) {
         std::process::exit(1);
     }
 }
 
 fn compact_main(argv: Vec<String>) {
-    let mut paths: Vec<String> = Vec::new();
-    let mut merge_out: Option<String> = None;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--merge" => merge_out = Some(next_value(&mut it, "--merge")),
-            "--help" | "-h" => usage(),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown compact flag {flag}");
-                usage();
-            }
-            path => paths.push(path.to_owned()),
-        }
-    }
-    if paths.is_empty() {
-        eprintln!("compact needs at least one store file");
-        usage();
-    }
-    let die = |msg: String| -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    };
+    let (paths, merge_out) = files_and_flag(argv, "compact", "--merge");
     match merge_out {
         Some(out) => {
             // Fold every input into the output store, then compact it.

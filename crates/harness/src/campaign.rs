@@ -35,9 +35,10 @@
 //! to an uninterrupted one. Only wall-clock and cache/store counters
 //! differ — and those are excluded from the digest.
 
-use crate::report::json_escape;
-use crate::store::{fsync_parent, SharedStore};
-use crate::{differential_check_on, faults, jsonx, MachineKind, TestOutcome};
+use crate::jsonx::{self, arr, fixed, obj, Value};
+use crate::report::{failure_json, PAPER};
+use crate::store::{fsync_parent, with_store, StoreCounters};
+use crate::{differential_check_on, faults, MachineKind, TestOutcome};
 use litmus::gen::campaign_draft;
 use litmus::Expect;
 use rmw_types::fasthash::FastHasher;
@@ -45,7 +46,6 @@ use std::collections::BTreeSet;
 use std::hash::Hasher as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Failures recorded verbatim in checkpoints and reports; beyond this the
@@ -200,44 +200,6 @@ impl CampaignState {
     }
 }
 
-/// Verdict-store activity during a campaign run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// The per-shard store file actually used.
-    pub path: String,
-    /// Why the store failed to open, when it did: the campaign degrades
-    /// to store-less operation instead of failing (see
-    /// [`StoreCounters::degraded`]).
-    pub open_error: Option<String>,
-    /// Model-cache misses answered from the store (searches avoided).
-    pub loads: u64,
-    /// Prefix certificates served from the store (sibling searches
-    /// replayed instead of re-run, even cold).
-    pub cert_loads: u64,
-    /// Fresh records appended this run (verdicts + certificates).
-    pub appended: u64,
-    /// Distinct verdict keys in the store after the run.
-    pub keys: u64,
-    /// Distinct certificate keys in the store after the run.
-    pub certs: u64,
-    /// Bytes dropped from a torn tail when the store was opened.
-    pub recovered_bytes: u64,
-    /// Checksummed records with a kind this build does not understand,
-    /// skipped during replay.
-    pub skipped_records: u64,
-    /// Swallowed write failures (persistence is best-effort).
-    pub save_errors: u64,
-}
-
-impl StoreCounters {
-    /// True when persistence ran degraded: the store failed to open (the
-    /// run continued store-less) or some saves were swallowed. Results
-    /// are still correct — only reuse is lost.
-    pub fn degraded(&self) -> bool {
-        self.open_error.is_some() || self.save_errors > 0
-    }
-}
-
 /// The result of [`run_campaign`] for one shard.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
@@ -279,143 +241,78 @@ impl CampaignReport {
 
     /// The shard report as JSON — the input format of `litmus_run merge`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"experiment\": \"litmus_campaign\",");
-        let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(s, "  \"count\": {},", self.config.count);
-        let _ = writeln!(s, "  \"shard\": {},", self.config.shard);
-        let _ = writeln!(s, "  \"shards\": {},", self.config.shards);
-        let _ = writeln!(s, "  \"machine\": \"{}\",", self.config.machine);
-        let _ = writeln!(s, "  \"jobs\": {},", self.config.jobs);
-        let _ = writeln!(s, "  \"chunk\": {},", self.config.chunk);
-        let _ = writeln!(s, "  \"complete\": {},", self.complete);
-        let _ = writeln!(s, "  \"next_index\": {},", self.state.next_index);
-        let _ = writeln!(s, "  \"scanned\": {},", self.state.scanned);
-        let _ = writeln!(s, "  \"processed\": {},", self.state.processed);
-        let _ = writeln!(s, "  \"model_failures\": {},", self.state.model_failures);
-        let _ = writeln!(
-            s,
-            "  \"differential_disagreements\": {},",
-            self.state.disagreements
-        );
-        let _ = writeln!(s, "  \"deadlocks\": {},", self.state.deadlocks);
-        let _ = writeln!(s, "  \"crashed\": {},", self.state.crashed);
-        let _ = writeln!(
-            s,
-            "  \"quarantine\": [{}],",
-            quarantine_csv(&self.state.quarantine)
-        );
-        let _ = writeln!(s, "  \"passed\": {},", self.passed());
-        let _ = writeln!(s, "  \"degraded\": {},", self.degraded());
-        let _ = writeln!(s, "  \"checkpoint_errors\": {},", self.checkpoint_errors);
-        let _ = writeln!(s, "  \"faults_fired\": {},", faults::fired());
-        let _ = writeln!(s, "  \"digest\": {},", self.state.digest);
-        let _ = writeln!(s, "  \"elapsed_ms\": {:.3},", self.elapsed_ms);
-        let c = &self.model_cache;
-        let _ = writeln!(s, "  \"model_cache\": {{");
-        let _ = writeln!(s, "    \"queries\": {},", c.queries);
-        let _ = writeln!(s, "    \"invocations\": {},", c.invocations);
-        let _ = writeln!(s, "    \"hits\": {},", c.hits());
-        let _ = writeln!(s, "    \"store_hits\": {},", c.store_hits);
-        let _ = writeln!(s, "    \"entries\": {}", c.entries);
-        let _ = writeln!(s, "  }},");
-        let p = &self.prefix_cache;
-        let _ = writeln!(s, "  \"prefix_cache\": {{");
-        let _ = writeln!(s, "    \"queries\": {},", p.queries);
-        let _ = writeln!(s, "    \"hits\": {},", p.hits);
-        let _ = writeln!(s, "    \"store_hits\": {},", p.store_hits);
-        let _ = writeln!(s, "    \"stored\": {},", p.stored);
-        let _ = writeln!(s, "    \"nodes_saved\": {},", p.nodes_saved);
-        let _ = writeln!(s, "    \"replayed_leaves\": {},", p.replayed_leaves);
-        let _ = writeln!(s, "    \"entries\": {}", p.entries);
-        let _ = writeln!(s, "  }},");
-        match &self.store {
-            Some(st) => {
-                let _ = writeln!(s, "  \"store\": {{");
-                let _ = writeln!(s, "    \"path\": \"{}\",", json_escape(&st.path));
-                let _ = writeln!(s, "    \"degraded\": {},", st.degraded());
-                match &st.open_error {
-                    Some(e) => {
-                        let _ = writeln!(s, "    \"open_error\": \"{}\",", json_escape(e));
-                    }
-                    None => {
-                        let _ = writeln!(s, "    \"open_error\": null,");
-                    }
-                }
-                let _ = writeln!(s, "    \"loads\": {},", st.loads);
-                let _ = writeln!(s, "    \"cert_loads\": {},", st.cert_loads);
-                let _ = writeln!(s, "    \"appended\": {},", st.appended);
-                let _ = writeln!(s, "    \"keys\": {},", st.keys);
-                let _ = writeln!(s, "    \"certs\": {},", st.certs);
-                let _ = writeln!(s, "    \"recovered_bytes\": {},", st.recovered_bytes);
-                let _ = writeln!(s, "    \"skipped_records\": {},", st.skipped_records);
-                let _ = writeln!(s, "    \"save_errors\": {}", st.save_errors);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"store\": null,");
-            }
-        }
-        let _ = write!(s, "{}", failures_json(&self.state.failures, "  "));
-        let _ = writeln!(s, "}}");
-        s
+        let (cfg, state) = (&self.config, &self.state);
+        obj([
+            ("experiment", "litmus_campaign".into()),
+            ("paper", PAPER.into()),
+            ("seed", cfg.seed.into()),
+            ("count", cfg.count.into()),
+            ("shard", cfg.shard.into()),
+            ("shards", cfg.shards.into()),
+            ("machine", cfg.machine.name().into()),
+            ("jobs", cfg.jobs.into()),
+            ("chunk", cfg.chunk.into()),
+            ("complete", self.complete.into()),
+            ("next_index", state.next_index.into()),
+            ("scanned", state.scanned.into()),
+            ("processed", state.processed.into()),
+            ("model_failures", state.model_failures.into()),
+            ("differential_disagreements", state.disagreements.into()),
+            ("deadlocks", state.deadlocks.into()),
+            ("crashed", state.crashed.into()),
+            ("quarantine", arr(state.quarantine.iter().copied())),
+            ("passed", self.passed().into()),
+            ("degraded", self.degraded().into()),
+            ("checkpoint_errors", self.checkpoint_errors.into()),
+            ("faults_fired", faults::fired().into()),
+            ("digest", state.digest.into()),
+            ("elapsed_ms", fixed(self.elapsed_ms, 3)),
+            ("model_cache", (&self.model_cache).into()),
+            ("prefix_cache", (&self.prefix_cache).into()),
+            ("store", self.store.as_ref().into()),
+            ("failures", failures_json(&state.failures)),
+        ])
+        .render()
     }
 }
 
-fn quarantine_csv(quarantine: &BTreeSet<u64>) -> String {
-    quarantine
+fn failures_json(failures: &[(String, String)]) -> Value {
+    arr(failures
         .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ")
+        .map(|(name, diagnosis)| failure_json(name, diagnosis)))
 }
 
-fn failures_json(failures: &[(String, String)], indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{indent}\"failures\": [");
-    for (i, (name, diagnosis)) in failures.iter().enumerate() {
-        let comma = if i + 1 < failures.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "{indent}  {{\"name\": \"{}\", \"diagnosis\": \"{}\"}}{comma}",
-            json_escape(name),
-            json_escape(diagnosis)
-        );
-    }
-    let _ = writeln!(s, "{indent}]");
-    s
+/// The `failures` list of a checkpoint or shard report (absent → empty).
+fn parse_failures(v: &Value) -> Vec<(String, String)> {
+    let text = |f: &Value, key: &str| f.get(key).and_then(Value::as_str).unwrap_or("").to_owned();
+    v.get("failures")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .map(|f| (text(f, "name"), text(f, "diagnosis")))
+        .collect()
 }
 
 fn checkpoint_json(cfg: &CampaignConfig, state: &CampaignState) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"litmus_campaign_checkpoint\",");
-    let _ = writeln!(s, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(s, "  \"count\": {},", cfg.count);
-    let _ = writeln!(s, "  \"shard\": {},", cfg.shard);
-    let _ = writeln!(s, "  \"shards\": {},", cfg.shards);
-    let _ = writeln!(s, "  \"machine\": \"{}\",", cfg.machine);
-    let _ = writeln!(s, "  \"next_index\": {},", state.next_index);
-    let _ = writeln!(s, "  \"scanned\": {},", state.scanned);
-    let _ = writeln!(s, "  \"processed\": {},", state.processed);
-    let _ = writeln!(s, "  \"model_failures\": {},", state.model_failures);
-    let _ = writeln!(s, "  \"disagreements\": {},", state.disagreements);
-    let _ = writeln!(s, "  \"deadlocks\": {},", state.deadlocks);
-    let _ = writeln!(s, "  \"crashed\": {},", state.crashed);
-    let _ = writeln!(
-        s,
-        "  \"quarantine\": [{}],",
-        quarantine_csv(&state.quarantine)
-    );
-    let _ = writeln!(s, "  \"digest\": {},", state.digest);
-    let _ = write!(s, "{}", failures_json(&state.failures, "  "));
-    let _ = writeln!(s, "}}");
-    s
+    obj([
+        ("experiment", "litmus_campaign_checkpoint".into()),
+        ("seed", cfg.seed.into()),
+        ("count", cfg.count.into()),
+        ("shard", cfg.shard.into()),
+        ("shards", cfg.shards.into()),
+        ("machine", cfg.machine.name().into()),
+        ("next_index", state.next_index.into()),
+        ("scanned", state.scanned.into()),
+        ("processed", state.processed.into()),
+        ("model_failures", state.model_failures.into()),
+        ("disagreements", state.disagreements.into()),
+        ("deadlocks", state.deadlocks.into()),
+        ("crashed", state.crashed.into()),
+        ("quarantine", arr(state.quarantine.iter().copied())),
+        ("digest", state.digest.into()),
+        ("failures", failures_json(&state.failures)),
+    ])
+    .render()
 }
 
 /// Atomically writes the checkpoint for `state` (temp file + rename, so a
@@ -452,8 +349,8 @@ fn invalid<T>(msg: String) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, msg))
 }
 
-fn field(v: &jsonx::Value, key: &str) -> io::Result<u64> {
-    match v.get(key).and_then(jsonx::Value::as_u64) {
+fn field(v: &Value, key: &str) -> io::Result<u64> {
+    match v.get(key).and_then(Value::as_u64) {
         Some(n) => Ok(n),
         None => invalid(format!("checkpoint missing numeric field {key:?}")),
     }
@@ -471,7 +368,7 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
             format!("{}: {e}", path.display()),
         )
     })?;
-    if v.get("experiment").and_then(jsonx::Value::as_str) != Some("litmus_campaign_checkpoint") {
+    if v.get("experiment").and_then(Value::as_str) != Some("litmus_campaign_checkpoint") {
         return invalid(format!("{}: not a campaign checkpoint", path.display()));
     }
     let expected: [(&str, u64); 4] = [
@@ -489,10 +386,7 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
             ));
         }
     }
-    let machine = v
-        .get("machine")
-        .and_then(jsonx::Value::as_str)
-        .unwrap_or("");
+    let machine = v.get("machine").and_then(Value::as_str).unwrap_or("");
     if machine != cfg.machine.name() {
         return invalid(format!(
             "{}: checkpoint machine {machine:?} does not match campaign machine {:?}",
@@ -500,28 +394,13 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
             cfg.machine.name()
         ));
     }
-    let mut failures = Vec::new();
-    if let Some(arr) = v.get("failures").and_then(jsonx::Value::as_arr) {
-        for f in arr {
-            let name = f.get("name").and_then(jsonx::Value::as_str).unwrap_or("");
-            let diagnosis = f
-                .get("diagnosis")
-                .and_then(jsonx::Value::as_str)
-                .unwrap_or("");
-            failures.push((name.to_owned(), diagnosis.to_owned()));
-        }
-    }
     // Crash-isolation fields are parsed leniently: checkpoints written
     // before they existed simply resume with nothing quarantined.
-    let crashed = v.get("crashed").and_then(jsonx::Value::as_u64).unwrap_or(0);
-    let mut quarantine = BTreeSet::new();
-    if let Some(arr) = v.get("quarantine").and_then(jsonx::Value::as_arr) {
-        for q in arr {
-            if let Some(i) = q.as_u64() {
-                quarantine.insert(i);
-            }
-        }
-    }
+    let crashed = v.get("crashed").and_then(Value::as_u64).unwrap_or(0);
+    let quarantine = v
+        .get("quarantine")
+        .and_then(Value::as_arr)
+        .unwrap_or_default();
     Ok(CampaignState {
         next_index: field(&v, "next_index")?,
         scanned: field(&v, "scanned")?,
@@ -531,8 +410,8 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
         deadlocks: field(&v, "deadlocks")?,
         digest: field(&v, "digest")?,
         crashed,
-        quarantine,
-        failures,
+        quarantine: quarantine.iter().filter_map(Value::as_u64).collect(),
+        failures: parse_failures(&v),
     })
 }
 
@@ -555,37 +434,36 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
     }
 
     // Graceful degradation: a store that fails to open costs persistence
-    // (every search is paid again), never the campaign. The failure is
-    // surfaced as `open_error` + the report's `degraded` flag.
-    let store = match &cfg.store_path {
-        Some(base) => {
-            let path = shard_store_path(base, cfg.shard, cfg.shards);
-            match SharedStore::open(&path) {
-                Ok(shared) => {
-                    let shared = Arc::new(shared);
-                    tso_model::cache::set_store(shared.clone());
-                    tso_model::prefix::set_store(shared.clone());
-                    Some((Some(shared), path, None))
-                }
-                Err(e) => {
-                    eprintln!(
-                        "campaign: cannot open store {} ({e}) — continuing without persistence",
-                        path.display()
-                    );
-                    Some((None, path, Some(e.to_string())))
-                }
-            }
-        }
-        None => None,
-    };
+    // (every search is paid again), never the campaign; `with_store`
+    // surfaces the failure as `open_error` + the report's `degraded` flag.
+    let store_path = cfg
+        .store_path
+        .as_ref()
+        .map(|base| shard_store_path(base, cfg.shard, cfg.shards));
+    let started = Instant::now();
+    let (run, store) = with_store(store_path.as_deref(), || run_chunks(cfg));
+    let (state, checkpoint_errors) = run?;
+    Ok(CampaignReport {
+        complete: state.next_index == cfg.count,
+        config: cfg.clone(),
+        state,
+        elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
+        model_cache: tso_model::cache::counters(),
+        prefix_cache: tso_model::prefix::counters(),
+        store,
+        checkpoint_errors,
+    })
+}
 
+/// The chunk loop of [`run_campaign`]: resumes or starts the state, then
+/// scans, runs, folds, and checkpoints chunk by chunk. Returns the final
+/// state and the tolerated checkpoint write failures.
+fn run_chunks(cfg: &CampaignConfig) -> io::Result<(CampaignState, u64)> {
     let mut state = if cfg.resume {
         load_checkpoint(&cfg.checkpoint_path, cfg)?
     } else {
         CampaignState::default()
     };
-
-    let started = Instant::now();
     let mut chunks_done = 0u64;
     let mut checkpoint_errors = 0u64;
     while state.next_index < cfg.count {
@@ -625,106 +503,49 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
         }
     }
 
-    let store_counters = store.map(|(shared, path, open_error)| {
-        let path = path.display().to_string();
-        match shared {
-            Some(shared) => {
-                let _ = tso_model::cache::take_store();
-                let _ = tso_model::prefix::take_store();
-                StoreCounters {
-                    path,
-                    open_error,
-                    loads: shared.loads(),
-                    cert_loads: shared.cert_loads(),
-                    save_errors: shared.save_errors(),
-                    appended: shared.with(|s| s.appended()),
-                    keys: shared.with(|s| s.len() as u64),
-                    certs: shared.with(|s| s.cert_count() as u64),
-                    recovered_bytes: shared.with(|s| s.recovered_bytes()),
-                    skipped_records: shared.with(|s| s.open_stats().skipped_records),
-                }
-            }
-            // The store never opened: all-zero counters, open_error set.
-            None => StoreCounters {
-                path,
-                open_error,
-                loads: 0,
-                cert_loads: 0,
-                save_errors: 0,
-                appended: 0,
-                keys: 0,
-                certs: 0,
-                recovered_bytes: 0,
-                skipped_records: 0,
-            },
-        }
-    });
-
-    Ok(CampaignReport {
-        complete: state.next_index == cfg.count,
-        config: cfg.clone(),
-        state,
-        elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-        model_cache: tso_model::cache::counters(),
-        prefix_cache: tso_model::prefix::counters(),
-        store: store_counters,
-        checkpoint_errors,
-    })
+    Ok((state, checkpoint_errors))
 }
 
 /// Folds per-shard campaign report JSONs (the output of
-/// `litmus_run campaign --format json` / `--out`) into one merged report.
+/// `litmus_run campaign --format json` / `--out`) into one merged report
+/// document.
 ///
-/// Validates that every input is a *complete* `litmus_campaign` report,
-/// that they agree on `(seed, count, shards, machine)`, that the shard
-/// ids form exactly `0..shards` with no duplicates, and that the shards'
-/// `processed` counts sum to `count` (the partition really was disjoint
-/// and complete). Counters are summed, failure lists concatenated in
-/// shard order, and the per-shard digests XOR-folded into one
-/// order-independent campaign digest.
-pub fn merge_reports(inputs: &[(String, String)]) -> Result<String, String> {
-    use std::fmt::Write as _;
+/// Validates that every input is a *complete* `litmus_campaign` report
+/// for a known machine, that they agree on `(seed, count, shards,
+/// machine)`, that the shard ids form exactly `0..shards` with no
+/// duplicates, and that the shards' `processed` counts sum to `count`
+/// (the partition really was disjoint and complete). Counters are summed,
+/// failure lists concatenated in shard order, and the per-shard digests
+/// XOR-folded into one order-independent campaign digest.
+pub fn merge_reports(inputs: &[(String, String)]) -> Result<Value, String> {
     if inputs.is_empty() {
         return Err("merge needs at least one shard report".to_owned());
     }
-    struct Shard {
-        name: String,
-        shard: u64,
-        processed: u64,
-        crashed: u64,
-        scanned: u64,
-        model_failures: u64,
-        disagreements: u64,
-        deadlocks: u64,
-        digest: u64,
-        elapsed_ms: f64,
-        failures: Vec<(String, String)>,
-    }
-    let mut header: Option<(u64, u64, u64, String)> = None; // seed count shards machine
-    let mut shards_seen: Vec<Shard> = Vec::new();
+    let u64_at = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let mut header: Option<(u64, u64, u64, MachineKind)> = None; // seed count shards machine
+    let mut reports: Vec<(u64, &str, Value)> = Vec::new(); // shard, file, report
     for (name, text) in inputs {
         let v = jsonx::parse(text).map_err(|e| format!("{name}: {e}"))?;
-        if v.get("experiment").and_then(jsonx::Value::as_str) != Some("litmus_campaign") {
+        if v.get("experiment").and_then(Value::as_str) != Some("litmus_campaign") {
             return Err(format!("{name}: not a campaign shard report"));
         }
-        if v.get("complete").and_then(jsonx::Value::as_bool) != Some(true) {
+        if v.get("complete").and_then(Value::as_bool) != Some(true) {
             return Err(format!(
                 "{name}: shard report is incomplete (resume it first)"
             ));
         }
         let num = |key: &str| {
             v.get(key)
-                .and_then(jsonx::Value::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{name}: missing numeric field {key:?}"))
         };
+        let machine = v.get("machine").and_then(Value::as_str).unwrap_or("");
         let this = (
             num("seed")?,
             num("count")?,
             num("shards")?,
-            v.get("machine")
-                .and_then(jsonx::Value::as_str)
-                .unwrap_or("")
-                .to_owned(),
+            MachineKind::parse(machine)
+                .ok_or_else(|| format!("{name}: unknown machine {machine:?}"))?,
         );
         match &header {
             None => header = Some(this),
@@ -736,64 +557,45 @@ pub fn merge_reports(inputs: &[(String, String)]) -> Result<String, String> {
                 }
             }
         }
-        let mut failures = Vec::new();
-        if let Some(arr) = v.get("failures").and_then(jsonx::Value::as_arr) {
-            for f in arr {
-                failures.push((
-                    f.get("name")
-                        .and_then(jsonx::Value::as_str)
-                        .unwrap_or("")
-                        .to_owned(),
-                    f.get("diagnosis")
-                        .and_then(jsonx::Value::as_str)
-                        .unwrap_or("")
-                        .to_owned(),
-                ));
-            }
+        // The folded counters must be present; `crashed` is lenient
+        // (reports from before crash isolation have no field).
+        for key in [
+            "scanned",
+            "processed",
+            "model_failures",
+            "differential_disagreements",
+            "deadlocks",
+            "digest",
+        ] {
+            num(key)?;
         }
-        shards_seen.push(Shard {
-            name: name.clone(),
-            shard: num("shard")?,
-            processed: num("processed")?,
-            // Lenient: reports from before crash isolation have no field.
-            crashed: v.get("crashed").and_then(jsonx::Value::as_u64).unwrap_or(0),
-            scanned: num("scanned")?,
-            model_failures: num("model_failures")?,
-            disagreements: num("differential_disagreements")?,
-            deadlocks: num("deadlocks")?,
-            digest: num("digest")?,
-            elapsed_ms: v
-                .get("elapsed_ms")
-                .and_then(jsonx::Value::as_f64)
-                .unwrap_or(0.0),
-            failures,
-        });
+        let shard = num("shard")?;
+        reports.push((shard, name, v));
     }
     let (seed, count, shards, machine) = header.expect("at least one input");
-    if shards_seen.len() as u64 != shards {
+    if reports.len() as u64 != shards {
         return Err(format!(
             "campaign has {shards} shards but {} reports were given",
-            shards_seen.len()
+            reports.len()
         ));
     }
-    shards_seen.sort_by_key(|s| s.shard);
-    for (want, s) in shards_seen.iter().enumerate() {
-        if s.shard != want as u64 {
+    reports.sort_by_key(|r| r.0);
+    for (want, (shard, name, v)) in reports.iter().enumerate() {
+        if *shard != want as u64 {
             return Err(format!(
-                "{}: expected shard {want} at this position, got shard {} \
-                 (shard set must be exactly 0..{shards})",
-                s.name, s.shard
+                "{name}: expected shard {want} at this position, got shard {shard} \
+                 (shard set must be exactly 0..{shards})"
             ));
         }
-        if s.scanned != count {
+        let scanned = u64_at(v, "scanned");
+        if scanned != count {
             return Err(format!(
-                "{}: shard scanned {} of {count} draft indices — incomplete",
-                s.name, s.scanned
+                "{name}: shard scanned {scanned} of {count} draft indices — incomplete"
             ));
         }
     }
-    let processed: u64 = shards_seen.iter().map(|s| s.processed).sum();
-    let crashed: u64 = shards_seen.iter().map(|s| s.crashed).sum();
+    let sum = |key: &str| -> u64 { reports.iter().map(|(_, _, v)| u64_at(v, key)).sum() };
+    let (processed, crashed) = (sum("processed"), sum("crashed"));
     // Crashed tests produced no verdict but still account for their
     // draft index — missing, never double-counted, never silently lost.
     if processed + crashed != count {
@@ -802,37 +604,40 @@ pub fn merge_reports(inputs: &[(String, String)]) -> Result<String, String> {
              has {count} — the shard partition was not disjoint and complete"
         ));
     }
-    let model_failures: u64 = shards_seen.iter().map(|s| s.model_failures).sum();
-    let disagreements: u64 = shards_seen.iter().map(|s| s.disagreements).sum();
-    let deadlocks: u64 = shards_seen.iter().map(|s| s.deadlocks).sum();
-    let digest = shards_seen.iter().fold(0u64, |d, s| d ^ s.digest);
-    let cpu_ms: f64 = shards_seen.iter().map(|s| s.elapsed_ms).sum();
-    let failures: Vec<(String, String)> =
-        shards_seen.into_iter().flat_map(|s| s.failures).collect();
+    let model_failures = sum("model_failures");
+    let disagreements = sum("differential_disagreements");
+    let digest = reports
+        .iter()
+        .fold(0, |d, (_, _, v)| d ^ u64_at(v, "digest"));
+    let cpu_ms: f64 = reports
+        .iter()
+        .filter_map(|(_, _, v)| v.get("elapsed_ms").and_then(Value::as_f64))
+        .sum();
+    let failures: Vec<(String, String)> = reports
+        .iter()
+        .flat_map(|(_, _, v)| parse_failures(v))
+        .collect();
 
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"litmus_campaign_merged\",");
-    let _ = writeln!(out, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"count\": {count},");
-    let _ = writeln!(out, "  \"shards\": {shards},");
-    let _ = writeln!(out, "  \"machine\": \"{machine}\",");
-    let _ = writeln!(out, "  \"processed\": {processed},");
-    let _ = writeln!(out, "  \"crashed\": {crashed},");
-    let _ = writeln!(out, "  \"model_failures\": {model_failures},");
-    let _ = writeln!(out, "  \"differential_disagreements\": {disagreements},");
-    let _ = writeln!(out, "  \"deadlocks\": {deadlocks},");
-    let _ = writeln!(
-        out,
-        "  \"passed\": {},",
-        model_failures == 0 && disagreements == 0 && crashed == 0
-    );
-    let _ = writeln!(out, "  \"digest\": {digest},");
-    let _ = writeln!(out, "  \"shard_elapsed_ms_sum\": {cpu_ms:.3},");
-    let _ = write!(out, "{}", failures_json(&failures, "  "));
-    let _ = writeln!(out, "}}");
-    Ok(out)
+    Ok(obj([
+        ("experiment", "litmus_campaign_merged".into()),
+        ("paper", PAPER.into()),
+        ("seed", seed.into()),
+        ("count", count.into()),
+        ("shards", shards.into()),
+        ("machine", machine.name().into()),
+        ("processed", processed.into()),
+        ("crashed", crashed.into()),
+        ("model_failures", model_failures.into()),
+        ("differential_disagreements", disagreements.into()),
+        ("deadlocks", sum("deadlocks").into()),
+        (
+            "passed",
+            (model_failures == 0 && disagreements == 0 && crashed == 0).into(),
+        ),
+        ("digest", digest.into()),
+        ("shard_elapsed_ms_sum", fixed(cpu_ms, 3)),
+        ("failures", failures_json(&failures)),
+    ]))
 }
 
 #[cfg(test)]
@@ -862,6 +667,11 @@ mod tests {
         assert!(solo.complete);
         assert_eq!(solo.state.processed, 60);
         assert_eq!(solo.state.scanned, 60);
+        // The shard report and its checkpoint re-render byte-identically.
+        let checkpoint = std::fs::read_to_string(tmp("solo-0.json")).unwrap();
+        for doc in [solo.to_json(), checkpoint] {
+            assert_eq!(jsonx::parse(&doc).unwrap().render(), doc);
+        }
 
         let mut inputs = Vec::new();
         let mut processed_sum = 0;
@@ -873,15 +683,16 @@ mod tests {
             inputs.push((format!("shard{shard}"), r.to_json()));
         }
         assert_eq!(processed_sum, 60, "shards partition the draft space");
-        let merged = merge_reports(&inputs).unwrap();
-        let v = jsonx::parse(&merged).unwrap();
+        let v = merge_reports(&inputs).unwrap();
+        let merged = v.render();
+        assert_eq!(jsonx::parse(&merged).unwrap().render(), merged);
         assert_eq!(
-            v.get("experiment").and_then(jsonx::Value::as_str),
+            v.get("experiment").and_then(Value::as_str),
             Some("litmus_campaign_merged")
         );
-        assert_eq!(v.get("processed").and_then(jsonx::Value::as_u64), Some(60));
+        assert_eq!(v.get("processed").and_then(Value::as_u64), Some(60));
         assert_eq!(
-            v.get("passed").and_then(jsonx::Value::as_bool),
+            v.get("passed").and_then(Value::as_bool),
             Some(solo.passed())
         );
         for shard in 0..3 {
@@ -908,6 +719,16 @@ mod tests {
         assert!(merge_reports(&dup).unwrap_err().contains("shard"));
         // Garbage is caught.
         assert!(merge_reports(&[("x".into(), "{}".into())]).is_err());
+        // An unknown machine is caught and names the file — including one
+        // whose name needs escaping (`x"y`).
+        for machine in [r#""x\"y""#, r#""bogus""#] {
+            let with = format!(r#""machine": {machine}"#);
+            let renamed: Vec<(String, String)> = (inputs.iter())
+                .map(|(name, text)| (name.clone(), text.replace(r#""machine": "small""#, &with)))
+                .collect();
+            let err = merge_reports(&renamed).unwrap_err();
+            assert!(err.starts_with("shard0: unknown machine"), "{err}");
+        }
     }
 
     #[test]

@@ -1,39 +1,100 @@
-//! A minimal JSON reader for the harness's own artifacts.
+//! The workspace's one JSON module: a [`Value`] tree, its one renderer
+//! ([`Value::render`]), and a strict parser ([`parse`]).
 //!
-//! The workspace is hermetic (no serde), and the campaign driver needs to
-//! read back two things it wrote itself: checkpoint files (`--resume`)
-//! and per-shard campaign reports (`litmus_run merge`). This module
-//! parses standard JSON into a small [`Value`] tree — enough for those
-//! callers, with strict-enough errors that a hand-edited file fails
-//! loudly instead of resuming from garbage.
+//! The build is hermetic (no serde). Every report, checkpoint, and
+//! `BENCH_*.json` record is built as a [`Value`] and rendered here, and
+//! the campaign driver reads its own checkpoints (`--resume`) and shard
+//! reports (`litmus_run merge`) back through [`parse`] — so whatever this
+//! module writes parses back to the tree it came from, and a hand-edited
+//! file fails loudly instead of resuming from garbage.
 //!
-//! Numbers are kept as `f64` plus the raw text, so exact `u64` counters
-//! (digests, indices) can be re-parsed losslessly via [`Value::as_u64`].
+//! * Objects keep their members in insertion order, so documents keep
+//!   their key order. The parser rejects a duplicate key rather than
+//!   silently picking one of its values.
+//! * A number is kept as its text: `1.000` renders as `1.000`, and 64-bit
+//!   digests and counters stay exact ([`Value::as_u64`]) where `f64`
+//!   would round.
+//! * [`Value::render`] has one fixed layout: a container whose members are
+//!   all scalars goes on one line (`{"a": 1, "b": 2}`, `[1, 2]`); any
+//!   other container puts one member per line at two-space indent.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A number, kept with its raw source text for lossless integers.
-    Num(f64, String),
+    /// A number, kept as its JSON text.
+    Num(String),
     /// A string (escapes resolved).
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object (insertion order not preserved; keys sorted).
-    Obj(BTreeMap<String, Value>),
+    /// An object: members in insertion order, keys unique.
+    Obj(Vec<(String, Value)>),
+}
+
+/// An object with `members` in the given order.
+pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// An array of `items` in the given order.
+pub fn arr<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+    Value::Arr(items.into_iter().map(Into::into).collect())
+}
+
+/// `x` with `digits` decimals, the text `format!("{x:.digits$}")` gives.
+/// A non-finite `x`, which JSON cannot carry, is `null`.
+pub fn fixed(x: f64, digits: usize) -> Value {
+    if x.is_finite() {
+        Value::Num(format!("{x:.digits$}"))
+    } else {
+        Value::Null
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(n.to_string())
+            }
+        }
+    )*};
+}
+from_integer!(u32, u64, usize);
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
 }
 
 impl Value {
     /// The value at `key`, when this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(map) => map.get(key),
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -49,16 +110,15 @@ impl Value {
     /// The number as `f64`, when this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n, _) => Some(*n),
+            Value::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
 
-    /// The number as an exact `u64`, re-parsed from the source text (so
-    /// 64-bit digests and counters survive, where `f64` would round).
+    /// The number as an exact `u64`, when this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(_, raw) => raw.parse().ok(),
+            Value::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -78,10 +138,82 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value as a newline-terminated JSON document, in the module's
+    /// one layout.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(text) => out.push_str(text),
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) => write_members(out, indent, '[', items.iter().map(|v| (None, v))),
+            Value::Obj(members) => write_members(
+                out,
+                indent,
+                '{',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+}
+
+/// Writes a container: on one line when every member is a scalar,
+/// otherwise one member per line, indented two spaces past `indent`.
+fn write_members<'a>(
+    out: &mut String,
+    indent: usize,
+    open: char,
+    members: impl Iterator<Item = (Option<&'a str>, &'a Value)> + Clone,
+) {
+    let flat = (members.clone()).all(|(_, v)| !matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let line = |width: usize| match flat {
+        true => String::new(),
+        false => format!("\n{}", " ".repeat(width)),
+    };
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push_str(if flat { ", " } else { "," });
+        }
+        out.push_str(&line(indent + 2));
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, indent + 2);
+    }
+    out.push_str(&line(indent));
+    out.push(if open == '[' { ']' } else { '}' });
+}
+
+/// Writes `s` as a quoted JSON string: quotes, backslashes and control
+/// characters escaped, everything else (non-BMP characters included)
+/// passed through as UTF-8.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage and duplicate object keys rejected).
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
@@ -105,56 +237,34 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
             *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            loop {
+            let mut members: Vec<(String, Value)> = Vec::new();
+            parse_members(b, pos, b'}', |b, pos| {
                 skip_ws(b, pos);
                 let key = match parse_value(b, pos)? {
                     Value::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
+                if members.iter().any(|(k, _)| *k == key) {
+                    return Err(format!("duplicate key {key:?} before byte {pos}"));
+                }
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
-                map.insert(key, value);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
+                members.push((key, parse_value(b, pos)?));
+                Ok(())
+            })?;
+            Ok(Value::Obj(members))
         }
         Some(b'[') => {
             *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
+            let mut items = Vec::new();
+            parse_members(b, pos, b']', |b, pos| {
+                items.push(parse_value(b, pos)?);
+                Ok(())
+            })?;
+            Ok(Value::Arr(items))
         }
         Some(b'"') => {
             *pos += 1;
@@ -212,16 +322,17 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                         }
                         *pos += 1;
                     }
-                    Some(&c) => {
-                        // Copy the full UTF-8 sequence starting at `c`.
-                        let width = utf8_width(c);
-                        let chunk = b
-                            .get(*pos..*pos + width)
-                            .ok_or("truncated UTF-8 sequence")?;
+                    Some(_) => {
+                        // Copy the run up to the next quote or escape: both
+                        // are ASCII, so the run is whole UTF-8 characters.
+                        let start = *pos;
+                        while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                            *pos += 1;
+                        }
                         s.push_str(
-                            std::str::from_utf8(chunk).map_err(|_| "bad UTF-8".to_string())?,
+                            std::str::from_utf8(&b[start..*pos])
+                                .map_err(|_| "bad UTF-8".to_string())?,
                         );
-                        *pos += width;
                     }
                 }
             }
@@ -246,10 +357,37 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
             }
             let raw = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
-            let n: f64 = raw
-                .parse()
-                .map_err(|_| format!("bad number {raw:?} at byte {start}"))?;
-            Ok(Value::Num(n, raw.to_string()))
+            if raw.parse::<f64>().is_err() {
+                return Err(format!("bad number {raw:?} at byte {start}"));
+            }
+            Ok(Value::Num(raw.to_string()))
+        }
+    }
+}
+
+/// Parses the members of a container whose opening byte was just
+/// consumed, through its `close` byte, calling `member` for each one.
+fn parse_members(
+    b: &[u8],
+    pos: &mut usize,
+    close: u8,
+    mut member: impl FnMut(&[u8], &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        member(b, pos)?;
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(&c) if c == close => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(format!("expected ',' or '{}' at byte {pos}", close as char)),
         }
     }
 }
@@ -263,15 +401,6 @@ fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
     // Infallible after the digit check, but stay on the Result path.
     let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
     u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
@@ -302,6 +431,52 @@ mod tests {
         assert!(parse("{} extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{1: 2}").is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_keys() {
+        let err = parse(r#"{"passed": true, "n": 1, "passed": false}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"passed\""), "{err}");
+        // The same key in sibling objects is fine.
+        assert!(parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
+    }
+
+    #[test]
+    fn every_variant_survives_render_and_parse() {
+        let v = obj([
+            ("null", Value::Null),
+            ("nan", fixed(f64::NAN, 3)),
+            ("none", None::<u64>.into()),
+            ("bools", arr([true, false])),
+            ("max", u64::MAX.into()),
+            ("fixed", fixed(1.0, 3)),
+            ("escapes", "q\"b\\s/\n\t\u{1}".into()),
+            ("non_bmp", "sb+\u{1F600}".into()),
+            (
+                "list",
+                arr([obj([("n", 1u32.into())]), arr(Vec::<Value>::new())]),
+            ),
+        ]);
+        let text = v.render();
+        assert_eq!(parse(&text).unwrap(), v);
+        // The one layout: all-scalar containers on one line, the rest one
+        // member per line; numbers keep their text.
+        let want = r#"{
+  "null": null,
+  "nan": null,
+  "none": null,
+  "bools": [true, false],
+  "max": 18446744073709551615,
+  "fixed": 1.000,
+  "escapes": "q\"b\\s/\n\t\u0001",
+  "non_bmp": "sb+😀",
+  "list": [
+    {"n": 1},
+    []
+  ]
+}
+"#;
+        assert_eq!(text, want);
     }
 
     #[test]
@@ -341,11 +516,11 @@ mod tests {
 
     #[test]
     fn roundtrips_report_strings_with_non_bmp_characters() {
-        // `json_escape` in report.rs passes non-BMP characters through
-        // raw; the reader must accept both that form and the surrogate
-        // pair escaped form and produce the identical string.
+        // The renderer passes non-BMP characters through raw; the reader
+        // must accept both that form and the surrogate-pair escaped form
+        // and produce the identical string.
         let name = "sb+\u{1F600}\u{10348}";
-        let raw = format!("{{\"name\": \"{}\"}}", crate::report::json_escape(name));
+        let raw = obj([("name", name.into())]).render();
         assert_eq!(
             parse(&raw).unwrap().get("name").unwrap().as_str(),
             Some(name)
@@ -360,25 +535,21 @@ mod tests {
     #[test]
     fn roundtrips_our_own_report_output() {
         use crate::{run_batch, MachineKind, Report};
-        let tests = vec![litmus::classic::sb()];
-        let (outcomes, elapsed) = run_batch(&tests, 1);
+        let tests = [litmus::classic::sb(), litmus::classic::mp()];
         let report = Report {
-            outcomes,
-            corpus_total: 1,
-            jobs: 1,
+            outcomes: run_batch(&tests, 2).0,
+            corpus_total: 2,
+            jobs: 2,
             machine: MachineKind::Small,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            baseline_jobs1_ms: None,
+            elapsed_ms: 1.5,
             model_cache: Some(tso_model::cache::counters()),
             prefix_cache: Some(tso_model::prefix::counters()),
             store: None,
         };
-        let v = parse(&report.to_json()).unwrap();
-        assert_eq!(
-            v.get("experiment").unwrap().as_str(),
-            Some("litmus_harness")
-        );
-        assert_eq!(v.get("selected").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("passed").unwrap().as_bool(), Some(true));
+        let text = report.to_json();
+        let v = parse(&text).unwrap();
+        assert_eq!(v.render(), text, "a report re-renders byte-identically");
+        assert_eq!(v.get("selected").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("passed").and_then(Value::as_bool), Some(true));
     }
 }

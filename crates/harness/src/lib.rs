@@ -115,10 +115,9 @@ impl core::fmt::Display for MachineKind {
 
 pub mod campaign;
 pub mod faults;
+pub mod jsonx;
 pub mod report;
 pub mod store;
-
-mod jsonx;
 
 pub use report::Report;
 
@@ -350,7 +349,7 @@ pub const SMOKE_CAP: usize = 250;
 
 /// Whether a test is in the `--smoke` subset: small programs only, capped
 /// at [`SMOKE_CAP`] tests by the caller. The *reported* corpus size always
-/// refers to the full corpus, so CI can enforce the 500-test floor even on
+/// refers to the full corpus, so CI can enforce the 550-test floor even on
 /// smoke runs.
 pub fn smoke_filter(l: &Litmus) -> bool {
     l.program.num_instrs() <= 6 && l.program.num_threads() <= 4

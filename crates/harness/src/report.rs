@@ -1,10 +1,17 @@
 //! Harness reports: aggregation plus JSON, TAP, and human summaries.
+//! The blocks every JSON document kind shares are serialized here, once
+//! each: `CacheCounters`, `PrefixCounters`, and `StoreCounters` (as
+//! `jsonx::Value::from`) and a failure entry (`failure_json`).
 
-use crate::campaign::StoreCounters;
+use crate::jsonx::{arr, fixed, obj, Value};
+use crate::store::StoreCounters;
 use crate::{faults, MachineKind, TestOutcome};
 use std::fmt::Write as _;
 use tso_model::prefix::PrefixCounters;
 use tso_model::CacheCounters;
+
+/// The paper every harness document names.
+pub(crate) const PAPER: &str = "conf_pldi_RajaramNSE13";
 
 /// Aggregated result of one harness run.
 #[derive(Debug, Clone)]
@@ -12,7 +19,7 @@ pub struct Report {
     /// Per-test outcomes, in corpus order.
     pub outcomes: Vec<TestOutcome>,
     /// Size of the *full* corpus (before `--filter`/`--smoke` selection) —
-    /// CI enforces the 500-test floor on this number.
+    /// CI enforces the 550-test floor on this number.
     pub corpus_total: usize,
     /// Worker threads used.
     pub jobs: usize,
@@ -20,10 +27,8 @@ pub struct Report {
     pub machine: MachineKind,
     /// Batch wall-clock in milliseconds at `jobs` workers.
     pub elapsed_ms: f64,
-    /// Wall-clock of the same selection at one worker, when measured.
-    pub baseline_jobs1_ms: Option<f64>,
     /// Process-wide model-cache counters at report time: how many
-    /// outcome-set queries the run (and any warm-up) issued versus how
+    /// outcome-set queries the run issued versus how
     /// many model searches actually ran — the memoization + symmetry
     /// savings, observable from the JSON alone.
     pub model_cache: Option<CacheCounters>,
@@ -106,13 +111,6 @@ impl Report {
         }
     }
 
-    /// Measured speedup of `jobs` workers over one worker, when a baseline
-    /// was run.
-    pub fn speedup_vs_jobs1(&self) -> Option<f64> {
-        self.baseline_jobs1_ms
-            .map(|b| b / self.elapsed_ms.max(1e-6))
-    }
-
     /// One-line human summary.
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -138,9 +136,6 @@ impl Report {
         }
         if self.machine != MachineKind::Small {
             let _ = write!(s, " [machine: {}]", self.machine);
-        }
-        if let Some(sp) = self.speedup_vs_jobs1() {
-            let _ = write!(s, "; {sp:.2}x vs --jobs 1");
         }
         if let Some(c) = &self.model_cache {
             let _ = write!(
@@ -178,140 +173,44 @@ impl Report {
         self.outcomes.iter().map(|o| u64::from(o.prefix_hits)).sum()
     }
 
-    /// The full report as JSON (hand-rolled — the build is hermetic, no
-    /// serde). Failures carry their diagnosis; passing tests are counted,
-    /// not listed.
+    /// The full report as JSON. Failures carry their diagnosis; passing
+    /// tests are counted, not listed.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"experiment\": \"litmus_harness\",");
-        let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-        let _ = writeln!(s, "  \"corpus_total\": {},", self.corpus_total);
-        let _ = writeln!(s, "  \"selected\": {},", self.selected());
-        let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"machine\": \"{}\",", self.machine);
-        let _ = writeln!(s, "  \"elapsed_ms\": {:.3},", self.elapsed_ms);
-        let _ = writeln!(s, "  \"tests_per_sec\": {:.1},", self.tests_per_sec());
-        match (self.baseline_jobs1_ms, self.speedup_vs_jobs1()) {
-            (Some(b), Some(sp)) => {
-                let _ = writeln!(s, "  \"baseline_jobs1_ms\": {b:.3},");
-                let _ = writeln!(s, "  \"speedup_vs_jobs1\": {sp:.3},");
-            }
-            _ => {
-                let _ = writeln!(s, "  \"baseline_jobs1_ms\": null,");
-                let _ = writeln!(s, "  \"speedup_vs_jobs1\": null,");
-            }
-        }
-        let _ = writeln!(s, "  \"model_failures\": {},", self.model_failures());
-        let _ = writeln!(
-            s,
-            "  \"differential_disagreements\": {},",
-            self.disagreements()
-        );
-        let _ = writeln!(s, "  \"deadlocks\": {},", self.deadlocks());
-        let _ = writeln!(s, "  \"crashed\": {},", self.crashed());
-        let _ = writeln!(s, "  \"unknown\": {},", self.unknowns());
-        let _ = writeln!(s, "  \"degraded\": {},", self.degraded());
-        let _ = writeln!(s, "  \"faults_fired\": {},", faults::fired());
-        let _ = writeln!(s, "  \"passed\": {},", self.passed());
-        let _ = writeln!(s, "  \"model_queries\": {},", self.model_queries());
-        let _ = writeln!(s, "  \"model_query_hits\": {},", self.model_query_hits());
-        let _ = writeln!(s, "  \"prefix_hits\": {},", self.prefix_hits());
-        match &self.model_cache {
-            Some(c) => {
-                let _ = writeln!(s, "  \"model_cache\": {{");
-                let _ = writeln!(s, "    \"queries\": {},", c.queries);
-                let _ = writeln!(s, "    \"invocations\": {},", c.invocations);
-                let _ = writeln!(s, "    \"hits\": {},", c.hits());
-                let _ = writeln!(s, "    \"store_hits\": {},", c.store_hits);
-                let _ = writeln!(s, "    \"entries\": {}", c.entries);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"model_cache\": null,");
-            }
-        }
-        match &self.prefix_cache {
-            Some(p) => {
-                let _ = writeln!(s, "  \"prefix_cache\": {{");
-                let _ = writeln!(s, "    \"queries\": {},", p.queries);
-                let _ = writeln!(s, "    \"hits\": {},", p.hits);
-                let _ = writeln!(s, "    \"store_hits\": {},", p.store_hits);
-                let _ = writeln!(s, "    \"stored\": {},", p.stored);
-                let _ = writeln!(s, "    \"nodes_saved\": {},", p.nodes_saved);
-                let _ = writeln!(s, "    \"replayed_leaves\": {},", p.replayed_leaves);
-                let _ = writeln!(s, "    \"entries\": {}", p.entries);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"prefix_cache\": null,");
-            }
-        }
-        match &self.store {
-            Some(st) => {
-                let _ = writeln!(s, "  \"store\": {{");
-                let _ = writeln!(s, "    \"path\": \"{}\",", json_escape(&st.path));
-                let _ = writeln!(s, "    \"degraded\": {},", st.degraded());
-                match &st.open_error {
-                    Some(e) => {
-                        let _ = writeln!(s, "    \"open_error\": \"{}\",", json_escape(e));
-                    }
-                    None => {
-                        let _ = writeln!(s, "    \"open_error\": null,");
-                    }
-                }
-                let _ = writeln!(s, "    \"loads\": {},", st.loads);
-                let _ = writeln!(s, "    \"cert_loads\": {},", st.cert_loads);
-                let _ = writeln!(s, "    \"appended\": {},", st.appended);
-                let _ = writeln!(s, "    \"keys\": {},", st.keys);
-                let _ = writeln!(s, "    \"certs\": {},", st.certs);
-                let _ = writeln!(s, "    \"recovered_bytes\": {},", st.recovered_bytes);
-                let _ = writeln!(s, "    \"skipped_records\": {},", st.skipped_records);
-                let _ = writeln!(s, "    \"save_errors\": {}", st.save_errors);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"store\": null,");
-            }
-        }
-        let _ = writeln!(s, "  \"failures\": [");
-        let failures: Vec<&TestOutcome> = self.outcomes.iter().filter(|o| !o.passed()).collect();
-        for (i, o) in failures.iter().enumerate() {
-            let comma = if i + 1 < failures.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"diagnosis\": \"{}\"}}{comma}",
-                json_escape(&o.name),
-                json_escape(&o.diagnosis())
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        // Per-test perf attribution: wall-clock, the stable worker id that
-        // ran the test, and the model-search weight behind its verdicts —
-        // enough to spot a perf regression from `litmus_run` output alone.
-        let _ = writeln!(s, "  \"tests\": [");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            let comma = if i + 1 < self.outcomes.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"worker\": {}, \"micros\": {}, \
-                 \"model_nodes\": {}, \"model_pruned\": {}, \"model_valid\": {}, \
-                 \"model_queries\": {}, \"model_cache_hits\": {}, \
-                 \"prefix_hits\": {}}}{comma}",
-                json_escape(&o.name),
-                o.worker,
-                o.micros,
-                o.model_stats.nodes,
-                o.model_stats.pruned,
-                o.model_stats.valid,
-                o.model_queries,
-                o.model_cache_hits,
-                o.prefix_hits,
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+        let failures = self.outcomes.iter().filter(|o| !o.passed());
+        obj([
+            ("experiment", "litmus_harness".into()),
+            ("paper", PAPER.into()),
+            ("corpus_total", self.corpus_total.into()),
+            ("selected", self.selected().into()),
+            ("jobs", self.jobs.into()),
+            ("machine", self.machine.name().into()),
+            ("elapsed_ms", fixed(self.elapsed_ms, 3)),
+            ("tests_per_sec", fixed(self.tests_per_sec(), 1)),
+            ("model_failures", self.model_failures().into()),
+            ("differential_disagreements", self.disagreements().into()),
+            ("deadlocks", self.deadlocks().into()),
+            ("crashed", self.crashed().into()),
+            ("unknown", self.unknowns().into()),
+            ("degraded", self.degraded().into()),
+            ("faults_fired", faults::fired().into()),
+            ("passed", self.passed().into()),
+            ("model_queries", self.model_queries().into()),
+            ("model_query_hits", self.model_query_hits().into()),
+            ("prefix_hits", self.prefix_hits().into()),
+            ("model_cache", self.model_cache.as_ref().into()),
+            ("prefix_cache", self.prefix_cache.as_ref().into()),
+            ("store", self.store.as_ref().into()),
+            (
+                "failures",
+                arr(failures.map(|o| failure_json(&o.name, &o.diagnosis()))),
+            ),
+            // Per-test perf attribution: wall-clock, the stable worker id
+            // that ran the test, and the model-search weight behind its
+            // verdicts — enough to spot a perf regression from
+            // `litmus_run` output alone.
+            ("tests", arr(self.outcomes.iter().map(test_json))),
+        ])
+        .render()
     }
 
     /// The run as TAP (Test Anything Protocol) version 13.
@@ -330,26 +229,74 @@ impl Report {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// One entry of a report's per-test array.
+fn test_json(o: &TestOutcome) -> Value {
+    obj([
+        ("name", o.name.as_str().into()),
+        ("worker", o.worker.into()),
+        ("micros", o.micros.into()),
+        ("model_nodes", o.model_stats.nodes.into()),
+        ("model_pruned", o.model_stats.pruned.into()),
+        ("model_valid", o.model_stats.valid.into()),
+        ("model_queries", o.model_queries.into()),
+        ("model_cache_hits", o.model_cache_hits.into()),
+        ("prefix_hits", o.prefix_hits.into()),
+    ])
+}
+
+/// One entry of a `failures` list.
+pub(crate) fn failure_json(name: &str, diagnosis: &str) -> Value {
+    obj([("name", name.into()), ("diagnosis", diagnosis.into())])
+}
+
+impl From<&CacheCounters> for Value {
+    fn from(c: &CacheCounters) -> Value {
+        obj([
+            ("queries", c.queries.into()),
+            ("invocations", c.invocations.into()),
+            ("hits", c.hits().into()),
+            ("store_hits", c.store_hits.into()),
+            ("entries", c.entries.into()),
+        ])
     }
-    out
+}
+
+impl From<&PrefixCounters> for Value {
+    fn from(p: &PrefixCounters) -> Value {
+        obj([
+            ("queries", p.queries.into()),
+            ("hits", p.hits.into()),
+            ("store_hits", p.store_hits.into()),
+            ("stored", p.stored.into()),
+            ("nodes_saved", p.nodes_saved.into()),
+            ("replayed_leaves", p.replayed_leaves.into()),
+            ("entries", p.entries.into()),
+        ])
+    }
+}
+
+impl From<&StoreCounters> for Value {
+    fn from(st: &StoreCounters) -> Value {
+        obj([
+            ("path", st.path.as_str().into()),
+            ("degraded", st.degraded().into()),
+            ("open_error", st.open_error.as_deref().into()),
+            ("loads", st.loads.into()),
+            ("cert_loads", st.cert_loads.into()),
+            ("appended", st.appended.into()),
+            ("keys", st.keys.into()),
+            ("certs", st.certs.into()),
+            ("recovered_bytes", st.recovered_bytes.into()),
+            ("skipped_records", st.skipped_records.into()),
+            ("save_errors", st.save_errors.into()),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonx::parse;
     use crate::run_batch;
     use litmus::classic;
 
@@ -362,7 +309,6 @@ mod tests {
             jobs: 2,
             machine: MachineKind::Small,
             elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            baseline_jobs1_ms: Some(10.0),
             model_cache: Some(tso_model::cache::counters()),
             prefix_cache: Some(tso_model::prefix::counters()),
             store: None,
@@ -371,44 +317,46 @@ mod tests {
 
     #[test]
     fn json_has_the_contracted_fields() {
-        let r = small_report();
-        let j = r.to_json();
-        for key in [
-            "\"experiment\": \"litmus_harness\"",
-            "\"machine\": \"small\"",
-            "\"corpus_total\": 2",
-            "\"selected\": 2",
-            "\"jobs\": 2",
-            "\"speedup_vs_jobs1\"",
-            "\"differential_disagreements\": 0",
-            "\"passed\": true",
-            "\"model_queries\":",
-            "\"model_query_hits\":",
-            "\"model_cache\": {",
-            "\"invocations\":",
-            "\"prefix_cache\": {",
-            "\"nodes_saved\":",
-            "\"prefix_hits\":",
-            "\"crashed\": 0",
-            "\"unknown\": 0",
-            "\"degraded\": false",
-            "\"faults_fired\":",
-            "\"store\": null",
-            "\"failures\": [",
-            "\"tests\": [",
-            "\"worker\":",
-            "\"model_nodes\":",
+        let v = parse(&small_report().to_json()).unwrap();
+        for (key, want) in [
+            ("experiment", Value::from("litmus_harness")),
+            ("machine", "small".into()),
+            ("corpus_total", 2u64.into()),
+            ("selected", 2u64.into()),
+            ("jobs", 2u64.into()),
+            ("differential_disagreements", 0u64.into()),
+            ("crashed", 0u64.into()),
+            ("unknown", 0u64.into()),
+            ("passed", true.into()),
+            ("degraded", false.into()),
+            ("store", Value::Null),
+            ("failures", arr(Vec::<Value>::new())),
         ] {
-            assert!(j.contains(key), "missing {key} in:\n{j}");
+            assert_eq!(v.get(key), Some(&want), "{key}");
+        }
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64);
+        for key in [
+            "model_queries",
+            "model_query_hits",
+            "prefix_hits",
+            "faults_fired",
+        ] {
+            assert!(num(&v, key).is_some(), "missing {key}");
+        }
+        assert!(num(v.get("model_cache").unwrap(), "invocations").is_some());
+        assert!(num(v.get("prefix_cache").unwrap(), "nodes_saved").is_some());
+        for t in v.get("tests").and_then(Value::as_arr).unwrap() {
+            assert!(num(t, "worker").is_some() && num(t, "model_nodes").is_some());
         }
     }
 
     #[test]
     fn per_test_entries_cover_every_outcome() {
         let r = small_report();
-        let j = r.to_json();
-        assert!(j.contains("\"name\": \"SB\""));
-        assert!(j.contains("\"name\": \"MP\""));
+        let v = parse(&r.to_json()).unwrap();
+        let tests = v.get("tests").and_then(Value::as_arr).unwrap();
+        let names: Vec<_> = tests.iter().map(|t| t.get("name")).collect();
+        assert_eq!(names, [Some(&"SB".into()), Some(&"MP".into())]);
         assert_eq!(r.model_queries(), 8, "2 tests x (verdict + 3 sets)");
         assert!(r.model_query_hits() <= r.model_queries());
     }
@@ -434,31 +382,23 @@ mod tests {
             jobs: 1,
             machine: MachineKind::Paper,
             elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            baseline_jobs1_ms: None,
             model_cache: None,
             prefix_cache: None,
             store: None,
         };
         assert!(!r.passed());
         assert_eq!(r.model_failures(), 1);
-        assert!(r.to_json().contains("\"passed\": false"));
         assert!(r
             .to_tap()
             .contains("not ok 1 - SB # model: expected forbidden"));
-        assert!(r.to_json().contains("\"baseline_jobs1_ms\": null"));
-        assert!(r.to_json().contains("\"machine\": \"paper\""));
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn summary_mentions_speedup_when_measured() {
-        let r = small_report();
-        assert!(r.summary().contains("vs --jobs 1"));
-        assert!(r.speedup_vs_jobs1().is_some());
+        let v = parse(&r.to_json()).unwrap();
+        assert_eq!(v.get("passed"), Some(&false.into()));
+        assert_eq!(v.get("machine"), Some(&"paper".into()));
+        assert_eq!(v.get("model_cache"), Some(&Value::Null));
+        let failure = failure_json("SB", &r.outcomes[0].diagnosis());
+        assert_eq!(v.get("failures"), Some(&arr([failure])));
+        assert!(r.outcomes[0]
+            .diagnosis()
+            .starts_with("model: expected forbidden"));
     }
 }

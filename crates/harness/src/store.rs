@@ -123,7 +123,7 @@ use std::hash::Hasher as _;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use tso_model::prefix::{CertData, CertificateStore};
 use tso_model::{Outcome, SearchStats, VerdictStore};
 
@@ -799,6 +799,89 @@ impl SharedStore {
     pub fn into_inner(self) -> Store {
         self.inner.into_inner().expect("verdict store poisoned")
     }
+}
+
+/// Verdict-store activity during one run, as reported in the JSON.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoreCounters {
+    /// The store file actually used (per shard, for a sharded campaign).
+    pub path: String,
+    /// Why the store failed to open, when it did: the run degrades to
+    /// store-less operation instead of failing (see
+    /// [`StoreCounters::degraded`]).
+    pub open_error: Option<String>,
+    /// Model-cache misses answered from the store (searches avoided).
+    pub loads: u64,
+    /// Prefix certificates served from the store (sibling searches
+    /// replayed instead of re-run, even cold).
+    pub cert_loads: u64,
+    /// Fresh records appended this run (verdicts + certificates).
+    pub appended: u64,
+    /// Distinct verdict keys in the store after the run.
+    pub keys: u64,
+    /// Distinct certificate keys in the store after the run.
+    pub certs: u64,
+    /// Bytes dropped from a torn tail when the store was opened.
+    pub recovered_bytes: u64,
+    /// Checksummed records with a kind this build does not understand,
+    /// skipped during replay.
+    pub skipped_records: u64,
+    /// Swallowed write failures (persistence is best-effort).
+    pub save_errors: u64,
+}
+
+impl StoreCounters {
+    /// True when persistence ran degraded: the store failed to open (the
+    /// run continued store-less) or some saves were swallowed. Results
+    /// are still correct — only reuse is lost.
+    pub fn degraded(&self) -> bool {
+        self.open_error.is_some() || self.save_errors > 0
+    }
+}
+
+/// Runs `run` with the store at `path` (if any) installed on both model
+/// hooks, `tso_model::cache` and `tso_model::prefix`, then detaches it
+/// and returns `run`'s result with the store's counters. A store that
+/// fails to open costs persistence, never the run: the error is printed
+/// and carried in [`StoreCounters::open_error`].
+pub fn with_store<T>(path: Option<&Path>, run: impl FnOnce() -> T) -> (T, Option<StoreCounters>) {
+    let Some(path) = path else {
+        return (run(), None);
+    };
+    let opened = SharedStore::open(path).map(Arc::new);
+    match &opened {
+        Ok(shared) => {
+            tso_model::cache::set_store(shared.clone());
+            tso_model::prefix::set_store(shared.clone());
+        }
+        Err(e) => eprintln!(
+            "cannot open store {} ({e}) — continuing without persistence",
+            path.display()
+        ),
+    }
+    let result = run();
+    let mut counters = StoreCounters {
+        path: path.display().to_string(),
+        ..StoreCounters::default()
+    };
+    match opened {
+        Ok(shared) => {
+            let _ = tso_model::cache::take_store();
+            let _ = tso_model::prefix::take_store();
+            counters.loads = shared.loads();
+            counters.cert_loads = shared.cert_loads();
+            counters.save_errors = shared.save_errors();
+            shared.with(|s| {
+                counters.appended = s.appended();
+                counters.keys = s.len() as u64;
+                counters.certs = s.cert_count() as u64;
+                counters.recovered_bytes = s.recovered_bytes();
+                counters.skipped_records = s.open_stats().skipped_records;
+            });
+        }
+        Err(e) => counters.open_error = Some(e.to_string()),
+    }
+    (result, Some(counters))
 }
 
 impl VerdictStore for SharedStore {

@@ -18,6 +18,7 @@
 
 use harness::campaign::{run_campaign, write_checkpoint, CampaignConfig, CampaignState};
 use harness::faults::{self, FaultAction, PlannedFault};
+use harness::jsonx::{self, Value};
 use harness::run_batch;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -125,12 +126,14 @@ fn a_campaign_records_crashers_in_state_and_checkpoint() {
     );
     assert!(!report.passed(), "a crashed test fails the run");
 
-    let checkpoint = std::fs::read_to_string(&cfg.checkpoint_path).unwrap();
-    assert!(
-        checkpoint.contains("\"quarantine\": [2]"),
-        "quarantine persists in the checkpoint: {checkpoint}"
+    let text = std::fs::read_to_string(&cfg.checkpoint_path).unwrap();
+    let checkpoint = jsonx::parse(&text).unwrap();
+    assert_eq!(
+        checkpoint.get("quarantine"),
+        Some(&Value::Arr(vec![2u64.into()])),
+        "quarantine persists in the checkpoint: {text}"
     );
-    assert!(checkpoint.contains("\"crashed\": 1"));
+    assert_eq!(checkpoint.get("crashed").and_then(Value::as_u64), Some(1));
     cleanup(&cfg);
 }
 
@@ -273,13 +276,10 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
         "--no-store",
     ];
 
-    fn digest_of(stdout: &str) -> u64 {
-        stdout
-            .lines()
-            .find_map(|l| l.trim().strip_prefix("\"digest\": "))
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-            .expect("campaign report has a digest")
+    fn report_of(stdout: &[u8]) -> Value {
+        jsonx::parse(&String::from_utf8_lossy(stdout)).expect("stdout is the campaign report")
     }
+    let number = |report: &Value, key: &str| report.get(key).and_then(Value::as_u64);
 
     // Clean control: no faults, straight through.
     let control_ckpt = tmp("control.checkpoint.json");
@@ -290,20 +290,21 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
         .output()
         .unwrap();
     assert!(control.status.success(), "clean control run passes");
-    let control_stdout = String::from_utf8_lossy(&control.stdout).into_owned();
-    assert!(
-        control_stdout.contains("\"degraded\": false"),
+    let control = report_of(&control.stdout);
+    assert_eq!(
+        control.get("degraded").and_then(Value::as_bool),
+        Some(false),
         "a clean run is not degraded"
     );
-    assert!(control_stdout.contains("\"crashed\": 0"));
-    let control_digest = digest_of(&control_stdout);
+    assert_eq!(number(&control, "crashed"), Some(0));
+    let control_digest = number(&control, "digest").expect("campaign report has a digest");
     let _ = std::fs::remove_file(&control_ckpt);
 
     // Chaos loop: resume until the faulted campaign completes.
     let chaos_ckpt = tmp("chaos.checkpoint.json");
     let _ = std::fs::remove_file(&chaos_ckpt);
     let mut kills = 0;
-    let mut final_stdout = None;
+    let mut final_report = None;
     for attempt in 0..40 {
         let mut cmd = Command::new(bin);
         cmd.args(common)
@@ -315,7 +316,7 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
         let out = cmd.output().unwrap();
         match out.status.code() {
             Some(0) => {
-                final_stdout = Some(String::from_utf8_lossy(&out.stdout).into_owned());
+                final_report = Some(report_of(&out.stdout));
                 break;
             }
             Some(137) => kills += 1,
@@ -325,13 +326,13 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
             ),
         }
     }
-    let final_stdout = final_stdout.expect("the kill/resume loop converges");
+    let final_report = final_report.expect("the kill/resume loop converges");
     assert!(kills >= 1, "the fault seed exercised at least one kill");
     assert_eq!(
-        digest_of(&final_stdout),
-        control_digest,
+        number(&final_report, "digest"),
+        Some(control_digest),
         "kill/resume under faults reproduces the clean digest exactly"
     );
-    assert!(final_stdout.contains("\"crashed\": 0"));
+    assert_eq!(number(&final_report, "crashed"), Some(0));
     let _ = std::fs::remove_file(&chaos_ckpt);
 }

@@ -1148,8 +1148,8 @@ mod tests {
         let families = corpus.len() - 40;
         let hand_written = crate::classic::all().len() + crate::paper::all().len();
         assert!(
-            families + DEFAULT_RANDOM_COUNT + hand_written >= 500,
-            "full corpus must stay >= 500 tests, got {families} + {DEFAULT_RANDOM_COUNT} + {hand_written}"
+            families + DEFAULT_RANDOM_COUNT + hand_written >= 550,
+            "full corpus must stay >= 550 tests, got {families} + {DEFAULT_RANDOM_COUNT} + {hand_written}"
         );
         let mut names: Vec<&str> = corpus.iter().map(|t| t.name.as_str()).collect();
         names.sort_unstable();
