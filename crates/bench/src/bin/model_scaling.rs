@@ -10,16 +10,25 @@
 //! (3 threads × 3 rounds ≈ 5.7 · 10⁷ candidates, tens of GiB materialized)
 //! is streaming-only: the legacy enumerator cannot finish it in memory.
 //!
-//! A second sweep measures **prefix-certificate sharing**
+//! A second sweep measures the **leaf `ato` solve** (`rmw_leaf`): for
+//! each `(n, rounds)` shape it times uncached `allowed_outcomes_with_stats`
+//! on the plain `dekker_variant` and on `dekker_rmw` under each atomicity
+//! (median of [`LEAF_RUNS`]). The RMW rewrites walk more decision nodes
+//! and solve the atomicity disjunctions at every complete leaf, so the row
+//! to watch is µs per decision node against the plain row.
+//!
+//! A third sweep measures **prefix-certificate sharing**
 //! (`tso_model::prefix`) on the `dekker_rmw` family: each `(n, rounds)`
 //! shape is queried under all three RMW atomicities through the verdict
 //! cache; the first rewrite searches, the siblings replay its certificate,
 //! and the JSON records the reduction in *searched* decision nodes versus
-//! the attributed (3-searches) total.
+//! the attributed (3-searches) total, with the time of the recording
+//! search, of the replays, and of a fresh search of each replayed sibling.
 //!
 //! Every run checks the record's gates ([`gates`]) after writing the JSON
 //! and exits non-zero when one fails: engines agree on every outcome set,
-//! the non-trivial shapes keep a ≥10× streaming speedup, and certificate
+//! the non-trivial shapes keep a ≥10× streaming speedup, every RMW leaf
+//! row's µs per node stays within 4× of its plain row, and certificate
 //! sharing cuts the family sweep's searched nodes ≥2×.
 //!
 //! Usage:
@@ -40,8 +49,8 @@ use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::time::Instant;
 use tso_model::{
-    allowed_outcomes, allowed_outcomes_cached, check_validity, enumerate_candidates,
-    for_each_valid_execution, Outcome, SearchStats,
+    allowed_outcomes, allowed_outcomes_cached, allowed_outcomes_with_stats, check_validity,
+    enumerate_candidates, for_each_valid_execution, Outcome, SearchStats,
 };
 
 /// Shapes smaller than this (materialized candidates) are calibration
@@ -56,6 +65,16 @@ const MIN_SHARED_SPEEDUP: f64 = 10.0;
 /// Gate: certificate sharing must cut the family sweep's searched nodes
 /// by at least this factor.
 const MIN_PREFIX_REDUCTION: f64 = 2.0;
+
+/// Gate: an RMW `rmw_leaf` row may cost at most this many times the µs per
+/// decision node of the plain row of its shape.
+const MAX_LEAF_NODE_RATIO: f64 = 4.0;
+
+/// Timed runs per `rmw_leaf` row; the row reports their median.
+const LEAF_RUNS: usize = 9;
+
+/// Timed passes per prefix family; the row reports the median times.
+const FAMILY_RUNS: usize = 5;
 
 /// One measured shape.
 struct Row {
@@ -118,6 +137,74 @@ fn measure(threads: usize, rounds: usize, run_legacy: bool) -> Row {
     }
 }
 
+/// The median of some timings (upper median for an even count).
+fn median(mut ms: Vec<f64>) -> f64 {
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// One `rmw_leaf` row: a Dekker shape, plain or with every write an RMW.
+struct LeafRow {
+    threads: usize,
+    rounds: usize,
+    /// `None` for the plain `dekker_variant` row.
+    atomicity: Option<Atomicity>,
+    /// Median of [`LEAF_RUNS`] uncached `allowed_outcomes_with_stats` runs.
+    ms: f64,
+    nodes: u64,
+}
+
+impl LeafRow {
+    fn name(&self) -> String {
+        let (n, r) = (self.threads, self.rounds);
+        match self.atomicity {
+            None => format!("dekker n={n} r={r}"),
+            Some(a) => format!("dekker-rmw n={n} r={r} {a}"),
+        }
+    }
+
+    fn us_per_node(&self) -> f64 {
+        self.ms * 1e3 / self.nodes.max(1) as f64
+    }
+}
+
+/// A row's µs per node over the plain row of the same shape (`None` when
+/// that row is missing).
+fn leaf_ratio(rows: &[LeafRow], row: &LeafRow) -> Option<f64> {
+    rows.iter()
+        .find(|p| p.atomicity.is_none() && (p.threads, p.rounds) == (row.threads, row.rounds))
+        .map(|p| row.us_per_node() / p.us_per_node())
+}
+
+/// Times the plain shape and its three RMW rewrites.
+fn measure_leaf_shape(threads: usize, rounds: usize) -> Vec<LeafRow> {
+    let variants = std::iter::once(None).chain(Atomicity::ALL.map(Some));
+    variants
+        .map(|atomicity| {
+            let program = match atomicity {
+                None => dekker_variant(threads, rounds),
+                Some(a) => dekker_rmw(threads, rounds, a),
+            };
+            let mut nodes = 0;
+            let times = (0..LEAF_RUNS)
+                .map(|_| {
+                    let start = Instant::now();
+                    let (_, stats) = allowed_outcomes_with_stats(&program);
+                    nodes = stats.nodes;
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            LeafRow {
+                threads,
+                rounds,
+                atomicity,
+                ms: median(times),
+                nodes,
+            }
+        })
+        .collect()
+}
+
 /// One `(n, rounds)` family of the prefix-sharing sweep: three atomicity
 /// rewrites queried through the verdict cache.
 struct PrefixRow {
@@ -133,45 +220,79 @@ struct PrefixRow {
     prefix_hits: u64,
     /// Every rewrite's cached outcome set equals its direct search.
     outcomes_match: bool,
-    ms: f64,
+    /// Cached queries answered by the recording search (median pass).
+    search_ms: f64,
+    /// Cached queries answered by certificate replay (median pass).
+    replay_ms: f64,
+    /// Fresh, uncached searches of the replayed siblings (median pass).
+    fresh_ms: f64,
 }
 
 impl PrefixRow {
     fn reduction(&self) -> f64 {
         self.attributed_nodes as f64 / (self.searched_nodes.max(1)) as f64
     }
+
+    /// Replay time over a fresh search of the same siblings: below 1.0 the
+    /// certificate tier saves wall-clock time.
+    fn replay_vs_fresh(&self) -> f64 {
+        self.replay_ms / self.fresh_ms.max(1e-6)
+    }
 }
 
 /// Queries one `dekker_rmw` family (all three atomicities) through the
-/// verdict cache and tallies how much of the decision work certificate
-/// replay avoided.
+/// verdict cache from empty caches, [`FAMILY_RUNS`] times, and tallies how
+/// much of the decision work certificate replay avoided. Only the cached
+/// queries count as search or replay time; the fresh search that verifies
+/// each answer is timed apart, as the replayed siblings' `fresh_ms`.
 fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
-    let start = Instant::now();
-    let mut searched_nodes = 0u64;
-    let mut attributed_nodes = 0u64;
-    let mut prefix_hits = 0u64;
-    let mut outcomes_match = true;
-    for atomicity in Atomicity::ALL {
-        let program = dekker_rmw(threads, rounds, atomicity);
-        let got = allowed_outcomes_cached(&program);
-        attributed_nodes += got.stats.nodes;
-        if got.prefix_hit {
-            prefix_hits += 1;
-        } else if !got.hit {
-            searched_nodes += got.stats.nodes;
-        }
-        outcomes_match &= got.outcomes == allowed_outcomes(&program);
-    }
-    PrefixRow {
+    let mut row = PrefixRow {
         name: format!("dekker-rmw n={threads} r={rounds}"),
         threads,
         rounds,
-        searched_nodes,
-        attributed_nodes,
-        prefix_hits,
-        outcomes_match,
-        ms: start.elapsed().as_secs_f64() * 1e3,
+        searched_nodes: 0,
+        attributed_nodes: 0,
+        prefix_hits: 0,
+        outcomes_match: true,
+        search_ms: 0.0,
+        replay_ms: 0.0,
+        fresh_ms: 0.0,
+    };
+    let (mut search, mut replay, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..FAMILY_RUNS {
+        tso_model::cache::clear();
+        tso_model::prefix::clear();
+        row.searched_nodes = 0;
+        row.attributed_nodes = 0;
+        row.prefix_hits = 0;
+        let (mut search_ms, mut replay_ms, mut fresh_ms) = (0.0, 0.0, 0.0);
+        for atomicity in Atomicity::ALL {
+            let program = dekker_rmw(threads, rounds, atomicity);
+            let start = Instant::now();
+            let got = allowed_outcomes_cached(&program);
+            let cached_ms = start.elapsed().as_secs_f64() * 1e3;
+            let start = Instant::now();
+            let direct = allowed_outcomes(&program);
+            let direct_ms = start.elapsed().as_secs_f64() * 1e3;
+            row.attributed_nodes += got.stats.nodes;
+            if got.prefix_hit {
+                row.prefix_hits += 1;
+                replay_ms += cached_ms;
+                fresh_ms += direct_ms;
+            } else if !got.hit {
+                row.searched_nodes += got.stats.nodes;
+                search_ms += cached_ms;
+            }
+            row.outcomes_match &= got.outcomes == direct;
+        }
+        search.push(search_ms);
+        replay.push(replay_ms);
+        fresh.push(fresh_ms);
     }
+    row.search_ms = median(search);
+    row.replay_ms = median(replay);
+    row.fresh_ms = median(fresh);
+    row
 }
 
 /// A measurement as a JSON number: integral values without decimals,
@@ -208,7 +329,7 @@ fn prefix_totals(prefix_rows: &[PrefixRow]) -> (u64, u64) {
 }
 
 /// The record's gates; returns one message per failed gate.
-fn gates(rows: &[Row], prefix_rows: &[PrefixRow]) -> Vec<String> {
+fn gates(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow]) -> Vec<String> {
     let mut failed = Vec::new();
     for r in rows {
         if r.stats.valid == 0 {
@@ -224,6 +345,20 @@ fn gates(rows: &[Row], prefix_rows: &[PrefixRow]) -> Vec<String> {
             "shared streaming speedup {min:.1}x is below the {MIN_SHARED_SPEEDUP}x floor"
         )),
         Some(_) => {}
+    }
+    if leaf_rows.is_empty() {
+        failed.push("no rmw_leaf row measured".to_owned());
+    }
+    for r in leaf_rows.iter().filter(|r| r.atomicity.is_some()) {
+        match leaf_ratio(leaf_rows, r) {
+            None => failed.push(format!("{}: no plain row of its shape", r.name())),
+            Some(ratio) if ratio > MAX_LEAF_NODE_RATIO => failed.push(format!(
+                "{}: {ratio:.1}x the plain row's µs per node, above the \
+                 {MAX_LEAF_NODE_RATIO}x ceiling",
+                r.name()
+            )),
+            Some(_) => {}
+        }
     }
     for r in prefix_rows {
         if !r.outcomes_match {
@@ -250,7 +385,7 @@ fn gates(rows: &[Row], prefix_rows: &[PrefixRow]) -> Vec<String> {
     failed
 }
 
-fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
+fn to_json(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow], mode: &str) -> String {
     let shapes = rows.iter().map(|r| {
         obj([
             ("name", r.name.as_str().into()),
@@ -277,6 +412,24 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
         let log_sum: f64 = shared.iter().filter_map(|r| r.speedup()).map(f64::ln).sum();
         (log_sum / shared.len() as f64).exp()
     };
+    let leaves = leaf_rows.iter().map(|r| {
+        obj([
+            ("name", r.name().into()),
+            ("threads", r.threads.into()),
+            ("rounds", r.rounds.into()),
+            (
+                "atomicity",
+                r.atomicity
+                    .map_or("plain".to_owned(), |a| a.to_string())
+                    .into(),
+            ),
+            ("runs", LEAF_RUNS.into()),
+            ("ms", num(r.ms)),
+            ("nodes", r.nodes.into()),
+            ("us_per_node", num(r.us_per_node())),
+            ("ratio_to_plain", leaf_ratio(leaf_rows, r).map(num).into()),
+        ])
+    });
     // Prefix-certificate sharing over the dekker_rmw family: three
     // atomicity rewrites per shape, one search + two replays each when
     // the certificate tier works.
@@ -289,7 +442,11 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
             ("attributed_nodes", r.attributed_nodes.into()),
             ("prefix_hits", r.prefix_hits.into()),
             ("reduction", num(r.reduction())),
-            ("ms", num(r.ms)),
+            ("runs", FAMILY_RUNS.into()),
+            ("search_ms", num(r.search_ms)),
+            ("replay_ms", num(r.replay_ms)),
+            ("fresh_ms", num(r.fresh_ms)),
+            ("replay_vs_fresh", num(r.replay_vs_fresh())),
             ("outcomes_match", r.outcomes_match.into()),
         ])
     });
@@ -307,6 +464,13 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str) -> String {
                 ("count", shared.len().into()),
                 ("min_speedup", num(min)),
                 ("geomean_speedup", num(geomean)),
+            ]),
+        ),
+        (
+            "rmw_leaf",
+            obj([
+                ("max_ratio", num(MAX_LEAF_NODE_RATIO)),
+                ("rows", arr(leaves)),
             ]),
         ),
         (
@@ -379,39 +543,68 @@ fn main() {
         rows.push(row);
     }
 
+    // Leaf `ato` solve: the same shape plain and under each atomicity,
+    // uncached, median of LEAF_RUNS. A few ms per row, so smoke runs it too.
+    println!(
+        "\n{:<26} {:>10} {:>10} {:>10} {:>10}",
+        "rmw_leaf", "ms", "nodes", "us/node", "vs plain"
+    );
+    let mut leaf_rows = Vec::new();
+    for (n, r) in [(3, 2), (2, 3)] {
+        leaf_rows.extend(measure_leaf_shape(n, r));
+    }
+    for row in &leaf_rows {
+        println!(
+            "{:<26} {:>10.3} {:>10} {:>10.2} {:>9.2}x",
+            row.name(),
+            row.ms,
+            row.nodes,
+            row.us_per_node(),
+            leaf_ratio(&leaf_rows, row).unwrap_or(f64::NAN),
+        );
+    }
+
     // Prefix-certificate sharing sweep: dekker_rmw families, three
-    // atomicities each, through the verdict cache. Start from empty
-    // process-wide caches so the reduction numbers are the sweep's own.
+    // atomicities each, through the verdict cache from empty caches.
     let prefix_shapes: &[(usize, usize)] = if smoke {
         &[(2, 1), (2, 2)]
     } else {
-        &[(2, 1), (2, 2), (3, 1), (2, 3)]
+        &[(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
     };
-    tso_model::cache::clear();
-    tso_model::prefix::clear();
     println!(
-        "\n{:<18} {:>14} {:>16} {:>12} {:>10} {:>10}",
-        "prefix family", "searched", "attributed", "reduction", "hits", "ms"
+        "\n{:<18} {:>10} {:>11} {:>10} {:>5} {:>10} {:>10} {:>10} {:>8}",
+        "prefix family",
+        "searched",
+        "attributed",
+        "reduction",
+        "hits",
+        "search ms",
+        "replay ms",
+        "fresh ms",
+        "r/fresh"
     );
     let mut prefix_rows = Vec::new();
     for &(n, r) in prefix_shapes {
         let row = measure_prefix_family(n, r);
         println!(
-            "{:<18} {:>14} {:>16} {:>11.1}x {:>10} {:>10.2}",
+            "{:<18} {:>10} {:>11} {:>9.1}x {:>5} {:>10.3} {:>10.3} {:>10.3} {:>8.2}",
             row.name,
             row.searched_nodes,
             row.attributed_nodes,
             row.reduction(),
             row.prefix_hits,
-            row.ms,
+            row.search_ms,
+            row.replay_ms,
+            row.fresh_ms,
+            row.replay_vs_fresh(),
         );
         prefix_rows.push(row);
     }
 
-    let json = to_json(&rows, &prefix_rows, args.mode());
+    let json = to_json(&rows, &leaf_rows, &prefix_rows, args.mode());
     std::fs::write(&args.out, &json).expect("write BENCH_model.json");
     println!("\nwrote {}", args.out);
-    let failed = gates(&rows, &prefix_rows);
+    let failed = gates(&rows, &leaf_rows, &prefix_rows);
     for f in &failed {
         eprintln!("GATE FAILED: {f}");
     }
@@ -452,8 +645,22 @@ mod tests {
             attributed_nodes: 300,
             prefix_hits,
             outcomes_match: true,
-            ms: 1.0,
+            search_ms: 1.0,
+            replay_ms: 1.5,
+            fresh_ms: 2.0,
         }
+    }
+
+    /// A plain row at 1 µs per node and one RMW row at `ratio` µs per node.
+    fn leaf_pair(ratio: f64) -> [LeafRow; 2] {
+        let leaf = |atomicity, ms| LeafRow {
+            threads: 3,
+            rounds: 2,
+            atomicity,
+            ms,
+            nodes: 1000,
+        };
+        [leaf(None, 1.0), leaf(Some(Atomicity::Type1), ratio)]
     }
 
     #[test]
@@ -463,8 +670,12 @@ mod tests {
             row(5832.0, Some(30.0), Some(true)),
             row(5.0e7, None, None), // streaming-only
         ];
-        assert_eq!(gates(&rows, &[family(100, 2)]), Vec::<String>::new());
-        let json = to_json(&rows, &[family(100, 2)], "smoke");
+        let leaves = leaf_pair(3.5);
+        assert_eq!(
+            gates(&rows, &leaves, &[family(100, 2)]),
+            Vec::<String>::new()
+        );
+        let json = to_json(&rows, &leaves, &[family(100, 2)], "smoke");
         assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
 
@@ -474,11 +685,25 @@ mod tests {
             row(5832.0, Some(5.0), Some(true)), // 5x: below the floor
             row(324.0, Some(0.8), Some(false)), // engines disagree
         ];
-        let failed = gates(&rows, &[family(200, 1)]);
-        assert_eq!(failed.len(), 4, "{failed:?}");
+        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1)]);
+        assert_eq!(failed.len(), 5, "{failed:?}");
         assert!(failed.iter().any(|f| f.contains("engines disagree")));
         assert!(failed.iter().any(|f| f.contains("speedup")));
+        assert!(failed.iter().any(|f| f.contains("per node")));
         assert!(failed.iter().any(|f| f.contains("did not replay")));
         assert!(failed.iter().any(|f| f.contains("prefix sharing")));
+    }
+
+    #[test]
+    fn rmw_leaf_rows_need_a_plain_row() {
+        let [_, rmw] = leaf_pair(1.0);
+        let failed = gates(&[], &[rmw], &[]);
+        assert!(
+            failed.iter().any(|f| f.contains("no plain row")),
+            "{failed:?}"
+        );
+        assert!(gates(&[], &[], &[])
+            .iter()
+            .any(|f| f.contains("no rmw_leaf row")));
     }
 }

@@ -141,7 +141,7 @@ impl Canonical {
 ///
 /// Two canonical programs with equal masked keys are identical except for
 /// per-RMW atomicity — and atomicity enters the search *only* through the
-/// leaf-level `ato` disjunctions ([`crate::validity::solve_ato`]); the
+/// leaf-level `ato` disjunctions ([`crate::validity`]); the
 /// `ppo`/`bar`/`po-loc`/dep graphs and hence every `ws`/`rf` decision,
 /// prune, and complete leaf are atomicity-independent. Masked-key
 /// equality is therefore exactly the soundness condition for sharing a

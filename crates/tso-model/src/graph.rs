@@ -1,5 +1,6 @@
 //! A small dense directed graph over event indices, with the operations the
-//! validity checker needs: acyclicity, reachability, topological order.
+//! validity checker needs: acyclicity, reachability, topological order, and
+//! a transitive closure that can be kept closed one edge at a time.
 //!
 //! Litmus-scale executions have tens of events, so an adjacency-matrix
 //! representation (bit rows) is both simple and fast.
@@ -152,22 +153,61 @@ impl DiGraph {
         }
     }
 
-    /// The transitive closure as a new graph (Floyd–Warshall over bit rows).
+    /// The transitive closure as a new graph: bit `v` of row `u` is set iff
+    /// `v` is reachable from `u` by a nonempty path, so a cycle shows as a
+    /// bit on the diagonal.
+    ///
+    /// Floyd–Warshall, word-parallel: for each pivot `k`, every row holding
+    /// bit `k` ORs in row `k` a word at a time.
     pub fn transitive_closure(&self) -> DiGraph {
         let mut c = self.clone();
-        for k in 0..self.n {
-            for u in 0..self.n {
-                if c.has_edge(u, k) {
-                    // row(u) |= row(k)
-                    let (uk, kk) = (u * c.words_per_row, k * c.words_per_row);
-                    for w in 0..c.words_per_row {
-                        let bits = c.rows[kk + w];
-                        c.rows[uk + w] |= bits;
+        let wpr = c.words_per_row;
+        for k in 0..c.n {
+            let (kw, kbit) = (k / 64, 1u64 << (k % 64));
+            for u in 0..c.n {
+                if c.rows[u * wpr + kw] & kbit != 0 {
+                    for w in 0..wpr {
+                        let bits = c.rows[k * wpr + w];
+                        c.rows[u * wpr + w] |= bits;
                     }
                 }
             }
         }
         c
+    }
+
+    /// Inserts `u → v` into a transitively closed graph and keeps it
+    /// closed: `u` and every node reaching `u` now reach `v` and all of
+    /// `v`'s successors. If `v` already reached `u`, the new cycle shows as
+    /// diagonal bits. Does not allocate.
+    ///
+    /// The result is only a closure if `self` was one, e.g. the output of
+    /// [`DiGraph::transitive_closure`] or of earlier `close_edge` calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range.
+    pub fn close_edge(&mut self, u: usize, v: usize) {
+        assert!(
+            u < self.n && v < self.n,
+            "edge ({u},{v}) out of range {}",
+            self.n
+        );
+        let wpr = self.words_per_row;
+        let (uw, ubit) = (u / 64, 1u64 << (u % 64));
+        let (vw, vbit) = (v / 64, 1u64 << (v % 64));
+        for x in 0..self.n {
+            if x != u && self.rows[x * wpr + uw] & ubit == 0 {
+                continue;
+            }
+            // Row `v` may itself be updated here (when `v` reaches `u`); it
+            // then only gains bit `v`, which every updated row gets anyway.
+            for w in 0..wpr {
+                let own = if w == vw { vbit } else { 0 };
+                let bits = self.rows[v * wpr + w] | own;
+                self.rows[x * wpr + w] |= bits;
+            }
+        }
     }
 
     /// All edges as `(u, v)` pairs (ascending `u`, then `v`).
@@ -295,6 +335,55 @@ mod tests {
         assert!(c.has_edge(0, n - 1));
         g.add_edge(n - 1, 0);
         assert!(!g.is_acyclic());
+    }
+
+    /// A deterministic xorshift64 graph with up to `n` edges.
+    fn random_graph(n: usize, seed: &mut u64) -> DiGraph {
+        let mut g = DiGraph::new(n);
+        for _ in 0..n {
+            let mut next = || {
+                *seed ^= *seed << 13;
+                *seed ^= *seed >> 7;
+                *seed ^= *seed << 17;
+                (*seed % n as u64) as usize
+            };
+            let (u, v) = (next(), next());
+            g.add_edge(u, v);
+        }
+        g
+    }
+
+    #[test]
+    fn transitive_closure_matches_reachability() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15;
+        for n in [1, 5, 17, 64, 65, 130] {
+            let g = random_graph(n, &mut seed);
+            let c = g.transitive_closure();
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(c.has_edge(u, v), g.reaches(u, v), "n={n} ({u},{v})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn close_edge_matches_recomputed_closure() {
+        // Insert random edges one at a time into a closed graph (cycles
+        // included) and compare against a closure of the whole graph, on
+        // single- and multi-word rows.
+        let mut seed = 0x2545_f491_4f6c_dd1d;
+        for n in [2, 9, 63, 64, 65, 130] {
+            for _ in 0..4 {
+                let mut g = random_graph(n, &mut seed);
+                let mut closed = g.transitive_closure();
+                for (u, v) in random_graph(n, &mut seed).edges().into_iter().take(12) {
+                    g.add_edge(u, v);
+                    closed.close_edge(u, v);
+                    assert_eq!(closed, g.transitive_closure(), "n={n} after ({u},{v})");
+                }
+            }
+        }
     }
 
     #[test]

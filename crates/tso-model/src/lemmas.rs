@@ -17,7 +17,7 @@
 use crate::event::EventId;
 use crate::execution::CandidateExecution;
 use crate::graph::DiGraph;
-use crate::validity::check_validity;
+use crate::validity::{atomicity_disjuncts, check_validity, Disjunct};
 
 /// True iff `a → b` holds in every valid `ghb` of this candidate.
 ///
@@ -71,28 +71,7 @@ fn constraint_graph(exec: &CandidateExecution) -> DiGraph {
 /// Enumerates *all* acyclic solutions of the atomicity disjunctions over the
 /// given base graph (exponential; litmus scale only).
 fn all_solutions_exist(exec: &CandidateExecution, mut base: DiGraph) -> Vec<DiGraph> {
-    struct D {
-        m: EventId,
-        ra: EventId,
-        wa: EventId,
-    }
-    let mut disjuncts = Vec::new();
-    for (_, ra, wa, link) in exec.rmws() {
-        let ra_addr = exec.event(ra).addr;
-        for e in exec.events() {
-            if !e.is_mem() || e.id == ra || e.id == wa {
-                continue;
-            }
-            if link
-                .atomicity
-                .forbids_between(e.is_write(), e.addr == ra_addr)
-            {
-                disjuncts.push(D { m: e.id, ra, wa });
-            }
-        }
-    }
-
-    fn go(graph: &mut DiGraph, ds: &[D], idx: usize, out: &mut Vec<DiGraph>) {
+    fn go(graph: &mut DiGraph, ds: &[Disjunct], idx: usize, out: &mut Vec<DiGraph>) {
         if !graph.is_acyclic() {
             return;
         }
@@ -112,6 +91,7 @@ fn all_solutions_exist(exec: &CandidateExecution, mut base: DiGraph) -> Vec<DiGr
         }
     }
 
+    let disjuncts = atomicity_disjuncts(exec.events());
     let mut out = Vec::new();
     go(&mut base, &disjuncts, 0, &mut out);
     out

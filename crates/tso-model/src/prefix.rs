@@ -7,7 +7,7 @@
 //! RMW test under all three atomicity types, tripling the searches for
 //! programs whose **decision trees are identical**: atomicity influences
 //! validity only through the leaf-level `ato` disjunctions
-//! (`validity::solve_ato`); the `ppo`/`bar`/`po-loc`/dep graphs,
+//! (`validity::ato_satisfiable`); the `ppo`/`bar`/`po-loc`/dep graphs,
 //! and therefore every `ws`/`rf` decision, prune, and complete leaf, do
 //! not depend on it.
 //!

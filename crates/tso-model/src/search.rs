@@ -29,9 +29,12 @@
 //! All three checks are *sound* for pruning: a completion only ever adds
 //! edges to the partial graphs, so a cyclic partial state can never reach
 //! a valid leaf. At a complete assignment the remaining existential — the
-//! per-RMW atomicity disjunctions — is solved exactly as before
-//! ([`crate::validity`]), so the set of executions yielded here is
-//! *identical* to filtering the legacy enumeration with `check_validity`.
+//! per-RMW atomicity disjunctions — is decided on a reachability closure
+//! of the incremental `com ∪ ppo ∪ bar` graph with unit propagation
+//! ([`crate::validity`]) *before* values are resolved or an execution is
+//! assembled, so an invalid leaf costs no allocation beyond the closure.
+//! The set of executions yielded here is *identical* to filtering the
+//! legacy enumeration with `check_validity` (the reference solver).
 //!
 //! Valid executions are yielded through a visitor
 //! ([`for_each_valid_execution`]); returning [`ControlFlow::Break`] stops
@@ -54,7 +57,7 @@ use crate::execution::{
 };
 use crate::graph::DiGraph;
 use crate::program::Program;
-use crate::validity::{atomicity_disjuncts, solve_ato, Disjunct, Validity};
+use crate::validity::{ato_satisfiable, atomicity_disjuncts, Disjunct};
 use rmw_types::Addr;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -628,8 +631,8 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// A complete `rf × ws` assignment: assemble the execution, finish the
-    /// validity check (the atomicity disjunctions), and yield.
+    /// A complete `rf × ws` assignment: finish the validity check (the
+    /// atomicity disjunctions), then assemble the execution and yield.
     fn complete(&mut self) -> ControlFlow<()> {
         self.stats.complete += 1;
         if self.leaves.is_some() {
@@ -639,6 +642,13 @@ impl<'a> Search<'a> {
             if let Some(leaves) = &mut self.leaves {
                 leaves.push(path);
             }
+        }
+        // uniproc already holds (incremental `uni` checks); what is left is
+        // the existential over atomicity-induced edges, on the incrementally
+        // maintained `com ∪ ppo ∪ bar`.
+        let valid_only = self.sc.mode == Mode::ValidOnly;
+        if valid_only && !ato_satisfiable(&self.ghb, &self.sc.disjuncts) {
+            return ControlFlow::Continue(());
         }
         let Some(values) = resolve_values(&self.sc.ctx.events, &self.rf) else {
             // Unreachable: the dep graph is acyclic on this path, and it
@@ -651,21 +661,10 @@ impl<'a> Search<'a> {
             self.ws.clone(),
             values,
         );
-        let flow = match self.sc.mode {
-            Mode::AllCandidates => (self.visitor)(&exec),
-            Mode::ValidOnly => {
-                // uniproc already holds (incremental `uni` checks); what is
-                // left is the existential over atomicity-induced edges, on
-                // the incrementally maintained `com ∪ ppo ∪ bar`.
-                match solve_ato(&exec, self.ghb.clone(), &self.sc.disjuncts) {
-                    Validity::Valid(_) => {
-                        self.stats.valid += 1;
-                        (self.visitor)(&exec)
-                    }
-                    _ => ControlFlow::Continue(()),
-                }
-            }
-        };
+        if valid_only {
+            self.stats.valid += 1;
+        }
+        let flow = (self.visitor)(&exec);
         if flow.is_break() {
             self.stats.stopped_early = true;
         }

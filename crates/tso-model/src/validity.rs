@@ -10,9 +10,22 @@
 //!    forbids between `Ra` and `Wa` in `ghb`, the disjunction
 //!    `M →ghb Ra  ∨  Wa →ghb M`.
 //!
-//! The checker performs a backtracking search over the disjunctions with
-//! incremental cycle detection; on success it extracts a [`Witness`] — a
-//! concrete `ghb` linearization demonstrating validity.
+//! Two solvers decide the existential in condition 2:
+//!
+//! * [`check_validity`] is the **reference**: a backtracking search over
+//!   the disjunctions in order, with a cycle check at every level; on
+//!   success it extracts a [`Witness`] — a concrete `ghb` linearization
+//!   demonstrating validity.
+//! * `ato_satisfiable` is the **search engine's leaf test**
+//!   ([`crate::search`]): it closes `com ∪ ppo ∪ bar` once as bit rows,
+//!   unit-propagates every disjunction against that reachability (the unit
+//!   rule of Davis–Logemann–Loveland), branches only on the disjunctions
+//!   still open, and keeps each branch's closure closed edge by edge
+//!   ([`DiGraph::close_edge`]). It answers yes or no and builds no witness.
+//!
+//! The equivalence suites compare the search engine against the
+//! `enumerate_candidates` + `check_validity` pipeline, so each solver
+//! checks the other.
 
 use crate::event::{Event, EventId};
 use crate::execution::{rmws_of, CandidateExecution};
@@ -67,9 +80,9 @@ impl Witness {
 /// One atomicity disjunction: `m →ghb ra  ∨  wa →ghb m`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Disjunct {
-    m: EventId,
-    ra: EventId,
-    wa: EventId,
+    pub(crate) m: EventId,
+    pub(crate) ra: EventId,
+    pub(crate) wa: EventId,
 }
 
 /// Collects the atomicity disjunctions of an event list. These depend only
@@ -112,33 +125,20 @@ pub fn check_validity(exec: &CandidateExecution) -> Validity {
     base.union_with(&exec.bar_graph());
 
     let disjuncts = atomicity_disjuncts(exec.events());
-    solve_ato(exec, base, &disjuncts)
-}
-
-/// Solves the atomicity disjunctions over a prebuilt `com ∪ ppo ∪ bar` base
-/// graph, producing a [`Witness`] on success. The `uniproc` condition must
-/// already have been established by the caller.
-pub(crate) fn solve_ato(
-    exec: &CandidateExecution,
-    mut base: DiGraph,
-    disjuncts: &[Disjunct],
-) -> Validity {
     let mut ato = Vec::new();
-    match solve(&mut base, disjuncts, 0, &mut ato) {
-        Some(graph) => {
-            let order = graph.topo_order().expect("solver returns acyclic graph");
-            let ghb: Vec<EventId> = order
-                .into_iter()
-                .map(EventId)
-                .filter(|&id| exec.event(id).is_mem())
-                .collect();
-            Validity::Valid(Witness {
-                ghb,
-                ato_edges: ato,
-            })
-        }
-        None => Validity::Cyclic,
-    }
+    let Some(graph) = solve(&mut base, &disjuncts, 0, &mut ato) else {
+        return Validity::Cyclic;
+    };
+    let order = graph.topo_order().expect("solver returns acyclic graph");
+    let ghb: Vec<EventId> = order
+        .into_iter()
+        .map(EventId)
+        .filter(|&id| exec.event(id).is_mem())
+        .collect();
+    Validity::Valid(Witness {
+        ghb,
+        ato_edges: ato,
+    })
 }
 
 /// Backtracking over disjunctions. Returns the final acyclic graph on
@@ -173,15 +173,212 @@ fn solve(
     None
 }
 
+/// True iff some choice of one edge per disjunction keeps `base ∪ ato`
+/// acyclic: the yes/no question [`check_validity`] answers with a witness.
+/// The search engine asks it at every complete leaf, on its incrementally
+/// maintained `com ∪ ppo ∪ bar`.
+///
+/// With no disjunctions the answer is `true` at once. That covers every
+/// RMW-free program, and it relies on the caller keeping `base` acyclic
+/// (the search prunes a cycle the moment it appears). Otherwise `base` is
+/// closed once, and a cycle in it shows as a bit on the diagonal.
+pub(crate) fn ato_satisfiable(base: &DiGraph, disjuncts: &[Disjunct]) -> bool {
+    if disjuncts.is_empty() {
+        return true;
+    }
+    let reach = base.transitive_closure();
+    if (0..reach.len()).any(|v| reach.has_edge(v, v)) {
+        return false;
+    }
+    satisfiable(reach, disjuncts)
+}
+
+/// Decides `disjuncts` over the acyclic closure `reach`: propagate, then
+/// branch on the first open disjunction, each side on its own closure.
+fn satisfiable(mut reach: DiGraph, disjuncts: &[Disjunct]) -> bool {
+    let i = match propagate(&mut reach, disjuncts) {
+        Propagated::Refuted => return false,
+        Propagated::Solved => return true,
+        Propagated::Open(i) => i,
+    };
+    // Every disjunction before the first open one already holds, and the
+    // branch edge settles `d` itself.
+    let (d, rest) = (disjuncts[i], &disjuncts[i + 1..]);
+    let mut other = reach.clone();
+    reach.close_edge(d.m.index(), d.ra.index());
+    other.close_edge(d.wa.index(), d.m.index());
+    satisfiable(reach, rest) || satisfiable(other, rest)
+}
+
+/// What unit propagation left of a set of disjunctions.
+#[derive(Debug, PartialEq, Eq)]
+enum Propagated {
+    /// Some disjunction has both edges closing a cycle.
+    Refuted,
+    /// Every disjunction holds in the closure.
+    Solved,
+    /// The first disjunction neither held nor forced (index into the slice).
+    Open(usize),
+}
+
+/// Unit propagation to a fixpoint over the acyclic closure `reach`, which
+/// it keeps closed and acyclic. A disjunction `m → ra ∨ wa → m` holds once
+/// `m` reaches `ra` or `wa` reaches `m`. If `ra` reaches `m`, the first
+/// edge would close a cycle, so the second is forced; if `m` reaches `wa`,
+/// the first is forced; if both, the leaf is refuted.
+fn propagate(reach: &mut DiGraph, disjuncts: &[Disjunct]) -> Propagated {
+    loop {
+        let mut forced = false;
+        let mut open = None;
+        for (i, d) in disjuncts.iter().enumerate() {
+            let (m, ra, wa) = (d.m.index(), d.ra.index(), d.wa.index());
+            if reach.has_edge(m, ra) || reach.has_edge(wa, m) {
+                continue;
+            }
+            match (reach.has_edge(ra, m), reach.has_edge(m, wa)) {
+                (true, true) => return Propagated::Refuted,
+                (true, false) => reach.close_edge(wa, m),
+                (false, true) => reach.close_edge(m, ra),
+                (false, false) => {
+                    open.get_or_insert(i);
+                    continue;
+                }
+            }
+            forced = true;
+        }
+        if !forced {
+            return open.map_or(Propagated::Solved, Propagated::Open);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::execution::enumerate_candidates;
-    use crate::program::ProgramBuilder;
+    use crate::program::{Program, ProgramBuilder};
     use rmw_types::{Addr, Atomicity, RmwKind};
 
     const X: Addr = Addr(0);
     const Y: Addr = Addr(1);
+
+    /// Thread `i` alternates `RMW(x_i, +=k); R(x_{i+1 mod n})` for
+    /// `k = 1..=rounds` (the bench crate's Dekker-RMW family).
+    fn dekker_rmw(n: usize, rounds: usize, atomicity: Atomicity) -> Program {
+        let mut b = ProgramBuilder::new();
+        for i in 0..n {
+            let mut t = b.thread();
+            for k in 1..=rounds {
+                t.rmw(Addr(i as u64), RmwKind::FetchAndAdd(k as u64), atomicity)
+                    .read(Addr(((i + 1) % n) as u64));
+            }
+        }
+        b.build()
+    }
+
+    /// A hand-built leaf: `n` nodes, the given edges, and disjunctions as
+    /// `(m, ra, wa)` triples.
+    fn leaf(
+        n: usize,
+        edges: &[(usize, usize)],
+        ds: &[(usize, usize, usize)],
+    ) -> (DiGraph, Vec<Disjunct>) {
+        let mut g = DiGraph::new(n);
+        for &(u, v) in edges {
+            g.add_edge(u, v);
+        }
+        let ds = ds
+            .iter()
+            .map(|&(m, ra, wa)| Disjunct {
+                m: EventId(m),
+                ra: EventId(ra),
+                wa: EventId(wa),
+            })
+            .collect();
+        (g, ds)
+    }
+
+    /// The reference backtracking solver's answer on a hand-built leaf.
+    fn reference(g: &DiGraph, ds: &[Disjunct]) -> bool {
+        solve(&mut g.clone(), ds, 0, &mut Vec::new()).is_some()
+    }
+
+    #[test]
+    fn leaf_solver_agrees_with_the_reference_on_dekker_rmw() {
+        // Every uniproc-consistent candidate, valid or not, of the small
+        // Dekker-RMW shapes under each atomicity.
+        let (mut valid, mut cyclic) = (0, 0);
+        for (n, rounds) in [(2, 1), (2, 2), (3, 1)] {
+            for atomicity in Atomicity::ALL {
+                for c in enumerate_candidates(&dekker_rmw(n, rounds, atomicity)) {
+                    let expected = match check_validity(&c) {
+                        Validity::UniprocViolation => continue,
+                        Validity::Valid(_) => true,
+                        Validity::Cyclic => false,
+                    };
+                    let mut base = c.com_graph();
+                    base.union_with(&c.ppo_graph());
+                    base.union_with(&c.bar_graph());
+                    let got = ato_satisfiable(&base, &atomicity_disjuncts(c.events()));
+                    assert_eq!(
+                        got,
+                        expected,
+                        "n={n} r={rounds} {atomicity:?}\n{}",
+                        c.pretty()
+                    );
+                    valid += usize::from(expected);
+                    cyclic += usize::from(!expected);
+                }
+            }
+        }
+        assert!(valid > 0 && cyclic > 0, "{valid} valid, {cyclic} cyclic");
+    }
+
+    #[test]
+    fn propagation_alone_refutes_a_leaf() {
+        // RMWs 0→1 and 2→3; event 4 must sit outside both. 0 reaches 4
+        // forces 1 → 4, after which 2 reaches 4 and 4 reaches 3: refuted
+        // without a branch.
+        let (g, ds) = leaf(
+            5,
+            &[(0, 1), (2, 3), (0, 4), (2, 1), (4, 3)],
+            &[(4, 0, 1), (4, 2, 3)],
+        );
+        assert_eq!(
+            propagate(&mut g.transitive_closure(), &ds),
+            Propagated::Refuted
+        );
+        assert!(!ato_satisfiable(&g, &ds));
+        assert!(!reference(&g, &ds));
+    }
+
+    #[test]
+    fn open_leaf_backtracks_out_of_a_refuted_branch() {
+        // Nothing is forced at the root. Taking the first disjunction's
+        // `1 → 0` forces `3 → 2`, which refutes the third; its `4 → 1`
+        // side settles the third and leaves the second open for another
+        // branch.
+        let (g, ds) = leaf(
+            5,
+            &[(0, 2), (0, 3), (0, 4), (3, 4)],
+            &[(1, 0, 4), (2, 1, 3), (3, 1, 2)],
+        );
+        let mut reach = g.transitive_closure();
+        assert_eq!(propagate(&mut reach, &ds), Propagated::Open(0));
+        let mut first = reach.clone();
+        first.close_edge(1, 0);
+        assert!(!satisfiable(first, &ds[1..]));
+        assert!(ato_satisfiable(&g, &ds));
+        assert!(reference(&g, &ds));
+    }
+
+    #[test]
+    fn leaf_with_a_cycle_or_no_disjunctions() {
+        let (g, ds) = leaf(3, &[(0, 1), (1, 0)], &[(2, 0, 1)]);
+        assert!(!ato_satisfiable(&g, &ds));
+        assert!(!reference(&g, &ds));
+        assert!(ato_satisfiable(&leaf(3, &[(0, 1)], &[]).0, &[]));
+    }
 
     #[test]
     fn sb_allows_0_0_under_tso() {

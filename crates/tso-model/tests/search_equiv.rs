@@ -6,9 +6,13 @@
 //! `enumerate_candidates(p)`. This suite checks that on
 //!
 //! * the full [`litmus::classic`] and [`litmus::paper`] corpora (every
-//!   program the repo uses to reproduce the paper's Table 1 verdicts), and
+//!   program the repo uses to reproduce the paper's Table 1 verdicts),
+//! * the small Dekker-RMW shapes under each atomicity, and
 //! * proptest-generated random programs mixing reads, writes, RMWs of all
-//!   three atomicity types, and fences.
+//!   three atomicity types, and fences — a second generator makes about
+//!   half the instructions RMWs over three threads and three addresses, so
+//!   complete leaves carry enough atomicity disjunctions for the leaf
+//!   solver to propagate and branch.
 //!
 //! "Agree" is stronger than matching verdicts: the *full outcome sets*
 //! (read values and final memory) must be equal, and the early-exit
@@ -20,7 +24,7 @@ use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use tso_model::{
     allowed_outcomes, check_validity, enumerate_candidates, for_each_valid_execution,
-    outcome_allowed, Instr, Outcome, Program,
+    outcome_allowed, Instr, Outcome, Program, ProgramBuilder,
 };
 
 /// Asserts full agreement between the two engines on one program.
@@ -96,6 +100,27 @@ fn corpora_verdicts_unchanged_by_streaming() {
     assert!(failures.is_empty(), "corpus failures: {failures:?}");
 }
 
+#[test]
+fn dekker_rmw_shapes_engines_agree() {
+    // Thread `i` alternates `RMW(x_i, +=k); R(x_{i+1 mod n})`: the bench
+    // crate's Dekker-RMW family, built here because this crate cannot
+    // depend on `bench`.
+    for (n, rounds) in [(2, 1), (2, 2), (3, 1)] {
+        for atomicity in Atomicity::ALL {
+            let mut b = ProgramBuilder::new();
+            for i in 0..n {
+                let mut t = b.thread();
+                for k in 1..=rounds {
+                    t.rmw(Addr(i as u64), RmwKind::FetchAndAdd(k as u64), atomicity)
+                        .read(Addr(((i + 1) % n) as u64));
+                }
+            }
+            let name = format!("dekker-rmw n={n} r={rounds} {atomicity:?}");
+            assert_engines_agree(&name, &b.build());
+        }
+    }
+}
+
 /// Generates a small random instruction.
 fn arb_instr() -> impl Strategy<Value = Instr> {
     prop_oneof![
@@ -121,11 +146,79 @@ fn arb_program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// A random instruction over three addresses, an RMW of any atomicity
+/// about half the time.
+fn arb_rmw_heavy_instr() -> impl Strategy<Value = Instr> {
+    prop_oneof![
+        3 => ((0u64..3), (0usize..3)).prop_map(|(a, t)| Instr::Rmw {
+            addr: Addr(a),
+            kind: RmwKind::FetchAndAdd(1),
+            atomicity: Atomicity::ALL[t],
+        }),
+        1 => (0u64..3).prop_map(|a| Instr::Read(Addr(a))),
+        1 => ((0u64..3), (1u64..3)).prop_map(|(a, v)| Instr::Write(Addr(a), v)),
+        1 => Just(Instr::Fence),
+    ]
+}
+
+/// Upper bound on the candidates the legacy enumerator materializes for
+/// these threads: `ws` orders times `rf` choices, per address.
+fn candidate_bound(threads: &[Vec<Instr>]) -> u64 {
+    let (mut writes, mut reads) = ([0u64; 3], [0u32; 3]);
+    for i in threads.iter().flatten() {
+        match *i {
+            Instr::Write(a, _) => writes[a.0 as usize] += 1,
+            Instr::Read(a) => reads[a.0 as usize] += 1,
+            Instr::Rmw { addr, .. } => {
+                writes[addr.0 as usize] += 1;
+                reads[addr.0 as usize] += 1;
+            }
+            Instr::Fence => {}
+        }
+    }
+    (0..3)
+        .map(|a| (1..=writes[a]).product::<u64>() * (writes[a] + 1).pow(reads[a]))
+        .product()
+}
+
+/// Reference-side cap on [`candidate_bound`]: the reference materializes
+/// and checks every candidate, and a debug build does ~10⁴ per second.
+const MAX_CANDIDATES: u64 = 20000;
+
+/// Three threads of one to three RMW-heavy instructions. Threads lose
+/// their last instruction, longest thread first, until the program fits
+/// [`MAX_CANDIDATES`]; one instruction per thread always fits.
+fn arb_rmw_heavy_program() -> impl Strategy<Value = Program> {
+    let thread = proptest::collection::vec(arb_rmw_heavy_instr(), 1..4);
+    proptest::collection::vec(thread, 3..4).prop_map(|mut threads| {
+        while candidate_bound(&threads) > MAX_CANDIDATES {
+            let longest = (0..threads.len())
+                .max_by_key(|&t| threads[t].len())
+                .expect("three threads");
+            threads[longest].pop();
+        }
+        let mut p = Program::new();
+        for t in threads {
+            p.add_thread(t);
+        }
+        p
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn random_programs_engines_agree(p in arb_program()) {
         assert_engines_agree("random", &p);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn random_rmw_heavy_programs_engines_agree(p in arb_rmw_heavy_program()) {
+        assert_engines_agree("random rmw-heavy", &p);
     }
 }
