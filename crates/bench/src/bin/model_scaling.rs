@@ -25,11 +25,22 @@
 //! the attributed (3-searches) total, with the time of the recording
 //! search, of the replays, and of a fresh search of each replayed sibling.
 //!
+//! A fourth section measures **canonicalization** (`canon`), the thread-
+//! order search behind every cache and store key and every campaign shard
+//! fingerprint: the median and mean µs per `Program::canonicalize` and per
+//! `Program::canonical_fingerprint` over the full corpus and over seed-1
+//! campaign drafts (one call per program; the mean carries the few
+//! many-threaded programs that dominate the cost), and over [`CANON_RUNS`]
+//! calls on two worst cases — seven identical threads, where every thread
+//! order ties and nothing is pruned, and the seven-thread store-buffering
+//! ring.
+//!
 //! Every run checks the record's gates ([`gates`]) after writing the JSON
 //! and exits non-zero when one fails: engines agree on every outcome set,
 //! the non-trivial shapes keep a ≥10× streaming speedup, every RMW leaf
-//! row's µs per node stays within 4× of its plain row, and certificate
-//! sharing cuts the family sweep's searched nodes ≥2×.
+//! row's µs per node stays within 4× of its plain row, certificate
+//! sharing cuts the family sweep's searched nodes ≥2×, and the `canon`
+//! section has rows (it carries no timing bound).
 //!
 //! Usage:
 //!
@@ -37,20 +48,21 @@
 //! $ cargo run --release -p bench --bin model_scaling [-- --smoke] [--out PATH]
 //! ```
 //!
-//! `--smoke` restricts the sweep to the fast shapes (CI's `bench-smoke`
-//! job); `--out` overrides the JSON path (default `BENCH_model.json` in the
-//! current directory).
+//! `--smoke` restricts the sweep to the fast shapes and 300 instead of
+//! 3,000 campaign drafts (CI's `bench-smoke` job); `--out` overrides the
+//! JSON path (default `BENCH_model.json` in the current directory).
 
 use bench::model_shapes::{dekker_rmw, dekker_variant, dekker_variant_candidates};
 use bench::SweepArgs;
 use harness::jsonx::{arr, fixed, obj, Value};
-use rmw_types::Atomicity;
+use rmw_types::{Addr, Atomicity};
 use std::collections::BTreeSet;
+use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::time::Instant;
 use tso_model::{
     allowed_outcomes, allowed_outcomes_cached, allowed_outcomes_with_stats, check_validity,
-    enumerate_candidates, for_each_valid_execution, Outcome, SearchStats,
+    enumerate_candidates, for_each_valid_execution, Instr, Outcome, Program, SearchStats,
 };
 
 /// Shapes smaller than this (materialized candidates) are calibration
@@ -75,6 +87,9 @@ const LEAF_RUNS: usize = 9;
 
 /// Timed passes per prefix family; the row reports the median times.
 const FAMILY_RUNS: usize = 5;
+
+/// Timed calls per worst-case `canon` row; the row reports their median.
+const CANON_RUNS: usize = 21;
 
 /// One measured shape.
 struct Row {
@@ -295,6 +310,77 @@ fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
     row
 }
 
+/// One `canon` row: a set of programs, each canonicalized and
+/// fingerprinted `runs` times.
+struct CanonRow {
+    name: String,
+    programs: usize,
+    max_threads: usize,
+    runs: usize,
+    /// Median µs per `canonicalize` / `canonical_fingerprint` call.
+    canonicalize_us: f64,
+    fingerprint_us: f64,
+    /// Mean µs per call: the corpus-level cost, tail included.
+    canonicalize_mean_us: f64,
+    fingerprint_mean_us: f64,
+}
+
+/// Times `runs` calls of `canonicalize` and of `canonical_fingerprint` on
+/// every program.
+fn measure_canon(name: &str, programs: &[Program], runs: usize) -> CanonRow {
+    let time = |call: &dyn Fn(&Program)| {
+        let mut us = Vec::with_capacity(programs.len() * runs);
+        for p in programs {
+            for _ in 0..runs {
+                let start = Instant::now();
+                call(p);
+                us.push(start.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        let mean = us.iter().sum::<f64>() / us.len().max(1) as f64;
+        (median(us), mean)
+    };
+    let (canonicalize_us, canonicalize_mean_us) = time(&|p| {
+        black_box(p.canonicalize());
+    });
+    let (fingerprint_us, fingerprint_mean_us) = time(&|p| {
+        black_box(p.canonical_fingerprint());
+    });
+    CanonRow {
+        name: name.to_owned(),
+        programs: programs.len(),
+        max_threads: programs.iter().map(Program::num_threads).max().unwrap_or(0),
+        runs,
+        canonicalize_us,
+        fingerprint_us,
+        canonicalize_mean_us,
+        fingerprint_mean_us,
+    }
+}
+
+/// The `canon` rows: the corpus and the first `drafts` seed-1 campaign
+/// drafts, one call per program, and the two worst cases.
+fn canon_rows(drafts: u64) -> Vec<CanonRow> {
+    let corpus: Vec<Program> =
+        harness::full_corpus(litmus::gen::DEFAULT_SEED, litmus::gen::DEFAULT_RANDOM_COUNT)
+            .into_iter()
+            .map(|t| t.program)
+            .collect();
+    let campaign: Vec<Program> = (0..drafts)
+        .map(|i| litmus::gen::campaign_draft(1, i).program)
+        .collect();
+    let mut identical = Program::new();
+    for _ in 0..7 {
+        identical.add_thread(vec![Instr::Write(Addr(0), 1), Instr::Read(Addr(1))]);
+    }
+    vec![
+        measure_canon("corpus", &corpus, 1),
+        measure_canon(&format!("seed-1 drafts 0..{drafts}"), &campaign, 1),
+        measure_canon("7 identical threads", &[identical], CANON_RUNS),
+        measure_canon("sb-ring-n7", &[litmus::gen::sb_ring(7).program], CANON_RUNS),
+    ]
+}
+
 /// A measurement as a JSON number: integral values without decimals,
 /// everything else with six.
 fn num(v: f64) -> Value {
@@ -329,7 +415,12 @@ fn prefix_totals(prefix_rows: &[PrefixRow]) -> (u64, u64) {
 }
 
 /// The record's gates; returns one message per failed gate.
-fn gates(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow]) -> Vec<String> {
+fn gates(
+    rows: &[Row],
+    leaf_rows: &[LeafRow],
+    prefix_rows: &[PrefixRow],
+    canon: &[CanonRow],
+) -> Vec<String> {
     let mut failed = Vec::new();
     for r in rows {
         if r.stats.valid == 0 {
@@ -382,10 +473,19 @@ fn gates(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow]) -> Vec<
              {MIN_PREFIX_REDUCTION}x floor"
         ));
     }
+    if canon.is_empty() {
+        failed.push("no canon row measured".to_owned());
+    }
     failed
 }
 
-fn to_json(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow], mode: &str) -> String {
+fn to_json(
+    rows: &[Row],
+    leaf_rows: &[LeafRow],
+    prefix_rows: &[PrefixRow],
+    canon: &[CanonRow],
+    mode: &str,
+) -> String {
     let shapes = rows.iter().map(|r| {
         obj([
             ("name", r.name.as_str().into()),
@@ -452,6 +552,18 @@ fn to_json(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow], mode:
     });
     let (searched, attributed) = prefix_totals(prefix_rows);
     let hits: u64 = prefix_rows.iter().map(|r| r.prefix_hits).sum();
+    let canon_rows = canon.iter().map(|r| {
+        obj([
+            ("name", r.name.as_str().into()),
+            ("programs", r.programs.into()),
+            ("max_threads", r.max_threads.into()),
+            ("runs", r.runs.into()),
+            ("canonicalize_us", num(r.canonicalize_us)),
+            ("fingerprint_us", num(r.fingerprint_us)),
+            ("canonicalize_mean_us", num(r.canonicalize_mean_us)),
+            ("fingerprint_mean_us", num(r.fingerprint_mean_us)),
+        ])
+    });
     obj([
         ("experiment", "model_scaling".into()),
         ("paper", "conf_pldi_RajaramNSE13".into()),
@@ -487,6 +599,7 @@ fn to_json(rows: &[Row], leaf_rows: &[LeafRow], prefix_rows: &[PrefixRow], mode:
                 ),
             ]),
         ),
+        ("canon", obj([("rows", arr(canon_rows))])),
     ])
     .render()
 }
@@ -601,10 +714,30 @@ fn main() {
         prefix_rows.push(row);
     }
 
-    let json = to_json(&rows, &leaf_rows, &prefix_rows, args.mode());
+    // Canonicalization: the corpus and seed-1 drafts, one call per
+    // program, plus the two worst cases, median of CANON_RUNS calls.
+    println!(
+        "\n{:<24} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        "canon", "programs", "threads", "canon us", "fp us", "canon avg", "fp avg"
+    );
+    let canon = canon_rows(if smoke { 300 } else { 3000 });
+    for row in &canon {
+        println!(
+            "{:<24} {:>8} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+            row.name,
+            row.programs,
+            row.max_threads,
+            row.canonicalize_us,
+            row.fingerprint_us,
+            row.canonicalize_mean_us,
+            row.fingerprint_mean_us,
+        );
+    }
+
+    let json = to_json(&rows, &leaf_rows, &prefix_rows, &canon, args.mode());
     std::fs::write(&args.out, &json).expect("write BENCH_model.json");
     println!("\nwrote {}", args.out);
-    let failed = gates(&rows, &leaf_rows, &prefix_rows);
+    let failed = gates(&rows, &leaf_rows, &prefix_rows, &canon);
     for f in &failed {
         eprintln!("GATE FAILED: {f}");
     }
@@ -651,6 +784,19 @@ mod tests {
         }
     }
 
+    fn canon_row() -> CanonRow {
+        CanonRow {
+            name: "corpus".to_owned(),
+            programs: 554,
+            max_threads: 7,
+            runs: 1,
+            canonicalize_us: 2.0,
+            fingerprint_us: 1.5,
+            canonicalize_mean_us: 4.0,
+            fingerprint_mean_us: 3.0,
+        }
+    }
+
     /// A plain row at 1 µs per node and one RMW row at `ratio` µs per node.
     fn leaf_pair(ratio: f64) -> [LeafRow; 2] {
         let leaf = |atomicity, ms| LeafRow {
@@ -671,11 +817,12 @@ mod tests {
             row(5.0e7, None, None), // streaming-only
         ];
         let leaves = leaf_pair(3.5);
+        let canon = [canon_row()];
         assert_eq!(
-            gates(&rows, &leaves, &[family(100, 2)]),
+            gates(&rows, &leaves, &[family(100, 2)], &canon),
             Vec::<String>::new()
         );
-        let json = to_json(&rows, &leaves, &[family(100, 2)], "smoke");
+        let json = to_json(&rows, &leaves, &[family(100, 2)], &canon, "smoke");
         assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
 
@@ -685,24 +832,25 @@ mod tests {
             row(5832.0, Some(5.0), Some(true)), // 5x: below the floor
             row(324.0, Some(0.8), Some(false)), // engines disagree
         ];
-        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1)]);
-        assert_eq!(failed.len(), 5, "{failed:?}");
+        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1)], &[]);
+        assert_eq!(failed.len(), 6, "{failed:?}");
         assert!(failed.iter().any(|f| f.contains("engines disagree")));
         assert!(failed.iter().any(|f| f.contains("speedup")));
         assert!(failed.iter().any(|f| f.contains("per node")));
         assert!(failed.iter().any(|f| f.contains("did not replay")));
         assert!(failed.iter().any(|f| f.contains("prefix sharing")));
+        assert!(failed.iter().any(|f| f.contains("no canon row")));
     }
 
     #[test]
     fn rmw_leaf_rows_need_a_plain_row() {
         let [_, rmw] = leaf_pair(1.0);
-        let failed = gates(&[], &[rmw], &[]);
+        let failed = gates(&[], &[rmw], &[], &[]);
         assert!(
             failed.iter().any(|f| f.contains("no plain row")),
             "{failed:?}"
         );
-        assert!(gates(&[], &[], &[])
+        assert!(gates(&[], &[], &[], &[])
             .iter()
             .any(|f| f.contains("no rmw_leaf row")));
     }

@@ -15,14 +15,46 @@
 //!
 //! [`Program::canonicalize`] picks the canonical representative:
 //!
-//! * threads are permuted to minimize the serialized form — exhaustively
-//!   for programs up to [`PERM_SEARCH_MAX_THREADS`] threads, identity
-//!   order above (still sound: a coarser canonical form only misses
-//!   dedup opportunities, it never conflates inequivalent programs);
+//! * threads are permuted to minimize the serialized form — over every
+//!   thread order for programs up to [`PERM_SEARCH_MAX_THREADS`]
+//!   threads, identity order above (still sound: a coarser canonical form
+//!   only misses dedup opportunities, it never conflates inequivalent
+//!   programs);
 //! * addresses are renamed to `0, 1, 2, …` in order of first appearance
 //!   under that thread order;
 //! * instruction values, RMW kinds, and atomicities are serialized
 //!   verbatim — only thread order and address names are quotiented.
+//!
+//! # The thread-order search
+//!
+//! A serialization is the thread count followed by one segment per
+//! thread, and a segment depends only on the threads placed before it
+//! (they fix which addresses already have names). So the orders form a
+//! tree — depth `k` places the thread at position `k` — and every order
+//! under a node shares that node's serialized prefix. The search walks
+//! this tree depth first, in the order of the swap enumeration (at depth
+//! `k`, swap each of positions `k..n` into `k` in turn). It appends each
+//! placed thread's words to one buffer and truncates them on backtrack,
+//! and keeps the address renames in a list truncated the same way, so
+//! no order allocates. The identity order is serialized first as the
+//! initial best; a subtree whose prefix compares *greater* than the
+//! best's prefix of the same length is dropped, since every order under
+//! it serializes greater (all orders serialize to the same length). This
+//! is branch and bound over labellings, as in canonical graph labelling
+//! (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+//!
+//! **Tie rule.** A complete order replaces the best only when it is
+//! strictly smaller, so the winner is the *first* minimal order of the
+//! swap enumeration — the order a scan of every order keeps. Pruning only
+//! drops orders greater than the best at the time, which that scan would
+//! not keep either, so keys, fingerprints, thread permutations and
+//! coordinate maps do not depend on the pruning: verdict stores and
+//! campaign shards written by the unpruned scan stay valid
+//! (`tests/canon_equiv.rs` checks every part of the result against it).
+//! One trap: a node whose prefix is already *smaller* than the best
+//! skips comparing its children, but once an order below it becomes the
+//! best, its prefix equals the best's and every enclosing node must
+//! compare again (`descend` returns whether the best changed).
 //!
 //! The full canonical serialization (not its 64-bit
 //! [`fingerprint`](Canonical::fingerprint)) is the cache key, so a hash
@@ -36,12 +68,18 @@ use crate::outcome::Outcome;
 use crate::program::{Instr, Program};
 use rmw_types::fasthash::FastHasher;
 use rmw_types::{Addr, Atomicity, RmwKind, ThreadId};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::hash::Hasher as _;
 
-/// Exhaustive thread-permutation search is bounded by this thread count
-/// (7! = 5040 serializations); larger programs keep their thread order.
-/// The bound covers every generated family in the corpus (≤ 7 threads).
+/// The thread-order search is bounded by this thread count (at most
+/// 7! = 5040 orders); larger programs keep their thread order.
+///
+/// Every program of the 554-test corpus has at most 7 threads, but
+/// campaign drafts can have 8: 79 of the first 3,000 seed-1 drafts
+/// (2.6 %) do. They keep identity order, so they never share a cache
+/// entry or store record with a thread-permuted sibling. Raising the
+/// bound changes the canonical key of every such program, and with it
+/// the verdict store's keys.
 pub const PERM_SEARCH_MAX_THREADS: usize = 7;
 
 /// A program's canonical form with the coordinate maps back to the
@@ -184,40 +222,48 @@ impl Program {
     /// renaming; see the module docs for the exact quotient.
     pub fn canonicalize(&self) -> Canonical {
         let n = self.num_threads();
-        let identity: Vec<usize> = (0..n).collect();
-        type Best = Option<(Vec<u64>, Vec<usize>, BTreeMap<Addr, Addr>)>;
-        let mut best: Best = None;
-        let consider = |perm: &[usize], best: &mut Option<_>| {
-            let (key, addr_map) = serialize_under(self, perm);
-            let better = match best {
-                Some((best_key, _, _)) => key < *best_key,
-                None => true,
-            };
-            if better {
-                *best = Some((key, perm.to_vec(), addr_map));
-            }
-        };
-        if n <= PERM_SEARCH_MAX_THREADS {
-            let mut perm = identity;
-            permute(&mut perm, 0, &mut |p| consider(p, &mut best));
-        } else {
-            consider(&identity, &mut best);
-        }
-        let (key, perm, addr_map) = best.expect("at least the identity permutation considered");
+        let mut search = OrderSearch::run(self);
 
-        let mut hasher = FastHasher::default();
-        for &word in &key {
-            hasher.write_u64(word);
+        // Replay the winning order once for its address renames.
+        search.words.truncate(1);
+        search.renames.clear();
+        for i in 0..n {
+            search.place(search.best_order[i]);
         }
-        let fingerprint = hasher.finish();
+        debug_assert_eq!(search.words, search.best);
+        let mut addr_to_canon: Vec<(Addr, Addr)> = (0u64..)
+            .zip(&search.renames)
+            .map(|(c, &a)| (a, Addr(c)))
+            .collect();
+        addr_to_canon.sort_unstable();
+        let rename = |a: Addr| {
+            let i = addr_to_canon
+                .binary_search_by_key(&a, |&(o, _)| o)
+                .expect("every address was renamed");
+            addr_to_canon[i].1
+        };
 
         // Rebuild the canonical program from the winning permutation.
+        let perm = search.best_order;
         let mut canonical = Program::new();
         for &t in &perm {
             let instrs = self
                 .thread(ThreadId(t))
                 .iter()
-                .map(|&i| rename_instr(i, &addr_map))
+                .map(|&i| match i {
+                    Instr::Read(a) => Instr::Read(rename(a)),
+                    Instr::Write(a, v) => Instr::Write(rename(a), v),
+                    Instr::Rmw {
+                        addr,
+                        kind,
+                        atomicity,
+                    } => Instr::Rmw {
+                        addr: rename(addr),
+                        kind,
+                        atomicity,
+                    },
+                    Instr::Fence => Instr::Fence,
+                })
                 .collect();
             canonical.add_thread(instrs);
         }
@@ -242,10 +288,10 @@ impl Program {
 
         Canonical {
             program: canonical,
-            key,
-            fingerprint,
+            fingerprint: fingerprint(&search.best),
+            key: search.best,
             perm: perm.into_iter().map(ThreadId).collect(),
-            addr_to_canon: addr_map.into_iter().collect(),
+            addr_to_canon,
             read_map,
         }
     }
@@ -256,36 +302,21 @@ impl Program {
     ///
     /// This is the cheap path consumers that only need the identity should
     /// take (the campaign driver computes one per generated test to decide
-    /// `--shard i/n` membership): it runs the same minimum-serialization
-    /// search as [`Program::canonicalize`] but skips rebuilding the
-    /// canonical program and the coordinate maps.
+    /// `--shard i/n` membership): it runs the same thread-order search as
+    /// [`Program::canonicalize`] and hashes the winning serialization,
+    /// without rebuilding the canonical program or the coordinate maps.
     pub fn canonical_fingerprint(&self) -> u64 {
-        let n = self.num_threads();
-        let mut best: Option<Vec<u64>> = None;
-        let mut consider = |perm: &[usize]| {
-            let (key, _) = serialize_under(self, perm);
-            let better = match &best {
-                Some(b) => key < *b,
-                None => true,
-            };
-            if better {
-                best = Some(key);
-            }
-        };
-        if n <= PERM_SEARCH_MAX_THREADS {
-            let mut perm: Vec<usize> = (0..n).collect();
-            permute(&mut perm, 0, &mut consider);
-        } else {
-            let identity: Vec<usize> = (0..n).collect();
-            consider(&identity);
-        }
-        let key = best.expect("at least the identity permutation considered");
-        let mut hasher = FastHasher::default();
-        for &word in &key {
-            hasher.write_u64(word);
-        }
-        hasher.finish()
+        fingerprint(&OrderSearch::run(self).best)
     }
+}
+
+/// `fasthash` of a canonical serialization.
+fn fingerprint(key: &[u64]) -> u64 {
+    let mut hasher = FastHasher::default();
+    for &word in key {
+        hasher.write_u64(word);
+    }
+    hasher.finish()
 }
 
 fn thread_read_count(instrs: &[Instr]) -> usize {
@@ -295,72 +326,120 @@ fn thread_read_count(instrs: &[Instr]) -> usize {
         .count()
 }
 
-/// Serializes the program with threads in `perm` order and addresses
-/// renamed by first appearance; returns the word stream and the rename map.
-fn serialize_under(p: &Program, perm: &[usize]) -> (Vec<u64>, BTreeMap<Addr, Addr>) {
-    let mut addr_map: BTreeMap<Addr, Addr> = BTreeMap::new();
-    let mut next_addr = 0u64;
-    let mut canon_of = |a: Addr, map: &mut BTreeMap<Addr, Addr>| -> u64 {
-        map.entry(a)
-            .or_insert_with(|| {
-                let c = Addr(next_addr);
-                next_addr += 1;
-                c
-            })
-            .0
-    };
-    let mut words = Vec::with_capacity(p.num_instrs() * 4 + perm.len() + 1);
-    words.push(perm.len() as u64);
-    for &t in perm {
-        let instrs = p.thread(ThreadId(t));
+/// The branch-and-bound search for the least serialization over thread
+/// orders (see the module docs). Every buffer is allocated once, before
+/// the search.
+struct OrderSearch<'p> {
+    program: &'p Program,
+    /// `order[..k]` are the threads placed at depth `k`; the rest are the
+    /// unplaced threads, permuted in place by the swap enumeration.
+    order: Vec<usize>,
+    /// The thread count, then the segments of the placed threads.
+    words: Vec<u64>,
+    /// `renames[c]` is the original address named `c` by the placed
+    /// threads.
+    renames: Vec<Addr>,
+    /// The least complete serialization found so far, and the first order
+    /// (in enumeration order) that produces it.
+    best: Vec<u64>,
+    best_order: Vec<usize>,
+}
+
+impl<'p> OrderSearch<'p> {
+    /// Serializes the identity order as the initial best, then searches
+    /// every order if the program is within [`PERM_SEARCH_MAX_THREADS`].
+    fn run(program: &'p Program) -> Self {
+        let n = program.num_threads();
+        let mut search = OrderSearch {
+            program,
+            order: (0..n).collect(),
+            words: Vec::with_capacity(1 + 2 * n + 6 * program.num_instrs()),
+            renames: Vec::with_capacity(program.num_instrs()),
+            best: Vec::new(),
+            best_order: (0..n).collect(),
+        };
+        search.words.push(n as u64);
+        for t in 0..n {
+            search.place(t);
+        }
+        search.best.clone_from(&search.words);
+        if n <= PERM_SEARCH_MAX_THREADS {
+            search.words.truncate(1);
+            search.renames.clear();
+            search.descend(0, false);
+        }
+        search
+    }
+
+    /// Searches the orders that extend the placed prefix `order[..k]`
+    /// (its words in `words`). `below` says that prefix already serializes
+    /// strictly below the best's. Returns whether the best changed, which
+    /// makes the caller's `below` stale.
+    fn descend(&mut self, k: usize, mut below: bool) -> bool {
+        let n = self.order.len();
+        if k == n {
+            if below {
+                self.best.copy_from_slice(&self.words);
+                self.best_order.copy_from_slice(&self.order);
+            }
+            return below;
+        }
+        let mut replaced = false;
+        for i in k..n {
+            self.order.swap(k, i);
+            let (start, named) = (self.words.len(), self.renames.len());
+            self.place(self.order[k]);
+            let end = self.words.len();
+            let cmp = if below {
+                Ordering::Less
+            } else {
+                self.words[start..].cmp(&self.best[start..end])
+            };
+            if cmp != Ordering::Greater && self.descend(k + 1, cmp == Ordering::Less) {
+                // The new best shares this node's prefix.
+                replaced = true;
+                below = false;
+            }
+            self.words.truncate(start);
+            self.renames.truncate(named);
+            self.order.swap(k, i);
+        }
+        replaced
+    }
+
+    /// Appends thread `t`'s segment, naming its new addresses.
+    fn place(&mut self, t: usize) {
+        let instrs = self.program.thread(ThreadId(t));
+        let (words, renames) = (&mut self.words, &mut self.renames);
         words.push(u64::MAX); // unambiguous thread separator
         words.push(instrs.len() as u64);
         for &i in instrs {
             match i {
-                Instr::Read(a) => {
-                    words.push(1);
-                    words.push(canon_of(a, &mut addr_map));
-                }
-                Instr::Write(a, v) => {
-                    words.push(2);
-                    words.push(canon_of(a, &mut addr_map));
-                    words.push(v);
-                }
+                Instr::Read(a) => words.extend([1, name(renames, a)]),
+                Instr::Write(a, v) => words.extend([2, name(renames, a), v]),
                 Instr::Rmw {
                     addr,
                     kind,
                     atomicity,
                 } => {
-                    words.push(3);
-                    words.push(canon_of(addr, &mut addr_map));
                     let (k, a1, a2) = encode_kind(kind);
-                    words.push(k);
-                    words.push(a1);
-                    words.push(a2);
-                    words.push(atomicity_rank(atomicity));
+                    let rank = atomicity_rank(atomicity);
+                    words.extend([3, name(renames, addr), k, a1, a2, rank]);
                 }
                 Instr::Fence => words.push(4),
             }
         }
     }
-    (words, addr_map)
 }
 
-fn rename_instr(i: Instr, addr_map: &BTreeMap<Addr, Addr>) -> Instr {
-    match i {
-        Instr::Read(a) => Instr::Read(addr_map[&a]),
-        Instr::Write(a, v) => Instr::Write(addr_map[&a], v),
-        Instr::Rmw {
-            addr,
-            kind,
-            atomicity,
-        } => Instr::Rmw {
-            addr: addr_map[&addr],
-            kind,
-            atomicity,
-        },
-        Instr::Fence => Instr::Fence,
-    }
+/// The canonical name of `addr`: its position in `renames`, appended on
+/// first appearance.
+fn name(renames: &mut Vec<Addr>, addr: Addr) -> u64 {
+    let c = renames.iter().position(|&a| a == addr).unwrap_or_else(|| {
+        renames.push(addr);
+        renames.len() - 1
+    });
+    c as u64
 }
 
 fn encode_kind(kind: RmwKind) -> (u64, u64, u64) {
@@ -377,20 +456,6 @@ fn atomicity_rank(a: Atomicity) -> u64 {
         Atomicity::Type1 => 1,
         Atomicity::Type2 => 2,
         Atomicity::Type3 => 3,
-    }
-}
-
-/// Visits every permutation of `items` (Heap's-style recursive swap
-/// enumeration; deterministic order).
-fn permute(items: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k + 1 >= items.len() {
-        visit(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permute(items, k + 1, visit);
-        items.swap(k, i);
     }
 }
 
