@@ -11,7 +11,7 @@ use tso_sim::Machine;
 use workloads::Benchmark;
 
 fn main() {
-    let (cores, memops) = cli_scale();
+    let (cores, memops) = cli_scale("bloom_ablation");
     // dedup has the most distinct RMW addresses — the stress case.
     let bench = Benchmark::Dedup;
     println!("Bloom-filter ablation ({bench}, {cores} cores, {memops} memops/core)");

@@ -14,7 +14,7 @@ use tso_sim::Machine;
 use workloads::Benchmark;
 
 fn main() {
-    let (cores, memops) = cli_scale();
+    let (cores, memops) = cli_scale("dirlock_ablation");
     println!("Directory-locking ablation (type-3 RMWs, {cores} cores, {memops} memops/core)");
     println!(
         "{:<14} {:>18} {:>18} {:>10}",

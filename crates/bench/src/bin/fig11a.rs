@@ -9,7 +9,7 @@
 use bench::{cli_scale, fig11_sweep};
 
 fn main() {
-    let (cores, memops) = cli_scale();
+    let (cores, memops) = cli_scale("fig11a");
     println!("Fig 11(a): Cost of RMWs in cycles ({cores} cores, {memops} memops/core)");
     println!(
         "{:<14} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} | {:>9} {:>9}",

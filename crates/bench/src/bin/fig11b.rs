@@ -8,7 +8,7 @@
 use bench::{cli_scale, fig11_sweep};
 
 fn main() {
-    let (cores, memops) = cli_scale();
+    let (cores, memops) = cli_scale("fig11b");
     println!("Fig 11(b): RMW share of execution time ({cores} cores, {memops} memops/core)");
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>14} {:>14}",

@@ -13,7 +13,7 @@ use tso_sim::Machine;
 use workloads::Benchmark;
 
 fn main() {
-    let (cores, memops) = cli_scale();
+    let (cores, memops) = cli_scale("intro_latency");
     println!("Intro experiment: RMW latency with/without trailing mfence");
     println!("({cores} cores, {memops} memops/core, radiosity-profile workload)");
     println!(

@@ -11,7 +11,7 @@ use rmw_types::Atomicity;
 use workloads::Benchmark;
 
 fn main() {
-    let (cores, memops) = cli_scale();
+    let (cores, memops) = cli_scale("table3");
     println!("Table 3: Benchmark Characteristics ({cores} cores, {memops} memops/core)");
     println!(
         "{:<14} {:>16} {:>10} {:>22} {:>20}",

@@ -28,23 +28,50 @@ pub const DEFAULT_MEMOPS: usize = 20_000;
 /// Seed used by all experiments (results are deterministic).
 pub const SEED: u64 = 0xD15EA5E;
 
-/// Parses `[cores] [memops]` from the command line with defaults.
-pub fn cli_scale() -> (usize, usize) {
-    let mut args = std::env::args().skip(1);
-    let cores = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(DEFAULT_CORES);
-    let memops = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(DEFAULT_MEMOPS);
-    (cores, memops)
+/// Parses the command line of the paper-artifact binaries (`table3`,
+/// `fig11a`, `fig11b`, `intro_latency`, `bloom_ablation`,
+/// `dirlock_ablation`): `[cores] [memops-per-core]`, defaulting to
+/// [`DEFAULT_CORES`] × [`DEFAULT_MEMOPS`]. `--help` or a malformed
+/// argument prints usage for binary `name` and exits with status 2.
+pub fn cli_scale(name: &str) -> (usize, usize) {
+    parse_scale(std::env::args().skip(1))
+        .unwrap_or_else(|complaint| usage(name, &complaint, "[cores] [memops-per-core]"))
+}
+
+/// Parses `[cores] [memops-per-core]`: at most two positive integers.
+/// The error is the complaint to print (empty for `--help`).
+fn parse_scale(args: impl IntoIterator<Item = String>) -> Result<(usize, usize), String> {
+    let mut scale = [
+        ("cores", DEFAULT_CORES),
+        ("memops-per-core", DEFAULT_MEMOPS),
+    ];
+    for (i, arg) in args.into_iter().enumerate() {
+        if arg == "--help" || arg == "-h" {
+            return Err(String::new());
+        }
+        let (what, value) = scale
+            .get_mut(i)
+            .ok_or_else(|| format!("unexpected argument {arg}"))?;
+        *value = match arg.parse() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("{what} must be a positive integer, got {arg}")),
+        };
+    }
+    Ok((scale[0].1, scale[1].1))
+}
+
+/// Prints `complaint` (unless empty) and `usage: NAME SYNOPSIS`, then
+/// exits with status 2 — the one usage path of every binary here.
+fn usage(name: &str, complaint: &str, synopsis: &str) -> ! {
+    if !complaint.is_empty() {
+        eprintln!("{name}: {complaint}");
+    }
+    eprintln!("usage: {name} {synopsis}");
+    std::process::exit(2);
 }
 
 /// The command line of the sweep binaries (`model_scaling`,
-/// `sim_scaling`, `harness_scaling`, `workload_zoo`):
-/// `[--smoke] [--out PATH]`.
+/// `sim_scaling`, `workload_zoo`): `[--smoke] [--out PATH]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
     /// `--smoke`: the fast subset CI runs.
@@ -58,13 +85,8 @@ impl SweepArgs {
     /// defaults to `default_out`. `--help`, an unknown argument, or an
     /// `--out` without a value prints usage and exits with status 2.
     pub fn from_env(name: &str, default_out: &str) -> SweepArgs {
-        SweepArgs::parse(std::env::args().skip(1), default_out).unwrap_or_else(|complaint| {
-            if !complaint.is_empty() {
-                eprintln!("{name}: {complaint}");
-            }
-            eprintln!("usage: {name} [--smoke] [--out PATH]");
-            std::process::exit(2);
-        })
+        SweepArgs::parse(std::env::args().skip(1), default_out)
+            .unwrap_or_else(|complaint| usage(name, &complaint, "[--smoke] [--out PATH]"))
     }
 
     /// Parses `args`. The error is the complaint to print (empty for
@@ -154,8 +176,8 @@ pub fn f(v: f64) -> String {
     format!("{v:8.2}")
 }
 
-/// Model-search scaling shapes shared by the `model_search` criterion bench
-/// and the `model_scaling` experiment binary (`BENCH_model.json`).
+/// Model-search scaling shapes of the `model_scaling` experiment binary
+/// (`BENCH_model.json`).
 pub mod model_shapes {
     use rmw_types::{Addr, Atomicity, RmwKind};
     use tso_model::{Program, ProgramBuilder};
@@ -259,6 +281,29 @@ mod tests {
             Err("unknown argument --smok".to_owned())
         );
         assert!(parse(&["--out"]).is_err());
+        assert_eq!(parse(&["--help"]), Err(String::new()));
+    }
+
+    #[test]
+    fn scale_args_are_strict() {
+        let parse = |args: &[&str]| parse_scale(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok((DEFAULT_CORES, DEFAULT_MEMOPS)));
+        assert_eq!(parse(&["2"]), Ok((2, DEFAULT_MEMOPS)));
+        assert_eq!(parse(&["2", "500"]), Ok((2, 500)));
+        // A typo must not silently run the 8 x 20000 default.
+        assert_eq!(
+            parse(&["2", "5OO"]),
+            Err("memops-per-core must be a positive integer, got 5OO".to_owned())
+        );
+        assert_eq!(
+            parse(&["0", "10"]),
+            Err("cores must be a positive integer, got 0".to_owned())
+        );
+        assert!(parse(&["2", "0"]).is_err());
+        assert_eq!(
+            parse(&["2", "200", "extra"]),
+            Err("unexpected argument extra".to_owned())
+        );
         assert_eq!(parse(&["--help"]), Err(String::new()));
     }
 

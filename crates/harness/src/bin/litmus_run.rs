@@ -12,7 +12,8 @@
 //! Flags (corpus mode, the default):
 //!
 //! * `--filter SUBSTR` — run only tests whose name contains `SUBSTR`;
-//! * `--jobs N` — worker threads (default: available parallelism);
+//! * `--jobs N` — worker threads, at least 1 (default: available
+//!   parallelism);
 //! * `--smoke` — small-program subset (capped), for CI; the reported
 //!   `corpus_total` still counts the full corpus;
 //! * `--machine small|paper|128|256` — differential side on the per-test
@@ -128,6 +129,18 @@ fn next_parsed<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag
     })
 }
 
+/// The next argument parsed as a `--jobs` value, a worker count of at
+/// least 1, or die with usage.
+fn next_jobs(it: &mut impl Iterator<Item = String>) -> usize {
+    match next_parsed(it, "--jobs") {
+        0 => {
+            eprintln!("--jobs must be at least 1");
+            usage()
+        }
+        jobs => jobs,
+    }
+}
+
 /// The next argument parsed as a `--machine` value, or die with usage.
 fn next_machine(it: &mut impl Iterator<Item = String>) -> MachineKind {
     MachineKind::parse(&next_value(it, "--machine")).unwrap_or_else(|| {
@@ -179,7 +192,7 @@ fn parse_corpus_args(rest: Vec<String>) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--filter" => args.filter = Some(next_value(&mut it, "--filter")),
-            "--jobs" => args.jobs = next_parsed(&mut it, "--jobs"),
+            "--jobs" => args.jobs = next_jobs(&mut it),
             "--smoke" => args.smoke = true,
             "--format" => args.format = next_value(&mut it, "--format"),
             "--out" => args.out = Some(next_value(&mut it, "--out")),
@@ -337,7 +350,7 @@ fn campaign_main(argv: Vec<String>) {
                 cfg.shard = shard;
                 cfg.shards = shards;
             }
-            "--jobs" => cfg.jobs = next_parsed(&mut it, "--jobs"),
+            "--jobs" => cfg.jobs = next_jobs(&mut it),
             "--chunk" => cfg.chunk = next_parsed(&mut it, "--chunk"),
             "--store" => cfg.store_path = Some(PathBuf::from(next_value(&mut it, "--store"))),
             "--no-store" => cfg.store_path = None,

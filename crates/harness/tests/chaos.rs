@@ -266,9 +266,9 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
     let common = [
         "campaign",
         "--count",
-        "30",
+        "200",
         "--chunk",
-        "5",
+        "32",
         "--seed",
         "42",
         "--jobs",
@@ -291,12 +291,16 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
         .unwrap();
     assert!(control.status.success(), "clean control run passes");
     let control = report_of(&control.stdout);
+    let flag = |report: &Value, key: &str| report.get(key).and_then(Value::as_bool);
+    assert_eq!(flag(&control, "passed"), Some(true));
     assert_eq!(
-        control.get("degraded").and_then(Value::as_bool),
+        flag(&control, "degraded"),
         Some(false),
         "a clean run is not degraded"
     );
-    assert_eq!(number(&control, "crashed"), Some(0));
+    for key in ["crashed", "checkpoint_errors", "faults_fired"] {
+        assert_eq!(number(&control, key), Some(0), "clean control: {key}");
+    }
     let control_digest = number(&control, "digest").expect("campaign report has a digest");
     let _ = std::fs::remove_file(&control_ckpt);
 
@@ -333,6 +337,16 @@ fn kill_resume_under_random_faults_converges_to_the_clean_digest() {
         Some(control_digest),
         "kill/resume under faults reproduces the clean digest exactly"
     );
-    assert_eq!(number(&final_report, "crashed"), Some(0));
+    assert_eq!(flag(&final_report, "complete"), Some(true));
+    assert_eq!(flag(&final_report, "passed"), Some(true));
+    for key in ["crashed", "model_failures", "differential_disagreements"] {
+        assert_eq!(
+            number(&final_report, key),
+            Some(0),
+            "faults lose checkpoints and processes, never answers: {key}"
+        );
+    }
+    assert_eq!(number(&final_report, "processed"), Some(200));
+    assert_eq!(number(&control, "processed"), Some(200));
     let _ = std::fs::remove_file(&chaos_ckpt);
 }

@@ -34,8 +34,10 @@ pub struct SimConfig {
     pub write_buffer_entries: usize,
     /// Maximum outstanding write-buffer coherence requests (MSHR-style
     /// pipelining). Acceptance — and hence visibility — stays FIFO; only
-    /// the request round-trips overlap. During a parallel drain the whole
-    /// buffer is in flight regardless of this limit.
+    /// the request round-trips overlap. While an RMW drains the buffer
+    /// the whole buffer is in flight regardless of this limit: the
+    /// drained writes send their read-exclusives in parallel
+    /// (Gharachorloo), as the paper's Table 2 baseline does.
     pub wb_outstanding: usize,
     /// Which RMW implementation the machine uses.
     pub rmw_atomicity: Atomicity,
@@ -53,9 +55,6 @@ pub struct SimConfig {
     /// lines (ablation: `false` falls back to acquiring exclusive
     /// ownership, i.e. the type-2 path).
     pub directory_locking: bool,
-    /// Issue read-exclusives for all drained writes in parallel
-    /// (Gharachorloo; the paper's baseline does this).
-    pub parallel_drain: bool,
     /// Insert a full fence after every RMW (the §1 hypothesis experiment).
     pub fence_after_rmw: bool,
     /// Declare deadlock after this many cycles without any core making
@@ -90,7 +89,6 @@ impl SimConfig {
             bloom_enabled: true,
             bloom_reset_threshold: None,
             directory_locking: true,
-            parallel_drain: true,
             fence_after_rmw: false,
             deadlock_threshold: 2_000_000,
             max_cycles: u64::MAX,
@@ -138,7 +136,6 @@ impl SimConfig {
             bloom_enabled: true,
             bloom_reset_threshold: None,
             directory_locking: true,
-            parallel_drain: true,
             fence_after_rmw: false,
             deadlock_threshold: 100_000,
             max_cycles: u64::MAX,
@@ -205,7 +202,6 @@ mod tests {
         assert_eq!(c.coherence.memory_latency, 300);
         assert_eq!(c.bloom_bytes, 128);
         assert_eq!(c.bloom_hashes, 3);
-        assert!(c.parallel_drain);
         assert!(c.validate().is_ok());
         assert_eq!(c, SimConfig::default());
     }

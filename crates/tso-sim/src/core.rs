@@ -301,8 +301,7 @@ impl Core {
     /// empty buffer. Called only after a tick that changed something —
     /// these conditions can only arise from acting ticks.
     fn arm_followup(&mut self, now: Cycle, shared: &mut Shared, config: &SimConfig) {
-        let eager = config.parallel_drain && self.draining_for_rmw();
-        let window = if eager {
+        let window = if self.draining_for_rmw() {
             self.wb.len()
         } else {
             config.wb_outstanding.min(self.wb.len())
@@ -673,8 +672,9 @@ impl Core {
     }
 
     /// Sends coherence requests for write-buffer entries and pops completed
-    /// heads. During a parallel drain every entry's request is in flight at
-    /// once; otherwise only the head's.
+    /// heads. While an RMW drains the buffer every entry's request is in
+    /// flight at once (the Table 2 baseline's parallel drain, after
+    /// Gharachorloo); otherwise at most `wb_outstanding` are.
     ///
     /// A request is *sent* (after `request_latency` it arrives at the home
     /// directory), then *accepted* (the line was not locked: the write
@@ -691,8 +691,7 @@ impl Core {
             return false;
         }
         let mut changed = false;
-        let eager = config.parallel_drain && self.draining_for_rmw();
-        let issue_count = if eager {
+        let issue_count = if self.draining_for_rmw() {
             self.wb.len()
         } else {
             config.wb_outstanding.min(self.wb.len())
