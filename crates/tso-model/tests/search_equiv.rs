@@ -17,14 +17,19 @@
 //! "Agree" is stronger than matching verdicts: the *full outcome sets*
 //! (read values and final memory) must be equal, and the early-exit
 //! variant must agree with set membership for every target.
+//!
+//! A last test pins the search's own decision-tree counters
+//! ([`tso_model::SearchStats`]) on a fixed program set, so a change to how
+//! the search prunes or undoes shows up even when the outcomes agree.
 
 use proptest::prelude::*;
 use rmw_types::{Addr, Atomicity, RmwKind, Value};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use tso_model::{
-    allowed_outcomes, check_validity, enumerate_candidates, for_each_valid_execution,
-    outcome_allowed, Instr, Outcome, Program, ProgramBuilder,
+    allowed_outcomes, allowed_outcomes_with_stats, check_validity, enumerate_candidates,
+    for_each_valid_execution, outcome_allowed, Instr, Outcome, Program, ProgramBuilder,
+    SearchStats,
 };
 
 /// Asserts full agreement between the two engines on one program.
@@ -119,6 +124,45 @@ fn dekker_rmw_shapes_engines_agree() {
             assert_engines_agree(&name, &b.build());
         }
     }
+}
+
+#[test]
+fn decision_tree_counters_are_pinned() {
+    // Both corpora and seed-1 campaign drafts 0..100, each as written and
+    // under its three atomicity rewrites: 516 programs. The sums were
+    // recorded from the search with per-edge reachability probes and
+    // edge-log undo; any later search must walk the same tree.
+    let mut programs: Vec<Program> = litmus::classic::all()
+        .into_iter()
+        .chain(litmus::paper::all())
+        .map(|t| t.program)
+        .collect();
+    programs.extend((0..100).map(|i| litmus::gen::campaign_draft(1, i).program));
+    let mut total = SearchStats::default();
+    let mut outcomes = 0;
+    let mut runs = 0;
+    for p in &programs {
+        let rewrites = Atomicity::ALL.map(|a| p.with_atomicity(a));
+        for q in std::iter::once(p).chain(&rewrites) {
+            let (set, stats) = allowed_outcomes_with_stats(q);
+            total.absorb(&stats);
+            outcomes += set.len();
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 516);
+    assert_eq!(
+        (
+            total.nodes,
+            total.pruned,
+            total.complete,
+            total.valid,
+            outcomes
+        ),
+        (126_820, 10_496, 61_716, 39_870, 30_408),
+        "decision-tree counters moved: {total:?}, {outcomes} outcomes"
+    );
+    assert!(!total.stopped_early && !total.budget_exhausted);
 }
 
 /// Generates a small random instruction.
