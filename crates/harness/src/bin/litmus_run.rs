@@ -372,6 +372,10 @@ fn campaign_main(argv: Vec<String>) {
     if !checkpoint_set {
         cfg.checkpoint_path = PathBuf::from(default_checkpoint_name(cfg.shard, cfg.shards));
     }
+    if let Some(problem) = cfg.problem() {
+        eprintln!("{problem}");
+        usage();
+    }
 
     eprintln!(
         "litmus_run campaign: shard {}/{} of {} drafts (seed {}), chunk {}, {} jobs, {} machine{}{}",

@@ -85,7 +85,7 @@ pub struct CampaignConfig {
     /// Resume from the checkpoint instead of starting at index 0.
     pub resume: bool,
     /// Test hook: stop (checkpointed) after this many chunks, simulating
-    /// a kill. `None` runs to completion.
+    /// a kill; must be positive. `None` runs to completion.
     pub max_chunks: Option<u64>,
 }
 
@@ -105,6 +105,24 @@ impl CampaignConfig {
             checkpoint_path: PathBuf::from(default_checkpoint_name(0, 1)),
             resume: false,
             max_chunks: None,
+        }
+    }
+
+    /// Why this configuration cannot run, or `None` when it can: the shard
+    /// must lie in `0..shards`, and `chunk` and `max_chunks` must be
+    /// positive.
+    pub fn problem(&self) -> Option<String> {
+        if self.shards == 0 || self.shard >= self.shards {
+            Some(format!(
+                "shard {} out of range for {} shards",
+                self.shard, self.shards
+            ))
+        } else if self.chunk == 0 {
+            Some("chunk size must be positive".to_owned())
+        } else if self.max_chunks == Some(0) {
+            Some("max_chunks must be positive".to_owned())
+        } else {
+            None
         }
     }
 }
@@ -423,14 +441,8 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
 /// persistence hook for the duration of the run and uninstalled before
 /// returning (replacing any previously installed store).
 pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
-    if cfg.shards == 0 || cfg.shard >= cfg.shards {
-        return invalid(format!(
-            "shard {} out of range for {} shards",
-            cfg.shard, cfg.shards
-        ));
-    }
-    if cfg.chunk == 0 {
-        return invalid("chunk size must be positive".to_owned());
+    if let Some(problem) = cfg.problem() {
+        return invalid(problem);
     }
 
     // Graceful degradation: a store that fails to open costs persistence
@@ -803,5 +815,8 @@ mod tests {
         let mut cfg = CampaignConfig::new(1, 10);
         cfg.chunk = 0;
         assert!(run_campaign(&cfg).is_err(), "zero chunk");
+        let mut cfg = CampaignConfig::new(1, 10);
+        cfg.max_chunks = Some(0);
+        assert!(run_campaign(&cfg).is_err(), "zero max_chunks");
     }
 }

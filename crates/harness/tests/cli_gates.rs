@@ -248,6 +248,8 @@ fn malformed_command_lines_are_usage_errors() {
         "--smoke --jobs 0 --format json",
         "campaign --jobs 0",
         "campaign --shard 2/2",
+        "campaign --chunk 0",
+        "campaign --max-chunks 0",
         "--format xml",
         "--no-such-flag",
     ] {
