@@ -1,6 +1,7 @@
 //! A small dense directed graph over event indices, with the operations the
 //! validity checker needs: acyclicity, reachability, topological order, and
-//! a transitive closure that can be kept closed one edge at a time.
+//! a transitive closure that can be kept closed (and acyclic) one edge at a
+//! time and restored from a snapshot.
 //!
 //! Litmus-scale executions have tens of events, so an adjacency-matrix
 //! representation (bit rows) is both simple and fast.
@@ -210,6 +211,39 @@ impl DiGraph {
         }
     }
 
+    /// Inserts `u → v` into a transitively closed graph unless the edge
+    /// would close a cycle, and keeps the graph closed. Returns false, and
+    /// leaves the graph untouched, when `u == v` or `v` already reaches
+    /// `u`; an edge already implied (`u` reaches `v`) changes nothing.
+    /// Otherwise this is [`DiGraph::close_edge`]. Either way the cycle
+    /// test is one bit, so an acyclic closure stays acyclic for the price
+    /// of a lookup per refused edge. Does not allocate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range.
+    pub fn close_edge_acyclic(&mut self, u: usize, v: usize) -> bool {
+        if u == v || self.has_edge(v, u) {
+            return false;
+        }
+        if !self.has_edge(u, v) {
+            self.close_edge(u, v);
+        }
+        true
+    }
+
+    /// Overwrites `self` with `other`'s edges without allocating: the undo
+    /// step of a search that snapshots a graph before a decision and
+    /// restores it after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graphs have different node counts.
+    pub fn copy_from(&mut self, other: &DiGraph) {
+        assert_eq!(self.n, other.n, "graph size mismatch");
+        self.rows.copy_from_slice(&other.rows);
+    }
+
     /// All edges as `(u, v)` pairs (ascending `u`, then `v`).
     pub fn edges(&self) -> Vec<(usize, usize)> {
         (0..self.n)
@@ -371,16 +405,32 @@ mod tests {
     fn close_edge_matches_recomputed_closure() {
         // Insert random edges one at a time into a closed graph (cycles
         // included) and compare against a closure of the whole graph, on
-        // single- and multi-word rows.
+        // single- and multi-word rows. Alongside, the acyclic insert
+        // refuses exactly the self-loops and the edges whose target
+        // already reaches their source, leaves the graph untouched when it
+        // refuses, and otherwise closes the same graph; `copy_from` then
+        // restores the snapshot taken before the insert.
         let mut seed = 0x2545_f491_4f6c_dd1d;
         for n in [2, 9, 63, 64, 65, 130] {
             for _ in 0..4 {
                 let mut g = random_graph(n, &mut seed);
                 let mut closed = g.transitive_closure();
+                let mut snapshot = DiGraph::new(n);
                 for (u, v) in random_graph(n, &mut seed).edges().into_iter().take(12) {
+                    let mut probe = closed.clone();
+                    snapshot.copy_from(&probe);
+                    let accepted = probe.close_edge_acyclic(u, v);
+                    assert_eq!(accepted, u != v && !g.reaches(v, u), "n={n} ({u},{v})");
                     g.add_edge(u, v);
                     closed.close_edge(u, v);
                     assert_eq!(closed, g.transitive_closure(), "n={n} after ({u},{v})");
+                    if accepted {
+                        assert_eq!(probe, closed, "n={n} accepted ({u},{v})");
+                    } else {
+                        assert_eq!(probe, snapshot, "n={n} refused ({u},{v})");
+                    }
+                    probe.copy_from(&snapshot);
+                    assert_eq!(probe, snapshot, "n={n} restore after ({u},{v})");
                 }
             }
         }

@@ -28,13 +28,28 @@
 //!
 //! All three checks are *sound* for pruning: a completion only ever adds
 //! edges to the partial graphs, so a cyclic partial state can never reach
-//! a valid leaf. At a complete assignment the remaining existential — the
-//! per-RMW atomicity disjunctions — is decided on a reachability closure
-//! of the incremental `com ∪ ppo ∪ bar` graph with unit propagation
-//! ([`crate::validity`]) *before* values are resolved or an execution is
-//! assembled, so an invalid leaf costs no allocation beyond the closure.
-//! The set of executions yielded here is *identical* to filtering the
-//! legacy enumeration with `check_validity` (the reference solver).
+//! a valid leaf.
+//!
+//! # Closed graphs
+//!
+//! The three graphs are kept transitively closed from the root down (the
+//! context closes the fixed part once per program), so each one is its own
+//! reachability relation. An edge `u → v` closes a cycle iff bit `(v, u)`
+//! is set: every probe is one bit test, and an accepted edge is folded in
+//! with [`DiGraph::close_edge`] (incremental transitive closure, after
+//! Italiano, "Amortized efficiency of a path retrieval data structure",
+//! TCS 48, 1986). Backtracking keeps no edge log: each decision level
+//! snapshots the graphs' rows once into a per-depth slot and copies them
+//! back after every child. A pruned branch costs the inserts made before
+//! the refused edge, one bit test for that edge, and one row copy.
+//!
+//! At a complete assignment the remaining existential — the per-RMW
+//! atomicity disjunctions — is decided with unit propagation on a copy of
+//! the closed `com ∪ ppo ∪ bar` ([`crate::validity`]) *before* values are
+//! resolved or an execution is assembled, so an invalid leaf costs that
+//! copy and no closure. The set of executions yielded here is *identical*
+//! to filtering the legacy enumeration with `check_validity` (the
+//! reference solver).
 //!
 //! Valid executions are yielded through a visitor
 //! ([`for_each_valid_execution`]); returning [`ControlFlow::Break`] stops
@@ -47,7 +62,8 @@
 //! immutable per-program context), `run_ctx_budgeted` (the sequential DFS
 //! with optional complete-leaf recording and an optional query budget),
 //! and `run_prefix` (replay one recorded full-depth leaf path straight to
-//! its leaf, re-solving only the atomicity disjunctions).
+//! its leaf through the same acyclic insert, re-solving only the atomicity
+//! disjunctions).
 
 use crate::budget::QueryBudget;
 use crate::event::{EventId, RmwHalf};
@@ -193,14 +209,42 @@ pub(crate) struct SearchCtx {
     reads: Vec<EventId>,
     rf_choices: Vec<Vec<EventId>>,
     disjuncts: Vec<Disjunct>,
-    /// `ppo ∪ bar` plus the fixed init→write `ws` edges.
-    base_ghb: DiGraph,
-    /// `po-loc` plus the fixed init→write `ws` edges.
-    base_uni: DiGraph,
-    /// Each RMW's internal `Ra → Wa` value dependency.
-    base_dep: DiGraph,
+    /// The graphs' fixed part, transitively closed: `ghb` holds
+    /// `ppo ∪ bar` and `uni` holds `po-loc`, each plus the fixed
+    /// init→write `ws` edges; `dep` holds each RMW's internal `Ra → Wa`.
+    base: Graphs,
     /// Per-location serializations holding just the init writes.
     base_ws: BTreeMap<Addr, Vec<EventId>>,
+}
+
+/// The three graphs the search grows edge by edge, each kept transitively
+/// closed and acyclic: a cycle probe is one bit test, and undo restores a
+/// snapshot.
+#[derive(Clone)]
+struct Graphs {
+    /// `com ∪ ppo ∪ bar` (`ValidOnly` mode).
+    ghb: DiGraph,
+    /// `com ∪ po-loc` — the uniproc check (`ValidOnly` mode).
+    uni: DiGraph,
+    /// Value dependencies: `rf` edges into RMW reads plus each RMW's
+    /// `Ra → Wa`.
+    dep: DiGraph,
+}
+
+impl Graphs {
+    fn copy_from(&mut self, other: &Graphs) {
+        self.ghb.copy_from(&other.ghb);
+        self.uni.copy_from(&other.uni);
+        self.dep.copy_from(&other.dep);
+    }
+
+    /// Adds the `com` edge `u → v` to `ghb` and `uni` (it may already be
+    /// implied by `ppo`, `bar`, `po-loc` or earlier edges); false when it
+    /// would close a cycle in either.
+    fn add_com(&mut self, u: EventId, v: EventId) -> bool {
+        let (u, v) = (u.index(), v.index());
+        self.ghb.close_edge_acyclic(u, v) && self.uni.close_edge_acyclic(u, v)
+    }
 }
 
 /// Builds the search context for the valid-only (pruned) engine — the
@@ -257,7 +301,7 @@ impl SearchCtx {
         // Fixed graph parts. The init write precedes every other write of
         // its location in every candidate, so those `ws` edges are part of
         // the base.
-        let (base_ghb, base_uni) = if mode == Mode::ValidOnly {
+        let (ghb, uni) = if mode == Mode::ValidOnly {
             let mut ghb = ppo_graph_of(&events);
             ghb.union_with(&bar_graph_of(&events));
             let mut uni = poloc_graph_of(&events);
@@ -267,14 +311,15 @@ impl SearchCtx {
                     uni.add_edge(init.index(), w.index());
                 }
             }
-            (ghb, uni)
+            (ghb.transitive_closure(), uni.transitive_closure())
         } else {
             (DiGraph::new(n), DiGraph::new(n))
         };
 
         // Value dependencies internal to each RMW: Wa's value is computed
-        // from what Ra read.
-        let mut base_dep = DiGraph::new(n);
+        // from what Ra read. No `Wa` has an outgoing edge here, so these
+        // edges are already closed.
+        let mut dep = DiGraph::new(n);
         {
             let mut ra_of: BTreeMap<usize, EventId> = BTreeMap::new();
             for e in &events {
@@ -287,7 +332,7 @@ impl SearchCtx {
             for e in &events {
                 if let Some(l) = e.rmw {
                     if l.half == RmwHalf::Write {
-                        base_dep.add_edge(ra_of[&l.rmw_id.0].index(), e.id.index());
+                        dep.add_edge(ra_of[&l.rmw_id.0].index(), e.id.index());
                     }
                 }
             }
@@ -314,9 +359,7 @@ impl SearchCtx {
             reads,
             rf_choices,
             disjuncts,
-            base_ghb,
-            base_uni,
-            base_dep,
+            base: Graphs { ghb, uni, dep },
             base_ws,
         }
     }
@@ -376,7 +419,7 @@ pub(crate) fn run_ctx_budgeted(
     search.leaves = leaves;
     search.budget = budget;
     // A `Break` here is just the early exit reaching the root.
-    let _ = search.search_ws(0);
+    let _ = search.search_ws(0, 0);
     search.stats
 }
 
@@ -386,45 +429,34 @@ pub(crate) fn run_ctx_budgeted(
 /// nodes, one `complete`, with the atomicity disjunctions solved for
 /// *this* context's program. That is exactly how a certificate's leaves
 /// answer a sibling program.
+///
+/// The edges go in through the same acyclic insert as in the search. A
+/// path on which one is refused is a leaf a fresh search of this program
+/// would have pruned: it still counts as `complete` (as it did in the
+/// certificate), but nothing is yielded.
 pub(crate) fn run_prefix(
     sc: &SearchCtx,
     leaf: &Prefix,
     visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
 ) -> SearchStats {
     let mut search = Search::new(sc, visitor);
-    // Decision order fills locations in address order, so each
-    // location's serialization is the next `writes.len()` entries.
-    let mut placements = leaf.ws.iter().copied();
-    for loc in &sc.locs {
-        let order: Vec<EventId> = placements.by_ref().take(loc.writes.len()).collect();
-        for (k, &w) in order.iter().enumerate() {
-            let mut added = Vec::new();
-            for &u in &order[k + 1..] {
-                search.add_com_edge(w, u, &mut added);
-            }
-        }
-        search
-            .ws
-            .get_mut(&loc.addr)
-            .expect("ws has every addr")
-            .extend(order);
+    if search.replay(leaf) {
+        let _ = search.complete();
+    } else {
+        search.stats.complete += 1;
     }
-    for (ri, &w) in leaf.rf.iter().enumerate() {
-        let mut added = Vec::new();
-        search.push_rf(ri, w, &mut added);
-    }
-    let _ = search.complete();
     search.stats
 }
 
 struct Search<'a> {
     sc: &'a SearchCtx,
-    /// `com ∪ ppo ∪ bar`, maintained incrementally (`ValidOnly` mode).
-    ghb: DiGraph,
-    /// `com ∪ po-loc` — the uniproc check (`ValidOnly` mode).
-    uni: DiGraph,
-    /// Value-dependency graph: `rf` edges plus each RMW's `Ra → Wa`.
-    dep: DiGraph,
+    /// The closed graphs of the current partial assignment.
+    graphs: Graphs,
+    /// `saved[d]` holds `graphs` as they were on entry to the decision
+    /// level at depth `d` of the current path; each level restores it
+    /// after every child. Slots are allocated the first time a depth is
+    /// reached and reused after.
+    saved: Vec<Graphs>,
     ws: BTreeMap<Addr, Vec<EventId>>,
     rf: BTreeMap<EventId, EventId>,
     stats: SearchStats,
@@ -454,9 +486,8 @@ impl<'a> Search<'a> {
     ) -> Self {
         Search {
             sc,
-            ghb: sc.base_ghb.clone(),
-            uni: sc.base_uni.clone(),
-            dep: sc.base_dep.clone(),
+            graphs: sc.base.clone(),
+            saved: Vec::new(),
             ws: sc.base_ws.clone(),
             rf: BTreeMap::new(),
             stats: SearchStats::default(),
@@ -489,68 +520,87 @@ impl<'a> Search<'a> {
         false
     }
 
+    /// Snapshots the graphs into the slot of decision depth `depth`.
+    fn save(&mut self, depth: usize) {
+        match self.saved.get_mut(depth) {
+            Some(slot) => slot.copy_from(&self.graphs),
+            None => {
+                debug_assert_eq!(self.saved.len(), depth, "depths are entered in order");
+                self.saved.push(self.graphs.clone());
+            }
+        }
+    }
+
+    /// Restores the graphs from the slot of decision depth `depth`.
+    fn restore(&mut self, depth: usize) {
+        self.graphs.copy_from(&self.saved[depth]);
+    }
+
     /// DFS level 1: serialize the writes of location `li` (then recurse to
-    /// the next location, then to `rf` assignment).
-    fn search_ws(&mut self, li: usize) -> ControlFlow<()> {
+    /// the next location, then to `rf` assignment). `depth` counts the
+    /// decisions already on the path.
+    fn search_ws(&mut self, li: usize, depth: usize) -> ControlFlow<()> {
         let Some(loc) = self.sc.locs.get(li) else {
-            return self.search_rf(0);
+            return self.search_rf(0, depth);
         };
         let mut remaining = loc.writes.clone();
-        self.place_writes(li, &mut remaining)
+        self.place_writes(li, &mut remaining, depth)
     }
 
     /// Chooses the next write in location `li`'s serialization among
     /// `remaining`, committing the implied `ws` edges incrementally.
-    fn place_writes(&mut self, li: usize, remaining: &mut Vec<EventId>) -> ControlFlow<()> {
+    fn place_writes(
+        &mut self,
+        li: usize,
+        remaining: &mut Vec<EventId>,
+        depth: usize,
+    ) -> ControlFlow<()> {
         if remaining.is_empty() {
-            return self.search_ws(li + 1);
+            return self.search_ws(li + 1, depth);
         }
         let addr = self.sc.locs[li].addr;
+        self.save(depth);
         for i in 0..remaining.len() {
             if self.should_stop() {
                 return ControlFlow::Break(());
             }
             let w = remaining.remove(i);
             self.stats.nodes += 1;
-            // Placing `w` next means `w` precedes every still-unplaced
-            // write of this location in every completion of this branch.
-            // (Edges from the already-placed prefix to `w` were added when
-            // those writes were placed; init → `w` is in the base.)
-            let mut added = Vec::new();
-            if self.sc.mode == Mode::ValidOnly {
-                for &u in remaining.iter() {
-                    self.add_com_edge(w, u, &mut added);
-                }
-            }
+            let viable = self.sc.mode == Mode::AllCandidates || self.precede(w, remaining);
             self.ws.get_mut(&addr).expect("ws has every addr").push(w);
 
-            let viable = self.sc.mode == Mode::AllCandidates || self.still_acyclic(&added);
             let flow = if viable {
-                self.place_writes(li, remaining)
+                self.place_writes(li, remaining, depth + 1)
             } else {
                 self.stats.pruned += 1;
                 ControlFlow::Continue(())
             };
 
             self.ws.get_mut(&addr).expect("ws has every addr").pop();
-            self.remove_com_edges(&added);
+            self.restore(depth);
             remaining.insert(i, w);
             flow?;
         }
         ControlFlow::Continue(())
     }
 
+    /// Places `w` before every write in `later`. Placing `w` next means
+    /// `w` precedes every still-unplaced write of its location in every
+    /// completion of this branch. (Edges from the already-placed prefix to
+    /// `w` were added when those writes were placed; init → `w` is in the
+    /// base.) False when an edge would close a cycle.
+    fn precede(&mut self, w: EventId, later: &[EventId]) -> bool {
+        later.iter().all(|&u| self.graphs.add_com(w, u))
+    }
+
     /// DFS level 2: assign a reads-from source to read `ri` (all `ws`
     /// serializations are complete at this point, so the choice fixes the
     /// read's `rfe` and `fr` edges exactly).
-    fn search_rf(&mut self, ri: usize) -> ControlFlow<()> {
+    fn search_rf(&mut self, ri: usize, depth: usize) -> ControlFlow<()> {
         let Some(&r) = self.sc.reads.get(ri) else {
             return self.complete();
         };
-        // Value dependencies can only cycle through an RMW read half: a
-        // plain read has no outgoing dep edge (its value feeds nothing), so
-        // it can never be part of a cycle and its dep edge can be elided.
-        let is_rmw_read = self.sc.ctx.events[r.index()].rmw.is_some();
+        self.save(depth);
         for ci in 0..self.sc.rf_choices[ri].len() {
             if self.should_stop() {
                 return ControlFlow::Break(());
@@ -558,26 +608,15 @@ impl<'a> Search<'a> {
             let w = self.sc.rf_choices[ri][ci];
             self.stats.nodes += 1;
 
-            // Value dependency r ← w; a cycle means an RMW's value would
-            // depend on itself — dropped in every mode (as the legacy
-            // enumerator drops candidates `resolve_values` rejects).
-            // Adding w → r closes a cycle iff r already reaches w.
-            if is_rmw_read && self.dep.reaches(r.index(), w.index()) {
-                self.stats.pruned += 1;
-                continue;
-            }
-            let mut added = Vec::new();
-            self.push_rf(ri, w, &mut added);
-            let viable = self.sc.mode == Mode::AllCandidates || self.still_acyclic(&added);
-
-            let flow = if viable {
-                self.search_rf(ri + 1)
+            let flow = if self.push_rf(ri, w) {
+                self.search_rf(ri + 1, depth + 1)
             } else {
                 self.stats.pruned += 1;
                 ControlFlow::Continue(())
             };
 
-            self.pop_rf(ri, w, &added);
+            self.rf.remove(&r);
+            self.restore(depth);
             flow?;
         }
         ControlFlow::Continue(())
@@ -585,50 +624,66 @@ impl<'a> Search<'a> {
 
     /// Commits read `ri`'s `rf` choice `w`: the value-dependency edge (for
     /// RMW read halves), the `rf` map entry, and — in pruning mode — the
-    /// implied `rfe` and `fr` `com` edges, recorded in `added` for undo.
-    /// The dep-cycle check is the *caller's* job (a leaf replay skips it;
-    /// the recording search established viability already).
-    fn push_rf(&mut self, ri: usize, w: EventId, added: &mut Vec<(usize, usize, bool, bool)>) {
-        let r = self.sc.reads[ri];
-        if self.sc.ctx.events[r.index()].rmw.is_some() {
-            self.dep.add_edge(w.index(), r.index());
+    /// implied `rfe` and `fr` edges. False, with the graphs partly updated
+    /// (the caller restores them), when an edge would close a cycle.
+    fn push_rf(&mut self, ri: usize, w: EventId) -> bool {
+        let sc = self.sc;
+        let r = sc.reads[ri];
+        let er = &sc.ctx.events[r.index()];
+        // Value dependency r ← w; a cycle means an RMW's value would
+        // depend on itself — dropped in every mode (as the legacy
+        // enumerator drops candidates `resolve_values` rejects). Only an
+        // RMW read half has an outgoing dep edge, so a plain read can never
+        // be on a cycle and its dep edge is elided.
+        if er.rmw.is_some() && !self.graphs.dep.close_edge_acyclic(w.index(), r.index()) {
+            return false;
         }
         self.rf.insert(r, w);
-        if self.sc.mode == Mode::ValidOnly {
-            let er = &self.sc.ctx.events[r.index()];
-            let ew = &self.sc.ctx.events[w.index()];
-            let external = ew.is_init() || er.tid != ew.tid;
-            let addr = er.addr.expect("read has addr");
-            // rfe: external reads-from participates in com (both graphs);
-            // rfi participates in uniproc only — it is not `ghb` (TSO
-            // store forwarding) but still forbids reading one's own
-            // po-later write.
-            if external {
-                self.add_com_edge(w, r, added);
-            } else {
-                self.add_uni_edge(w, r, added);
-            }
-            // fr: r precedes every write ws-after its source.
-            let order = &self.ws[&addr];
-            let pos = order
-                .iter()
-                .position(|&x| x == w)
-                .expect("rf source is in ws");
-            let later: Vec<EventId> = order[pos + 1..].to_vec();
-            for u in later {
-                self.add_com_edge(r, u, added);
-            }
+        if sc.mode == Mode::AllCandidates {
+            return true;
         }
+        let ew = &sc.ctx.events[w.index()];
+        let external = ew.is_init() || er.tid != ew.tid;
+        // rfe: external reads-from participates in com (both graphs); rfi
+        // participates in uniproc only — it is not `ghb` (TSO store
+        // forwarding) but still forbids reading one's own po-later write.
+        let source = if external {
+            self.graphs.add_com(w, r)
+        } else {
+            self.graphs.uni.close_edge_acyclic(w.index(), r.index())
+        };
+        // fr: r precedes every write ws-after its source.
+        let order = &self.ws[&er.addr.expect("read has addr")];
+        let pos = order
+            .iter()
+            .position(|&x| x == w)
+            .expect("rf source is in ws");
+        source && order[pos + 1..].iter().all(|&u| self.graphs.add_com(r, u))
     }
 
-    /// Undoes [`Search::push_rf`].
-    fn pop_rf(&mut self, ri: usize, w: EventId, added: &[(usize, usize, bool, bool)]) {
-        let r = self.sc.reads[ri];
-        self.remove_com_edges(added);
-        self.rf.remove(&r);
-        if self.sc.ctx.events[r.index()].rmw.is_some() {
-            self.dep.remove_edge(w.index(), r.index());
+    /// Commits a recorded leaf path (see [`run_prefix`]): every location's
+    /// serialization, then every read's source. False as soon as an edge
+    /// would close a cycle.
+    fn replay(&mut self, leaf: &Prefix) -> bool {
+        // Decision order fills locations in address order, so each
+        // location's serialization is the next `writes.len()` entries.
+        let mut placements = leaf.ws.iter().copied();
+        for loc in &self.sc.locs {
+            let order: Vec<EventId> = placements.by_ref().take(loc.writes.len()).collect();
+            for (k, &w) in order.iter().enumerate() {
+                if !self.precede(w, &order[k + 1..]) {
+                    return false;
+                }
+            }
+            self.ws
+                .get_mut(&loc.addr)
+                .expect("ws has every addr")
+                .extend(order);
         }
+        leaf.rf
+            .iter()
+            .enumerate()
+            .all(|(ri, &w)| self.push_rf(ri, w))
     }
 
     /// A complete `rf × ws` assignment: finish the validity check (the
@@ -644,10 +699,10 @@ impl<'a> Search<'a> {
             }
         }
         // uniproc already holds (incremental `uni` checks); what is left is
-        // the existential over atomicity-induced edges, on the incrementally
-        // maintained `com ∪ ppo ∪ bar`.
+        // the existential over atomicity-induced edges, decided on the
+        // closed `com ∪ ppo ∪ bar`.
         let valid_only = self.sc.mode == Mode::ValidOnly;
-        if valid_only && !ato_satisfiable(&self.ghb, &self.sc.disjuncts) {
+        if valid_only && !ato_satisfiable(&self.graphs.ghb, &self.sc.disjuncts) {
             return ControlFlow::Continue(());
         }
         let Some(values) = resolve_values(&self.sc.ctx.events, &self.rf) else {
@@ -669,68 +724,6 @@ impl<'a> Search<'a> {
             self.stats.stopped_early = true;
         }
         flow
-    }
-
-    /// Adds a `com` edge to both incremental graphs, recording which of the
-    /// two actually changed so backtracking restores the exact state (the
-    /// edge may already be present via `ppo`, `bar`, or `po-loc`).
-    fn add_com_edge(
-        &mut self,
-        u: EventId,
-        v: EventId,
-        added: &mut Vec<(usize, usize, bool, bool)>,
-    ) {
-        let (ui, vi) = (u.index(), v.index());
-        let in_ghb = self.ghb.has_edge(ui, vi);
-        let in_uni = self.uni.has_edge(ui, vi);
-        if !in_ghb {
-            self.ghb.add_edge(ui, vi);
-        }
-        if !in_uni {
-            self.uni.add_edge(ui, vi);
-        }
-        if !(in_ghb && in_uni) {
-            added.push((ui, vi, !in_ghb, !in_uni));
-        }
-    }
-
-    /// Adds an edge to the `uni` (uniproc) graph only — used for `rfi`,
-    /// which constrains per-location coherence but not `ghb`.
-    fn add_uni_edge(
-        &mut self,
-        u: EventId,
-        v: EventId,
-        added: &mut Vec<(usize, usize, bool, bool)>,
-    ) {
-        let (ui, vi) = (u.index(), v.index());
-        if !self.uni.has_edge(ui, vi) {
-            self.uni.add_edge(ui, vi);
-            added.push((ui, vi, false, true));
-        }
-    }
-
-    /// True iff `ghb` and `uni` are still acyclic after the batch of edge
-    /// insertions recorded in `added`. Both graphs were acyclic before the
-    /// batch, so any new cycle must pass through an inserted edge
-    /// `u → v` — i.e. `v` must (now) reach `u`. Probing reachability from
-    /// the handful of new edges is much cheaper than re-running a
-    /// whole-graph topological sort at every decision node.
-    fn still_acyclic(&self, added: &[(usize, usize, bool, bool)]) -> bool {
-        added.iter().all(|&(u, v, in_ghb, in_uni)| {
-            (!in_ghb || !self.ghb.reaches(v, u)) && (!in_uni || !self.uni.reaches(v, u))
-        })
-    }
-
-    /// Undoes a batch of [`Search::add_com_edge`] calls.
-    fn remove_com_edges(&mut self, added: &[(usize, usize, bool, bool)]) {
-        for &(u, v, ghb, uni) in added {
-            if ghb {
-                self.ghb.remove_edge(u, v);
-            }
-            if uni {
-                self.uni.remove_edge(u, v);
-            }
-        }
     }
 }
 

@@ -17,7 +17,8 @@
 //!   success it extracts a [`Witness`] — a concrete `ghb` linearization
 //!   demonstrating validity.
 //! * `ato_satisfiable` is the **search engine's leaf test**
-//!   ([`crate::search`]): it closes `com ∪ ppo ∪ bar` once as bit rows,
+//!   ([`crate::search`]): it takes the transitive closure of
+//!   `com ∪ ppo ∪ bar` that the search keeps closed as it adds edges,
 //!   unit-propagates every disjunction against that reachability (the unit
 //!   rule of Davis–Logemann–Loveland), branches only on the disjunctions
 //!   still open, and keeps each branch's closure closed edge by edge
@@ -174,23 +175,20 @@ fn solve(
 }
 
 /// True iff some choice of one edge per disjunction keeps `base ∪ ato`
-/// acyclic: the yes/no question [`check_validity`] answers with a witness.
-/// The search engine asks it at every complete leaf, on its incrementally
-/// maintained `com ∪ ppo ∪ bar`.
+/// acyclic, where `reach` is the transitive closure of `base`: the yes/no
+/// question [`check_validity`] answers with a witness. The search engine
+/// asks it at every complete leaf, on the `com ∪ ppo ∪ bar` it keeps
+/// closed as it goes, so no leaf computes a closure.
 ///
-/// With no disjunctions the answer is `true` at once. That covers every
-/// RMW-free program, and it relies on the caller keeping `base` acyclic
-/// (the search prunes a cycle the moment it appears). Otherwise `base` is
-/// closed once, and a cycle in it shows as a bit on the diagonal.
-pub(crate) fn ato_satisfiable(base: &DiGraph, disjuncts: &[Disjunct]) -> bool {
-    if disjuncts.is_empty() {
-        return true;
-    }
-    let reach = base.transitive_closure();
+/// A cycle in `base` shows as a bit on the diagonal of `reach` and refutes
+/// the leaf. Otherwise, with no disjunctions (every RMW-free program) the
+/// answer is `true` at once, and with some they are decided on a copy of
+/// `reach`.
+pub(crate) fn ato_satisfiable(reach: &DiGraph, disjuncts: &[Disjunct]) -> bool {
     if (0..reach.len()).any(|v| reach.has_edge(v, v)) {
         return false;
     }
-    satisfiable(reach, disjuncts)
+    disjuncts.is_empty() || satisfiable(reach.clone(), disjuncts)
 }
 
 /// Decides `disjuncts` over the acyclic closure `reach`: propagate, then
@@ -319,7 +317,10 @@ mod tests {
                     let mut base = c.com_graph();
                     base.union_with(&c.ppo_graph());
                     base.union_with(&c.bar_graph());
-                    let got = ato_satisfiable(&base, &atomicity_disjuncts(c.events()));
+                    let got = ato_satisfiable(
+                        &base.transitive_closure(),
+                        &atomicity_disjuncts(c.events()),
+                    );
                     assert_eq!(
                         got,
                         expected,
@@ -348,7 +349,7 @@ mod tests {
             propagate(&mut g.transitive_closure(), &ds),
             Propagated::Refuted
         );
-        assert!(!ato_satisfiable(&g, &ds));
+        assert!(!ato_satisfiable(&g.transitive_closure(), &ds));
         assert!(!reference(&g, &ds));
     }
 
@@ -368,16 +369,19 @@ mod tests {
         let mut first = reach.clone();
         first.close_edge(1, 0);
         assert!(!satisfiable(first, &ds[1..]));
-        assert!(ato_satisfiable(&g, &ds));
+        assert!(ato_satisfiable(&g.transitive_closure(), &ds));
         assert!(reference(&g, &ds));
     }
 
     #[test]
     fn leaf_with_a_cycle_or_no_disjunctions() {
         let (g, ds) = leaf(3, &[(0, 1), (1, 0)], &[(2, 0, 1)]);
-        assert!(!ato_satisfiable(&g, &ds));
+        assert!(!ato_satisfiable(&g.transitive_closure(), &ds));
         assert!(!reference(&g, &ds));
-        assert!(ato_satisfiable(&leaf(3, &[(0, 1)], &[]).0, &[]));
+        assert!(ato_satisfiable(
+            &leaf(3, &[(0, 1)], &[]).0.transitive_closure(),
+            &[]
+        ));
     }
 
     #[test]
