@@ -672,6 +672,7 @@ mod tests {
 
     #[test]
     fn shards_partition_the_campaign_and_merge_reconstructs_it() {
+        let _faults = crate::faults::passing_through();
         let solo = {
             let cfg = small_cfg("solo", 0, 1);
             run_campaign(&cfg).unwrap()
@@ -715,6 +716,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_missing_and_mismatched_shards() {
+        let _faults = crate::faults::passing_through();
         let mut inputs = Vec::new();
         for shard in 0..2 {
             let cfg = small_cfg("reject", shard, 2);
@@ -745,6 +747,7 @@ mod tests {
 
     #[test]
     fn checkpoints_validate_campaign_identity() {
+        let _faults = crate::faults::passing_through();
         let cfg = small_cfg("identity", 0, 1);
         let state = CampaignState {
             next_index: 32,
@@ -770,6 +773,7 @@ mod tests {
 
     #[test]
     fn killed_and_resumed_runs_match_the_uninterrupted_one() {
+        let _faults = crate::faults::passing_through();
         let uninterrupted = {
             let cfg = small_cfg("straight", 0, 1);
             let r = run_campaign(&cfg).unwrap();

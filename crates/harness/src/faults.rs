@@ -103,6 +103,24 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static FIRED: AtomicU64 = AtomicU64::new(0);
 static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
 
+/// How this crate's unit tests share the process-wide registry: a test
+/// that installs a mode holds the write side, and a test whose code
+/// passes through fault points holds the read side
+/// ([`passing_through`]). Without it, a random mode installed by one test
+/// fires into whichever store or checkpoint test runs beside it, and
+/// both see faults they did not ask for.
+#[cfg(test)]
+static TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// The read side of [`TEST_LOCK`], for unit tests that reach fault
+/// points without installing a mode.
+#[cfg(test)]
+pub(crate) fn passing_through() -> std::sync::RwLockReadGuard<'static, ()> {
+    TEST_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Installs random mode: each arrival at a point fires with probability
 /// `rate_ppm` parts per million, decided by hashing
 /// `(seed, point, arrival#)`. Replaces any installed mode.
@@ -279,14 +297,12 @@ fn die(point: &str) -> ! {
 mod tests {
     use super::*;
 
-    // The registry is process-wide; every test owns it via this lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+    // The registry is process-wide; every test here owns it via the
+    // write side of this lock.
+    fn test_lock() -> std::sync::RwLockWriteGuard<'static, ()> {
+        TEST_LOCK
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]

@@ -963,6 +963,7 @@ mod tests {
 
     #[test]
     fn roundtrips_records_across_reopen() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
         {
@@ -990,6 +991,7 @@ mod tests {
 
     #[test]
     fn later_records_shadow_earlier_ones() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("shadow");
         let _ = std::fs::remove_file(&path);
         let (k, v1) = sample(1);
@@ -1103,6 +1105,7 @@ mod tests {
 
     #[test]
     fn shared_store_counts_loads_and_survives_missing_keys() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("shared");
         let _ = std::fs::remove_file(&path);
         let shared = SharedStore::open(&path).unwrap();
@@ -1115,6 +1118,7 @@ mod tests {
 
     #[test]
     fn rejects_files_with_wrong_magic() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("magic");
         std::fs::write(&path, b"definitely not a store").unwrap();
         assert!(Store::open(&path).is_err());
@@ -1123,6 +1127,7 @@ mod tests {
 
     #[test]
     fn cert_records_roundtrip_and_survive_compaction() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("cert-roundtrip");
         let _ = std::fs::remove_file(&path);
         let (vk, v) = sample(3);
@@ -1148,6 +1153,7 @@ mod tests {
 
     #[test]
     fn unknown_record_kinds_are_skipped_not_truncated() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("unknown-kind");
         let _ = std::fs::remove_file(&path);
         let (k1, v1) = sample(1);
@@ -1175,6 +1181,7 @@ mod tests {
 
     #[test]
     fn version_1_files_open_replay_and_append_in_their_own_format() {
+        let _faults = crate::faults::passing_through();
         let path = tmp("v1-compat");
         let _ = std::fs::remove_file(&path);
         let (k1, v1) = sample(1);
