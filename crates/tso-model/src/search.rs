@@ -946,5 +946,21 @@ mod tests {
         assert_eq!(replay.complete, stats.complete);
         assert_eq!(replay.valid, stats.valid);
         assert_eq!(replay_yield, seq_yield);
+
+        // A path the search prunes replays to nothing: serializing two
+        // same-thread writes against program order closes a `ghb` cycle.
+        let mut b = ProgramBuilder::new();
+        b.thread().write(X, 1).write(X, 2);
+        let sc = build_ctx(&b.build());
+        let backwards = Prefix {
+            ws: sc.locs[0].writes.iter().rev().copied().collect(),
+            rf: Vec::new(),
+        };
+        let mut yielded = 0;
+        let stats = run_prefix(&sc, &backwards, &mut |_| {
+            yielded += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!((yielded, stats.complete, stats.valid), (0, 1, 0));
     }
 }

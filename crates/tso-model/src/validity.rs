@@ -377,6 +377,7 @@ mod tests {
     fn leaf_with_a_cycle_or_no_disjunctions() {
         let (g, ds) = leaf(3, &[(0, 1), (1, 0)], &[(2, 0, 1)]);
         assert!(!ato_satisfiable(&g.transitive_closure(), &ds));
+        assert!(!ato_satisfiable(&g.transitive_closure(), &[]));
         assert!(!reference(&g, &ds));
         assert!(ato_satisfiable(
             &leaf(3, &[(0, 1)], &[]).0.transitive_closure(),
