@@ -350,7 +350,16 @@ mod tests {
 
     // NB: the cache and its counters are process-wide and the test harness
     // is multi-threaded, so assertions compare *deltas of this test's own
-    // queries* or use programs unique to each test.
+    // queries* or use programs unique to each test. Every test that
+    // queries the cache also holds `serial()`, so a delta covers only the
+    // holder's queries (the store test asserts that a store hit adds no
+    // search to the global count).
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn unique_program(tag: u64) -> Program {
         let mut b = ProgramBuilder::new();
@@ -363,6 +372,7 @@ mod tests {
 
     #[test]
     fn cached_set_equals_direct_set() {
+        let _serial = serial();
         let p = unique_program(1);
         let cached = allowed_outcomes_cached(&p);
         assert_eq!(cached.outcomes, allowed_outcomes(&p));
@@ -375,6 +385,7 @@ mod tests {
 
     #[test]
     fn permuted_siblings_share_one_entry_with_correct_frames() {
+        let _serial = serial();
         // Same program modulo thread order and address names — and with
         // asymmetric threads, so the coordinate mapping actually works.
         let mut a = ProgramBuilder::new();
@@ -399,6 +410,7 @@ mod tests {
 
     #[test]
     fn atomicity_rewrites_of_rmw_free_programs_collapse() {
+        let _serial = serial();
         let mut b = ProgramBuilder::new();
         b.thread().write(X, 4001).read(Y);
         b.thread().write(Y, 4002).fence().read(X);
@@ -427,6 +439,7 @@ mod tests {
 
     #[test]
     fn a_persistent_store_answers_misses_and_receives_fresh_entries() {
+        let _serial = serial();
         // An in-memory fake of the harness's on-disk store: the contract
         // is load-on-miss / save-after-search, in canonical coordinates.
         type Entry = (BTreeSet<Outcome>, SearchStats);
@@ -496,6 +509,7 @@ mod tests {
 
     #[test]
     fn counters_move_with_queries() {
+        let _serial = serial();
         let before = counters();
         let p = unique_program(6);
         let first = allowed_outcomes_cached(&p);
