@@ -1,6 +1,6 @@
 //! Model-search scaling sweep: streaming pruned engine vs. the legacy
-//! materializing enumerator, plus prefix-certificate sharing, recorded as
-//! `BENCH_model.json`.
+//! materializing enumerator, plus atomicity-family and prefix-certificate
+//! sharing, recorded as `BENCH_model.json`.
 //!
 //! For each shape of the [`bench::model_shapes::dekker_variant`] family the
 //! binary measures the streaming engine (`for_each_valid_execution`) and —
@@ -17,13 +17,16 @@
 //! and solve the atomicity disjunctions at every complete leaf, so the row
 //! to watch is µs per decision node against the plain row.
 //!
-//! A third sweep measures **prefix-certificate sharing**
-//! (`tso_model::prefix`) on the `dekker_rmw` family: each `(n, rounds)`
-//! shape is queried under all three RMW atomicities through the verdict
-//! cache; the first rewrite searches, the siblings replay its certificate,
-//! and the JSON records the reduction in *searched* decision nodes versus
-//! the attributed (3-searches) total, with the time of the recording
-//! search, of the replays, and of a fresh search of each replayed sibling.
+//! A third sweep (`prefix_sharing`) measures sharing across the
+//! `dekker_rmw` family: each `(n, rounds)` shape is queried under all
+//! three RMW atomicities through the verdict cache. The first rewrite's
+//! search also answers the other two, which the cache commits, so the
+//! siblings hit; the JSON records the reduction in *searched* decision
+//! nodes versus the attributed (3-searches) total and the time of that
+//! search. Each shape then queries one mixed-type sibling (thread 0 of
+//! type-2, the rest type-1): it shares the masked key but is no family
+//! member, so it replays the search's certificate (`tso_model::prefix`),
+//! and the row times that replay against a fresh search of the sibling.
 //!
 //! A fourth section measures **canonicalization** (`canon`), the thread-
 //! order search behind every cache and store key and every campaign shard
@@ -38,9 +41,11 @@
 //! Every run checks the record's gates ([`gates`]) after writing the JSON
 //! and exits non-zero when one fails: engines agree on every outcome set,
 //! the non-trivial shapes keep a ≥10× streaming speedup, every RMW leaf
-//! row's µs per node stays within 4× of its plain row, certificate
-//! sharing cuts the family sweep's searched nodes ≥2×, and the `canon`
-//! section has rows (it carries no timing bound).
+//! row's µs per node stays within 4× of its plain row, both siblings of
+//! every family are answered without a search and the mixed-type sibling
+//! by replay, each with the outcome set of a direct search, sharing cuts
+//! the family sweep's searched nodes ≥2×, and the `canon` section has
+//! rows (it carries no timing bound).
 //!
 //! Usage:
 //!
@@ -74,8 +79,8 @@ const SHARED_MIN_CANDIDATES: f64 = 1000.0;
 /// speedup over the legacy enumerator.
 const MIN_SHARED_SPEEDUP: f64 = 10.0;
 
-/// Gate: certificate sharing must cut the family sweep's searched nodes
-/// by at least this factor.
+/// Gate: family sharing must cut the family sweep's searched nodes by at
+/// least this factor.
 const MIN_PREFIX_REDUCTION: f64 = 2.0;
 
 /// Gate: an RMW `rmw_leaf` row may cost at most this many times the µs per
@@ -221,25 +226,29 @@ fn measure_leaf_shape(threads: usize, rounds: usize) -> Vec<LeafRow> {
 }
 
 /// One `(n, rounds)` family of the prefix-sharing sweep: three atomicity
-/// rewrites queried through the verdict cache.
+/// rewrites and one mixed-type sibling queried through the verdict cache.
 struct PrefixRow {
     name: String,
     threads: usize,
     rounds: usize,
-    /// Decision nodes of searches that actually ran for this family.
+    /// Decision nodes of searches that actually ran for the rewrites.
     searched_nodes: u64,
     /// Attributed nodes summed over all three rewrites — what three
     /// independent searches would have cost.
     attributed_nodes: u64,
-    /// Rewrites answered by certificate replay.
-    prefix_hits: u64,
-    /// Every rewrite's cached outcome set equals its direct search.
+    /// Rewrites answered without a search: the family hits.
+    family_hits: u64,
+    /// The mixed-type sibling was answered by certificate replay.
+    replayed: bool,
+    /// Every cached outcome set (rewrites and mixed sibling) equals its
+    /// direct search.
     outcomes_match: bool,
-    /// Cached queries answered by the recording search (median pass).
+    /// Cached queries of the rewrites that searched (median pass).
     search_ms: f64,
-    /// Cached queries answered by certificate replay (median pass).
+    /// The mixed sibling's cached query, a certificate replay (median
+    /// pass).
     replay_ms: f64,
-    /// Fresh, uncached searches of the replayed siblings (median pass).
+    /// A fresh, uncached search of the mixed sibling (median pass).
     fresh_ms: f64,
 }
 
@@ -248,18 +257,38 @@ impl PrefixRow {
         self.attributed_nodes as f64 / (self.searched_nodes.max(1)) as f64
     }
 
-    /// Replay time over a fresh search of the same siblings: below 1.0 the
-    /// certificate tier saves wall-clock time.
+    /// Replay time over a fresh search of the mixed sibling: below 1.0
+    /// the certificate tier saves wall-clock time.
     fn replay_vs_fresh(&self) -> f64 {
         self.replay_ms / self.fresh_ms.max(1e-6)
     }
 }
 
-/// Queries one `dekker_rmw` family (all three atomicities) through the
-/// verdict cache from empty caches, [`FAMILY_RUNS`] times, and tallies how
-/// much of the decision work certificate replay avoided. Only the cached
-/// queries count as search or replay time; the fresh search that verifies
-/// each answer is timed apart, as the replayed siblings' `fresh_ms`.
+/// The family's mixed-type sibling: `dekker_rmw(threads, rounds, Type1)`
+/// with thread 0's RMWs of type-2. It shares the family's masked key but
+/// is not a uniform rewrite, so no family search answers it.
+fn mixed_sibling(threads: usize, rounds: usize) -> Program {
+    let mut mixed = Program::new();
+    for (t, instrs) in dekker_rmw(threads, rounds, Atomicity::Type1).iter() {
+        let instrs = instrs.iter().map(|&i| match i {
+            Instr::Rmw { addr, kind, .. } if t.0 == 0 => Instr::Rmw {
+                addr,
+                kind,
+                atomicity: Atomicity::Type2,
+            },
+            other => other,
+        });
+        mixed.add_thread(instrs.collect());
+    }
+    mixed
+}
+
+/// Queries one `dekker_rmw` family (all three atomicities, then the mixed
+/// sibling) through the verdict cache from empty caches, [`FAMILY_RUNS`]
+/// times, and tallies how much of the decision work sharing avoided. Only
+/// the cached queries count as search or replay time; the fresh search
+/// that verifies each answer is timed apart, the mixed sibling's as
+/// `fresh_ms`.
 fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
     let mut row = PrefixRow {
         name: format!("dekker-rmw n={threads} r={rounds}"),
@@ -267,42 +296,45 @@ fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
         rounds,
         searched_nodes: 0,
         attributed_nodes: 0,
-        prefix_hits: 0,
+        family_hits: 0,
+        replayed: true,
         outcomes_match: true,
         search_ms: 0.0,
         replay_ms: 0.0,
         fresh_ms: 0.0,
     };
+    let mixed = mixed_sibling(threads, rounds);
     let (mut search, mut replay, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..FAMILY_RUNS {
         tso_model::cache::clear();
         tso_model::prefix::clear();
         row.searched_nodes = 0;
         row.attributed_nodes = 0;
-        row.prefix_hits = 0;
-        let (mut search_ms, mut replay_ms, mut fresh_ms) = (0.0, 0.0, 0.0);
+        row.family_hits = 0;
+        let mut search_ms = 0.0;
         for atomicity in Atomicity::ALL {
             let program = dekker_rmw(threads, rounds, atomicity);
             let start = Instant::now();
             let got = allowed_outcomes_cached(&program);
             let cached_ms = start.elapsed().as_secs_f64() * 1e3;
-            let start = Instant::now();
-            let direct = allowed_outcomes(&program);
-            let direct_ms = start.elapsed().as_secs_f64() * 1e3;
             row.attributed_nodes += got.stats.nodes;
-            if got.prefix_hit {
-                row.prefix_hits += 1;
-                replay_ms += cached_ms;
-                fresh_ms += direct_ms;
-            } else if !got.hit {
+            if got.hit {
+                row.family_hits += 1;
+            } else {
                 row.searched_nodes += got.stats.nodes;
                 search_ms += cached_ms;
             }
-            row.outcomes_match &= got.outcomes == direct;
+            row.outcomes_match &= got.outcomes == allowed_outcomes(&program);
         }
+        let start = Instant::now();
+        let got = allowed_outcomes_cached(&mixed);
+        replay.push(start.elapsed().as_secs_f64() * 1e3);
+        let start = Instant::now();
+        let direct = allowed_outcomes(&mixed);
+        fresh.push(start.elapsed().as_secs_f64() * 1e3);
+        row.replayed &= got.prefix_hit;
+        row.outcomes_match &= got.outcomes == direct;
         search.push(search_ms);
-        replay.push(replay_ms);
-        fresh.push(fresh_ms);
     }
     row.search_ms = median(search);
     row.replay_ms = median(replay);
@@ -454,13 +486,19 @@ fn gates(
     for r in prefix_rows {
         if !r.outcomes_match {
             failed.push(format!(
-                "{}: certificate replay disagrees with a direct search",
+                "{}: a family hit or the replay disagrees with a direct search",
                 r.name
             ));
         }
-        if r.prefix_hits < 2 {
+        if r.family_hits < 2 {
             failed.push(format!(
-                "{}: siblings did not replay the certificate",
+                "{}: siblings were not answered without a search",
+                r.name
+            ));
+        }
+        if !r.replayed {
+            failed.push(format!(
+                "{}: the mixed-type sibling did not replay the certificate",
                 r.name
             ));
         }
@@ -469,7 +507,7 @@ fn gates(
     let reduction = attributed as f64 / searched.max(1) as f64;
     if reduction < MIN_PREFIX_REDUCTION {
         failed.push(format!(
-            "prefix sharing cut searched nodes {reduction:.1}x, below the \
+            "family sharing cut searched nodes {reduction:.1}x, below the \
              {MIN_PREFIX_REDUCTION}x floor"
         ));
     }
@@ -530,9 +568,9 @@ fn to_json(
             ("ratio_to_plain", leaf_ratio(leaf_rows, r).map(num).into()),
         ])
     });
-    // Prefix-certificate sharing over the dekker_rmw family: three
-    // atomicity rewrites per shape, one search + two replays each when
-    // the certificate tier works.
+    // Sharing over the dekker_rmw family: three atomicity rewrites per
+    // shape, one search + two family hits each, plus the replay of one
+    // mixed-type sibling.
     let families = prefix_rows.iter().map(|r| {
         obj([
             ("name", r.name.as_str().into()),
@@ -540,7 +578,8 @@ fn to_json(
             ("rounds", r.rounds.into()),
             ("searched_nodes", r.searched_nodes.into()),
             ("attributed_nodes", r.attributed_nodes.into()),
-            ("prefix_hits", r.prefix_hits.into()),
+            ("family_hits", r.family_hits.into()),
+            ("replayed", r.replayed.into()),
             ("reduction", num(r.reduction())),
             ("runs", FAMILY_RUNS.into()),
             ("search_ms", num(r.search_ms)),
@@ -551,7 +590,7 @@ fn to_json(
         ])
     });
     let (searched, attributed) = prefix_totals(prefix_rows);
-    let hits: u64 = prefix_rows.iter().map(|r| r.prefix_hits).sum();
+    let hits: u64 = prefix_rows.iter().map(|r| r.family_hits).sum();
     let canon_rows = canon.iter().map(|r| {
         obj([
             ("name", r.name.as_str().into()),
@@ -591,7 +630,7 @@ fn to_json(
                 ("rows", arr(families)),
                 ("total_searched_nodes", searched.into()),
                 ("total_attributed_nodes", attributed.into()),
-                ("prefix_hits", hits.into()),
+                ("family_hits", hits.into()),
                 ("reduction", num(attributed as f64 / searched.max(1) as f64)),
                 (
                     "all_outcomes_match",
@@ -677,8 +716,9 @@ fn main() {
         );
     }
 
-    // Prefix-certificate sharing sweep: dekker_rmw families, three
-    // atomicities each, through the verdict cache from empty caches.
+    // Family and certificate sharing sweep: dekker_rmw families, three
+    // atomicities and a mixed sibling each, through the verdict cache
+    // from empty caches.
     let prefix_shapes: &[(usize, usize)] = if smoke {
         &[(2, 1), (2, 2)]
     } else {
@@ -705,7 +745,7 @@ fn main() {
             row.searched_nodes,
             row.attributed_nodes,
             row.reduction(),
-            row.prefix_hits,
+            row.family_hits,
             row.search_ms,
             row.replay_ms,
             row.fresh_ms,
@@ -769,14 +809,15 @@ mod tests {
         }
     }
 
-    fn family(searched_nodes: u64, prefix_hits: u64) -> PrefixRow {
+    fn family(searched_nodes: u64, family_hits: u64, replayed: bool) -> PrefixRow {
         PrefixRow {
             name: "family".to_owned(),
             threads: 2,
             rounds: 2,
             searched_nodes,
             attributed_nodes: 300,
-            prefix_hits,
+            family_hits,
+            replayed,
             outcomes_match: true,
             search_ms: 1.0,
             replay_ms: 1.5,
@@ -819,10 +860,10 @@ mod tests {
         let leaves = leaf_pair(3.5);
         let canon = [canon_row()];
         assert_eq!(
-            gates(&rows, &leaves, &[family(100, 2)], &canon),
+            gates(&rows, &leaves, &[family(100, 2, true)], &canon),
             Vec::<String>::new()
         );
-        let json = to_json(&rows, &leaves, &[family(100, 2)], &canon, "smoke");
+        let json = to_json(&rows, &leaves, &[family(100, 2, true)], &canon, "smoke");
         assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
 
@@ -832,13 +873,14 @@ mod tests {
             row(5832.0, Some(5.0), Some(true)), // 5x: below the floor
             row(324.0, Some(0.8), Some(false)), // engines disagree
         ];
-        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1)], &[]);
-        assert_eq!(failed.len(), 6, "{failed:?}");
+        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1, false)], &[]);
+        assert_eq!(failed.len(), 7, "{failed:?}");
         assert!(failed.iter().any(|f| f.contains("engines disagree")));
         assert!(failed.iter().any(|f| f.contains("speedup")));
         assert!(failed.iter().any(|f| f.contains("per node")));
+        assert!(failed.iter().any(|f| f.contains("without a search")));
         assert!(failed.iter().any(|f| f.contains("did not replay")));
-        assert!(failed.iter().any(|f| f.contains("prefix sharing")));
+        assert!(failed.iter().any(|f| f.contains("family sharing")));
         assert!(failed.iter().any(|f| f.contains("no canon row")));
     }
 

@@ -226,10 +226,10 @@ pub mod model_shapes {
     /// alternates `RMW(x_i, +=k); R(x_{i+1 mod n})`.
     ///
     /// The three atomicity rewrites of one `(n, rounds)` shape share their
-    /// atomicity-masked canonical key, so they are the measurement family
-    /// for **prefix-certificate sharing** (`tso_model::prefix`): the first
-    /// rewrite pays the pruned search, the siblings replay its recorded
-    /// leaves and re-solve only the leaf-level atomicity disjunctions.
+    /// decision tree, so they are the measurement family for **family
+    /// sharing** (`tso_model::prefix`): the first rewrite pays the pruned
+    /// search, which also tests every complete leaf for the two siblings,
+    /// and the siblings' queries hit the verdict cache.
     ///
     /// # Panics
     ///

@@ -23,7 +23,9 @@
 //! * `--out PATH` — also write the chosen format to `PATH`;
 //! * `--seed N` / `--random N` — corpus generation knobs;
 //! * `--store PATH` — persistent verdict store: model search results are
-//!   loaded from / appended to `PATH`, so reruns skip proven searches.
+//!   loaded from / appended to `PATH`, so reruns skip proven searches;
+//! * `--budget-nodes N` / `--budget-ms N` — per-query search budgets, at
+//!   least 1 each; a query that runs out answers `unknown`.
 //!
 //! Subcommands (see `README.md` for a campaign walkthrough):
 //!
@@ -37,7 +39,8 @@
 //! * `litmus_run merge REPORT...` — fold per-shard campaign reports into
 //!   one merged report (validates the shard set is exactly `0..n`).
 //! * `litmus_run compact STORE...` — rewrite store files with one record
-//!   per key; with `--merge OUT`, fold all inputs into `OUT` first.
+//!   per key; with `--merge OUT`, fold all inputs into `OUT` first. Every
+//!   input must exist (only `OUT` is created).
 //!
 //! Exit status is nonzero if any test fails either check (or, for
 //! `merge`, if the merged campaign failed).
@@ -129,16 +132,18 @@ fn next_parsed<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag
     })
 }
 
-/// The next argument parsed as a `--jobs` value, a worker count of at
-/// least 1, or die with usage.
-fn next_jobs(it: &mut impl Iterator<Item = String>) -> usize {
-    match next_parsed(it, "--jobs") {
-        0 => {
-            eprintln!("--jobs must be at least 1");
-            usage()
-        }
-        jobs => jobs,
+/// The next argument parsed as `flag`'s value, which must be at least 1
+/// (a worker count, a search budget), or die with usage.
+fn next_positive<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let n: T = next_parsed(it, flag);
+    if n == T::default() {
+        eprintln!("{flag} must be at least 1");
+        usage()
     }
+    n
 }
 
 /// The next argument parsed as a `--machine` value, or die with usage.
@@ -192,7 +197,7 @@ fn parse_corpus_args(rest: Vec<String>) -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--filter" => args.filter = Some(next_value(&mut it, "--filter")),
-            "--jobs" => args.jobs = next_jobs(&mut it),
+            "--jobs" => args.jobs = next_positive(&mut it, "--jobs"),
             "--smoke" => args.smoke = true,
             "--format" => args.format = next_value(&mut it, "--format"),
             "--out" => args.out = Some(next_value(&mut it, "--out")),
@@ -200,8 +205,9 @@ fn parse_corpus_args(rest: Vec<String>) -> Args {
             "--random" => args.random = next_parsed(&mut it, "--random"),
             "--store" => args.store = Some(PathBuf::from(next_value(&mut it, "--store"))),
             "--faults" => install_faults(&next_value(&mut it, "--faults")),
-            "--budget-nodes" => args.budget_nodes = Some(next_parsed(&mut it, "--budget-nodes")),
-            "--budget-ms" => args.budget_ms = Some(next_parsed(&mut it, "--budget-ms")),
+            // A zero budget would make a run that checks nothing pass.
+            "--budget-nodes" => args.budget_nodes = Some(next_positive(&mut it, "--budget-nodes")),
+            "--budget-ms" => args.budget_ms = Some(next_positive(&mut it, "--budget-ms")),
             "--machine" => args.machine = next_machine(&mut it),
             "--help" | "-h" => usage(),
             other => {
@@ -350,7 +356,7 @@ fn campaign_main(argv: Vec<String>) {
                 cfg.shard = shard;
                 cfg.shards = shards;
             }
-            "--jobs" => cfg.jobs = next_jobs(&mut it),
+            "--jobs" => cfg.jobs = next_positive(&mut it, "--jobs"),
             "--chunk" => cfg.chunk = next_parsed(&mut it, "--chunk"),
             "--store" => cfg.store_path = Some(PathBuf::from(next_value(&mut it, "--store"))),
             "--no-store" => cfg.store_path = None,
@@ -449,6 +455,13 @@ fn merge_main(argv: Vec<String>) {
 
 fn compact_main(argv: Vec<String>) {
     let (paths, merge_out) = files_and_flag(argv, "compact", "--merge");
+    // `Store::open` creates a missing file, which suits `--store` but
+    // would turn a mistyped input into a new empty store.
+    for p in &paths {
+        if let Err(e) = std::fs::metadata(p) {
+            die(format!("cannot open {p}: {e}"));
+        }
+    }
     match merge_out {
         Some(out) => {
             // Fold every input into the output store, then compact it.

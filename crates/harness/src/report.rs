@@ -256,6 +256,7 @@ impl From<&CacheCounters> for Value {
             ("invocations", c.invocations.into()),
             ("hits", c.hits().into()),
             ("store_hits", c.store_hits.into()),
+            ("family_fills", c.family_fills.into()),
             ("entries", c.entries.into()),
         ])
     }
@@ -344,6 +345,7 @@ mod tests {
             assert!(num(&v, key).is_some(), "missing {key}");
         }
         assert!(num(v.get("model_cache").unwrap(), "invocations").is_some());
+        assert!(num(v.get("model_cache").unwrap(), "family_fills").is_some());
         assert!(num(v.get("prefix_cache").unwrap(), "nodes_saved").is_some());
         for t in v.get("tests").and_then(Value::as_arr).unwrap() {
             assert!(num(t, "worker").is_some() && num(t, "model_nodes").is_some());

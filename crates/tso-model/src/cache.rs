@@ -27,8 +27,15 @@
 //! key with an already searched sibling replays that sibling's
 //! certificate instead of searching, and a genuinely novel program runs
 //! the sequential pruned search ([`crate::search`]) on the calling
-//! thread. Parallelism lives one level up: consumers fan whole tests out
-//! across workers, and each worker's queries stay on its own thread.
+//! thread. That search also answers the program's *family* — its uniform
+//! `with_atomicity` rewrites that are their own canonical form — and
+//! the cache commits those answers next to the program's entry, so the
+//! harness's three per-atomicity queries of a draft cost one search and
+//! then hit. A member goes only into a vacant slot: the commit never
+//! waits on or overwrites a cell another worker is filling, so two
+//! workers filling each other's families cannot deadlock. Parallelism
+//! lives one level up: consumers fan whole tests out across workers, and
+//! each worker's queries stay on its own thread.
 //!
 //! The cache grows with distinct canonical programs. Litmus-scale
 //! workloads (a few hundred small entries) make eviction pointless;
@@ -42,6 +49,8 @@
 //! *store hit*, counted separately from searches), and only searches when
 //! the store doesn't know the program either, handing the fresh entry to
 //! [`VerdictStore::save`] so the next process never searches it again.
+//! Family members are saved right after the searched program's entry,
+//! exactly those the commit inserted.
 //! The `harness` crate provides the production implementation (an
 //! append-only record file; see `DESIGN.md` "verdict store") and installs
 //! it from the `litmus_run` CLI; the hook lives here so *every* consumer
@@ -51,9 +60,11 @@
 
 use crate::canon::Canonical;
 use crate::outcome::Outcome;
+use crate::prefix::MemberAnswer;
 use crate::program::Program;
 use crate::search::SearchStats;
 use rmw_types::fasthash::FastHashMap;
+use std::collections::hash_map::Entry as Slot;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -75,6 +86,7 @@ fn cache() -> &'static Mutex<FastHashMap<Vec<u64>, Cell>> {
 static QUERIES: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static STORE_HITS: AtomicU64 = AtomicU64::new(0);
+static FAMILY_FILLS: AtomicU64 = AtomicU64::new(0);
 
 /// A persistent verdict backend the in-memory cache consults on misses.
 ///
@@ -137,6 +149,10 @@ pub struct CacheCounters {
     /// search (0 when no store is installed). Store hits are *not*
     /// invocations: no search ran.
     pub store_hits: u64,
+    /// Entries committed by the search of another member of their
+    /// atomicity family ([`crate::prefix`]). Like store hits, they are not
+    /// invocations, and a later query of one is a hit.
+    pub family_fills: u64,
     /// Distinct canonical programs currently cached.
     pub entries: u64,
 }
@@ -154,6 +170,7 @@ pub fn counters() -> CacheCounters {
         queries: QUERIES.load(Ordering::Relaxed),
         invocations: MISSES.load(Ordering::Relaxed),
         store_hits: STORE_HITS.load(Ordering::Relaxed),
+        family_fills: FAMILY_FILLS.load(Ordering::Relaxed),
         entries: cache().lock().expect("model cache lock").len() as u64,
     }
 }
@@ -167,6 +184,7 @@ pub fn clear() {
     QUERIES.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
     STORE_HITS.store(0, Ordering::Relaxed);
+    FAMILY_FILLS.store(0, Ordering::Relaxed);
 }
 
 /// A memoized outcome-set query, in the **original program's**
@@ -223,6 +241,7 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
     }
     let mut searched = false;
     let mut prefix_hit = false;
+    let mut family = Vec::new();
     let entry = Arc::clone(cell.get_or_init(|| {
         // Memory miss: the persistent store (when installed) is the next
         // tier — a store hit costs a lookup, not a search.
@@ -238,6 +257,7 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
         // search when it can, and otherwise runs the recording search.
         let answer = crate::prefix::query(canon);
         prefix_hit = answer.prefix_hit;
+        family = answer.family;
         if let Some(store) = current_store() {
             store.save(
                 canon.key(),
@@ -251,6 +271,7 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
             stats: answer.stats,
         })
     }));
+    commit_family(family);
     let outcomes = entry
         .outcomes
         .iter()
@@ -263,6 +284,44 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
         prefix_hit,
         unknown: false,
         fingerprint: canon.fingerprint(),
+    }
+}
+
+/// Commits the family members a fresh search answered
+/// ([`crate::prefix::query`]), after the searched program's own entry:
+/// each into a *vacant* slot only, never into a cell another query
+/// created (it may be filling it), and each inserted entry is saved to
+/// the store, in the members' order.
+fn commit_family(family: Vec<MemberAnswer>) {
+    for member in family {
+        let entry = Arc::new(Entry {
+            outcomes: member.outcomes,
+            stats: member.stats,
+        });
+        let inserted = match cache()
+            .lock()
+            .expect("model cache lock")
+            .entry(member.canon.key().to_vec())
+        {
+            Slot::Vacant(slot) => {
+                slot.insert(Arc::new(OnceLock::from(Arc::clone(&entry))));
+                true
+            }
+            Slot::Occupied(_) => false,
+        };
+        if !inserted {
+            continue;
+        }
+        FAMILY_FILLS.fetch_add(1, Ordering::Relaxed);
+        if let Some(store) = current_store() {
+            let canon = &member.canon;
+            store.save(
+                canon.key(),
+                canon.fingerprint(),
+                &entry.outcomes,
+                &entry.stats,
+            );
+        }
     }
 }
 
@@ -289,7 +348,8 @@ fn from_entry(canon: &Canonical, entry: &Entry) -> CachedOutcomes {
 /// (memory → persistent store → prefix/search), but a budget-exhausted
 /// search result is returned as an explicit *unknown* answer without
 /// being written to the cell, the [`VerdictStore`], or (via the
-/// `stopped_early` gate in [`crate::prefix`]) the certificate tier.
+/// `stopped_early` gate in [`crate::prefix`]) the certificate tier and
+/// the family.
 /// Concurrent misses on the same key may each search — the miss-collapse
 /// optimization is traded away while a budget is installed, results are
 /// unaffected.
@@ -328,6 +388,8 @@ fn budgeted_canonical(canon: &Canonical, cell: &Cell) -> CachedOutcomes {
             stats: answer.stats,
         }));
     }
+    // Empty when the search stopped early (see `prefix::query`).
+    commit_family(answer.family);
     CachedOutcomes {
         outcomes,
         stats: answer.stats,

@@ -38,10 +38,12 @@
 //!   ([`Program::canonicalize`](program::Program::canonicalize));
 //! * [`cache`] — **verdict memoization**: [`allowed_outcomes_cached`]
 //!   proves each canonical class once, process-wide;
-//! * [`prefix`] — **prefix-certificate sharing**: programs identical up
-//!   to per-RMW atomicity (equal atomicity-masked canonical keys) share
-//!   one pruned search; siblings replay its recorded complete leaves and
-//!   re-solve only the leaf-level atomicity disjunctions.
+//! * [`prefix`] — **atomicity-family and prefix-certificate sharing**:
+//!   programs identical up to per-RMW atomicity (equal atomicity-masked
+//!   canonical keys) share one pruned search. That search answers the
+//!   program's uniform atomicity rewrites at the same leaves; other
+//!   siblings replay its recorded complete leaves and re-solve only the
+//!   leaf-level atomicity disjunctions.
 //!
 //! # Quickstart
 //!

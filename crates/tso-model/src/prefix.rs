@@ -4,12 +4,21 @@
 //! The verdict cache ([`crate::cache`]) collapses *identical* canonical
 //! programs, but a generated family still pays one full search per
 //! distinct member — and the harness's differential sweep rewrites every
-//! RMW test under all three atomicity types, tripling the searches for
+//! RMW test under all three atomicity types, tripling the queries for
 //! programs whose **decision trees are identical**: atomicity influences
 //! validity only through the leaf-level `ato` disjunctions
 //! (`validity::ato_satisfiable`); the `ppo`/`bar`/`po-loc`/dep graphs,
 //! and therefore every `ws`/`rf` decision, prune, and complete leaf, do
 //! not depend on it.
+//!
+//! A fresh search here therefore answers the queried program's whole
+//! **atomicity family** at once: each uniform rewrite
+//! `with_atomicity(a)` that is its own canonical form shares the
+//! program's events and event numbering, so the search tests every
+//! complete leaf for each such member too (`search::Family`) and returns
+//! the members' outcome sets and stats, bit-identical to their own fresh
+//! searches, for the cache to commit. The uniform rewrites the harness
+//! asks for next are then verdict-cache hits and never reach this tier.
 //!
 //! A **prefix certificate** captures the reusable part of one search: the
 //! full decision path of every complete leaf (in sequential DFS order)
@@ -29,6 +38,11 @@
 //! decision nodes skipped are tallied in [`counters`] as `nodes_saved`,
 //! not hidden in the stats.
 //!
+//! Since the family is answered at search time, what replays now is the
+//! masked-key traffic outside it: mixed-type programs (some RMWs of one
+//! type, some of another) met after a sibling was searched, and uniform
+//! rewrites that canonicalize to another thread order.
+//!
 //! Certificates can outlive the process through a [`CertificateStore`]
 //! (the harness's record file implements it beside the verdict store), so
 //! a warm campaign skips even the first-per-family search.
@@ -37,7 +51,8 @@ use crate::canon::Canonical;
 use crate::event::EventId;
 use crate::outcome::Outcome;
 use crate::search::{self, Prefix, SearchStats};
-use rmw_types::fasthash::{FastHashMap, FastHashSet, FastHasher};
+use rmw_types::fasthash::{FastHashMap, FastHasher};
+use rmw_types::Atomicity;
 use std::collections::BTreeSet;
 use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,12 +250,49 @@ pub(crate) struct PrefixAnswer {
     pub stats: SearchStats,
     /// True when a certificate replay (not a fresh search) answered.
     pub prefix_hit: bool,
+    /// The queried program's family members answered by the same fresh
+    /// search ([`family_of`]); empty after a replay or a search that
+    /// stopped early.
+    pub family: Vec<MemberAnswer>,
+}
+
+/// A family member's answer, as a fresh search of it would give it.
+pub(crate) struct MemberAnswer {
+    /// The member, its own canonical form.
+    pub canon: Canonical,
+    /// Allowed outcomes in its (and the searched program's) canonical
+    /// coordinates.
+    pub outcomes: BTreeSet<Outcome>,
+    /// Bit-identical to a sequential search of the member.
+    pub stats: SearchStats,
+}
+
+/// The family of a canonical program `canon`: each uniform rewrite
+/// `m = canon.with_atomicity(a)` that differs from `canon` and is its own
+/// canonical form. Such an `m` has `canon`'s masked key, events, event
+/// numbering and decision tree, so one search answers it without any
+/// coordinate mapping. A rewrite that canonicalizes to another thread
+/// order is left to its own query.
+fn family_of(canon: &Canonical) -> Vec<(Atomicity, Canonical)> {
+    let program = canon.program();
+    Atomicity::ALL
+        .into_iter()
+        .filter_map(|a| {
+            let member = program.with_atomicity(a);
+            if member == *program {
+                return None;
+            }
+            let own = member.canonicalize();
+            (*own.program() == member).then_some((a, own))
+        })
+        .collect()
 }
 
 /// Answers an outcome-set query for a canonical program through the
 /// certificate tier: replay a matching certificate if one exists, else
-/// run the recording search and certify the result. Called by
-/// [`crate::cache`] on verdict-cache misses.
+/// run the recording search, which also answers the program's family,
+/// and certify the result. Called by [`crate::cache`] on verdict-cache
+/// misses.
 pub(crate) fn query(canon: &Canonical) -> PrefixAnswer {
     QUERIES.fetch_add(1, Ordering::Relaxed);
     let masked = canon.masked_key();
@@ -296,6 +348,7 @@ pub(crate) fn query(canon: &Canonical) -> PrefixAnswer {
                 outcomes,
                 stats,
                 prefix_hit: true,
+                family: Vec::new(),
             };
         }
         // A store entry that does not fit the program is treated as a
@@ -303,22 +356,31 @@ pub(crate) fn query(canon: &Canonical) -> PrefixAnswer {
     }
 
     // Fresh search under the installed budget (if any), recording the
-    // leaves for the certificate. The `stopped_early` gate below also
-    // covers budget exhaustion (which always sets it), so a truncated
-    // search never certifies its incomplete leaf set.
+    // leaves for the certificate and answering the family at the same
+    // leaves. The `stopped_early` gates below also cover budget
+    // exhaustion (which always sets it), so a truncated search neither
+    // certifies its incomplete leaf set nor answers a member.
     let budget = crate::budget::begin_query();
-    let mut found = FastHashSet::<Outcome>::default();
+    let members = family_of(canon);
+    let rewrites: Vec<Atomicity> = members.iter().map(|&(a, _)| a).collect();
+    let mut family = search::Family::new(canon.program(), &rewrites);
     let mut leaves = Vec::new();
-    let stats = search::run_ctx_budgeted(
-        &sc,
-        &mut |exec| {
-            found.insert(Outcome::of_execution(exec));
-            std::ops::ControlFlow::Continue(())
-        },
-        Some(&mut leaves),
-        budget.as_ref(),
-    );
-    let outcomes: BTreeSet<Outcome> = found.into_iter().collect();
+    let stats = search::run_family(&sc, &mut family, &mut leaves, budget.as_ref());
+    let mut answers = family.into_answers().into_iter();
+    let (outcomes, _) = answers.next().expect("slot 0 is the searched program");
+    let family = if stats.stopped_early {
+        Vec::new()
+    } else {
+        members
+            .into_iter()
+            .zip(answers)
+            .map(|((_, canon), (outcomes, valid))| MemberAnswer {
+                canon,
+                outcomes,
+                stats: SearchStats { valid, ..stats },
+            })
+            .collect()
+    };
     if !stats.stopped_early && leaves.len() <= MAX_CERT_LEAVES {
         let fresh = Arc::new(Certificate {
             leaves,
@@ -347,6 +409,7 @@ pub(crate) fn query(canon: &Canonical) -> PrefixAnswer {
         outcomes,
         stats,
         prefix_hit: false,
+        family,
     }
 }
 

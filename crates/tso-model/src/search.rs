@@ -51,6 +51,15 @@
 //! to filtering the legacy enumeration with `check_validity` (the
 //! reference solver).
 //!
+//! Atomicity enters the search only there: the `ppo`/`bar`/`po-loc`/dep
+//! graphs, and so every decision, prune and complete leaf, are the same
+//! for every atomicity assignment of one program. The certificate tier's
+//! fresh search exploits this with a `Family`: at each complete leaf it
+//! also runs the test for the program's uniform atomicity rewrites on the
+//! same closed graph, builds the leaf's outcome once, and adds it to the
+//! set of every program that accepts the leaf — one walk answers the
+//! whole family.
+//!
 //! Valid executions are yielded through a visitor
 //! ([`for_each_valid_execution`]); returning [`ControlFlow::Break`] stops
 //! the search, which is what gives `outcome_allowed` its early exit.
@@ -59,11 +68,11 @@
 //!
 //! The crate-private primitives at the bottom of this module back the
 //! prefix-certificate tier ([`crate::prefix`]): `build_ctx` (the
-//! immutable per-program context), `run_ctx_budgeted` (the sequential DFS
-//! with optional complete-leaf recording and an optional query budget),
-//! and `run_prefix` (replay one recorded full-depth leaf path straight to
-//! its leaf through the same acyclic insert, re-solving only the atomicity
-//! disjunctions).
+//! immutable per-program context), `run_family` (the sequential DFS that
+//! records every complete leaf, answers the program's `Family` and
+//! charges an optional query budget), and `run_prefix` (replay one
+//! recorded full-depth leaf path straight to its leaf through the same
+//! acyclic insert, re-solving only the atomicity disjunctions).
 
 use crate::budget::QueryBudget;
 use crate::event::{EventId, RmwHalf};
@@ -72,19 +81,21 @@ use crate::execution::{
     ExecCtx,
 };
 use crate::graph::DiGraph;
+use crate::outcome::Outcome;
 use crate::program::Program;
 use crate::validity::{ato_satisfiable, atomicity_disjuncts, Disjunct};
-use rmw_types::Addr;
-use std::collections::BTreeMap;
+use rmw_types::fasthash::FastHashMap;
+use rmw_types::{Addr, Atomicity};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Counters describing one search run, for benchmarks and scaling reports.
 ///
-/// A certificate replay ([`crate::prefix`]) reports exactly the numbers a
-/// fresh search of the same program would (asserted by
-/// `tests/prefix_equiv.rs`), so the counters describe the program, not
-/// which tier answered it.
+/// A certificate replay ([`crate::prefix`]) and a family member's answer
+/// report exactly the numbers a fresh search of the same program would
+/// (asserted by `tests/prefix_equiv.rs` and `tests/cache_equiv.rs`), so
+/// the counters describe the program, not which tier answered it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Partial-assignment decision nodes explored (one per `ws` placement
@@ -382,12 +393,112 @@ impl SearchCtx {
 
 /// The full decision path of one complete leaf: every location's `ws`
 /// placements (in decision order, locations in address order), then every
-/// read's `rf` source (in read order). Recorded by [`run_ctx_budgeted`],
+/// read's `rf` source (in read order). Recorded by [`run_family`],
 /// replayed by [`run_prefix`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Prefix {
     pub(crate) ws: Vec<EventId>,
     pub(crate) rf: Vec<EventId>,
+}
+
+/// The outcome sets one search collects: the searched program's (slot 0)
+/// and each *member*'s (slots `1..`). A member is a uniform atomicity
+/// rewrite `program.with_atomicity(a)`: it shares the program's events,
+/// event numbering and decision tree, and differs only in its `ato`
+/// disjunctions, so the search tests each complete leaf against every
+/// slot's disjunctions on the same closed `ghb`. Which rewrites qualify
+/// is the caller's business ([`crate::prefix`]); a slot's `valid` equals
+/// that of a fresh search of its program, and so do the set and, with
+/// the shared `nodes`/`pruned`/`complete`, the whole [`SearchStats`].
+pub(crate) struct Family {
+    /// Each member's disjunctions (slot `i + 1`); slot 0 uses the
+    /// context's own.
+    members: Vec<Vec<Disjunct>>,
+    /// The slot whose program is the uniform type-3 rewrite, if any.
+    /// Type-3 forbids a subset of what every type forbids
+    /// ([`Atomicity::forbids_between`]), so its disjunctions are a subset
+    /// of every slot's: a leaf it refutes is refuted by all.
+    floor: Option<usize>,
+    /// Every accepted leaf's outcome, with the mask of the slots that
+    /// accepted a leaf of that outcome (bit `i` for slot `i`).
+    outcomes: FastHashMap<Outcome, u8>,
+    /// Per slot, the number of leaves it accepts: its `valid`.
+    valid: Vec<u64>,
+}
+
+impl Family {
+    /// The family of `program` and its uniform rewrites to `rewrites`,
+    /// each of which must differ from `program`.
+    pub(crate) fn new(program: &Program, rewrites: &[Atomicity]) -> Family {
+        let members: Vec<Vec<Disjunct>> = rewrites
+            .iter()
+            .map(|&a| atomicity_disjuncts(&build_events(&program.with_atomicity(a))))
+            .collect();
+        let floor = if program.with_atomicity(Atomicity::Type3) == *program {
+            Some(0)
+        } else {
+            rewrites
+                .iter()
+                .position(|&a| a == Atomicity::Type3)
+                .map(|i| i + 1)
+        };
+        debug_assert!(members.len() < 8, "one mask bit per slot");
+        Family {
+            valid: vec![0; members.len() + 1],
+            members,
+            floor,
+            outcomes: FastHashMap::default(),
+        }
+    }
+
+    /// The mask of the slots (bit `i` for slot `i`) whose disjunctions the
+    /// closed `ghb` of a complete leaf satisfies; `own` are slot 0's.
+    fn accepting(&self, ghb: &DiGraph, own: &[Disjunct]) -> u8 {
+        let test = |slot: usize| {
+            let disjuncts = if slot == 0 {
+                own
+            } else {
+                &self.members[slot - 1]
+            };
+            ato_satisfiable(ghb, disjuncts)
+        };
+        let mut mask = 0;
+        if let Some(floor) = self.floor {
+            if !test(floor) {
+                return 0;
+            }
+            mask |= 1 << floor;
+        }
+        for slot in (0..=self.members.len()).filter(|&s| Some(s) != self.floor) {
+            if test(slot) {
+                mask |= 1 << slot;
+            }
+        }
+        mask
+    }
+
+    /// Adds one accepted leaf's outcome to every slot in `mask`.
+    fn record(&mut self, mask: u8, outcome: Outcome) {
+        *self.outcomes.entry(outcome).or_default() |= mask;
+        for (slot, valid) in self.valid.iter_mut().enumerate() {
+            *valid += u64::from(mask >> slot & 1);
+        }
+    }
+
+    /// Per slot, the outcome set and the number of accepted leaves. Each
+    /// outcome moves into the last slot of its mask and is cloned into
+    /// the others.
+    pub(crate) fn into_answers(self) -> Vec<(BTreeSet<Outcome>, u64)> {
+        let mut sets = vec![BTreeSet::new(); self.valid.len()];
+        for (outcome, mask) in self.outcomes {
+            let last = u8::BITS - 1 - mask.leading_zeros();
+            for slot in (0..last).filter(|&s| mask >> s & 1 == 1) {
+                sets[slot as usize].insert(outcome.clone());
+            }
+            sets[last as usize].insert(outcome);
+        }
+        sets.into_iter().zip(self.valid).collect()
+    }
 }
 
 /// Runs the full sequential DFS from a prebuilt context, optionally
@@ -401,24 +512,30 @@ pub(crate) fn run_ctx(
     visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
     leaves: Option<&mut Vec<Prefix>>,
 ) -> SearchStats {
-    run_ctx_budgeted(sc, visitor, leaves, None)
-}
-
-/// [`run_ctx`] under an optional [`QueryBudget`]: the DFS additionally
-/// charges every decision node against `budget` and aborts (marking the
-/// stats budget-exhausted) when it runs out. `budget = None` is exactly
-/// [`run_ctx`] — every un-budgeted caller goes through that and can never
-/// be truncated.
-pub(crate) fn run_ctx_budgeted(
-    sc: &SearchCtx,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    leaves: Option<&mut Vec<Prefix>>,
-    budget: Option<&QueryBudget>,
-) -> SearchStats {
     let mut search = Search::new(sc, visitor);
     search.leaves = leaves;
-    search.budget = budget;
     // A `Break` here is just the early exit reaching the root.
+    let _ = search.search_ws(0, 0);
+    search.stats
+}
+
+/// The certificate tier's fresh search: [`run_ctx`] recording every
+/// complete leaf into `leaves` and collecting the outcome sets of
+/// `family` (built for `sc`'s program) instead of yielding executions.
+/// Under a [`QueryBudget`] the DFS additionally charges every decision
+/// node and aborts, marking the stats budget-exhausted, when it runs out;
+/// `budget = None` never truncates.
+pub(crate) fn run_family(
+    sc: &SearchCtx,
+    family: &mut Family,
+    leaves: &mut Vec<Prefix>,
+    budget: Option<&QueryBudget>,
+) -> SearchStats {
+    let mut ignore = |_: &CandidateExecution| ControlFlow::Continue(());
+    let mut search = Search::new(sc, &mut ignore);
+    search.leaves = Some(leaves);
+    search.budget = budget;
+    search.family = Some(family);
     let _ = search.search_ws(0, 0);
     search.stats
 }
@@ -468,6 +585,9 @@ struct Search<'a> {
     /// When set, every complete leaf's full decision path is appended (in
     /// DFS order) — the raw material of a prefix certificate.
     leaves: Option<&'a mut Vec<Prefix>>,
+    /// When set, every complete leaf is also tested for the family's
+    /// members and its outcome recorded for each slot that accepts it.
+    family: Option<&'a mut Family>,
 }
 
 fn run(
@@ -494,6 +614,7 @@ impl<'a> Search<'a> {
             budget: None,
             visitor,
             leaves: None,
+            family: None,
         }
     }
 
@@ -688,6 +809,9 @@ impl<'a> Search<'a> {
 
     /// A complete `rf × ws` assignment: finish the validity check (the
     /// atomicity disjunctions), then assemble the execution and yield.
+    /// With a family, the leaf is tested for every slot; it is assembled
+    /// when any slot accepts it, but yielded only when the searched
+    /// program does.
     fn complete(&mut self) -> ControlFlow<()> {
         self.stats.complete += 1;
         if self.leaves.is_some() {
@@ -700,9 +824,15 @@ impl<'a> Search<'a> {
         }
         // uniproc already holds (incremental `uni` checks); what is left is
         // the existential over atomicity-induced edges, decided on the
-        // closed `com ∪ ppo ∪ bar`.
+        // closed `com ∪ ppo ∪ bar`. Bit 0 of the mask is the searched
+        // program, bit `i` the family's slot `i`.
         let valid_only = self.sc.mode == Mode::ValidOnly;
-        if valid_only && !ato_satisfiable(&self.graphs.ghb, &self.sc.disjuncts) {
+        let (ghb, own) = (&self.graphs.ghb, &self.sc.disjuncts);
+        let accepted = match &self.family {
+            Some(family) => family.accepting(ghb, own),
+            None => u8::from(!valid_only || ato_satisfiable(ghb, own)),
+        };
+        if accepted == 0 {
             return ControlFlow::Continue(());
         }
         let Some(values) = resolve_values(&self.sc.ctx.events, &self.rf) else {
@@ -716,6 +846,12 @@ impl<'a> Search<'a> {
             self.ws.clone(),
             values,
         );
+        if let Some(family) = &mut self.family {
+            family.record(accepted, Outcome::of_execution(&exec));
+        }
+        if accepted & 1 == 0 {
+            return ControlFlow::Continue(());
+        }
         if valid_only {
             self.stats.valid += 1;
         }

@@ -144,6 +144,7 @@ fn exhausted_budget_records_no_prefix_certificate() {
         max_nodes: Some(5),
         max_time: None,
     });
+    let fills = cache::counters().family_fills;
     let before = tso_model::prefix::counters();
     let truncated = allowed_outcomes_cached(&mk(Atomicity::Type1));
     let after = tso_model::prefix::counters();
@@ -152,13 +153,23 @@ fn exhausted_budget_records_no_prefix_certificate() {
         after.stored, before.stored,
         "a truncated search must not certify its incomplete leaf set"
     );
+    assert_eq!(
+        cache::counters().family_fills,
+        fills,
+        "a truncated search must not answer its atomicity family"
+    );
     take_budget();
 
-    // The atomicity sibling cannot replay a (nonexistent) truncated cert:
-    // it runs a full search and matches the direct engine.
+    // The atomicity sibling can neither hit a (nonexistent) family entry
+    // nor replay a (nonexistent) truncated cert: it runs a full search
+    // and matches the direct engine.
     let sibling = mk(Atomicity::Type3);
     let complete = allowed_outcomes_cached(&sibling);
     assert!(!complete.unknown);
+    assert!(
+        !complete.hit && !complete.prefix_hit,
+        "the sibling searched"
+    );
     assert_eq!(complete.outcomes, allowed_outcomes(&sibling));
 }
 
@@ -188,6 +199,31 @@ fn unhit_budget_is_bit_identical_to_no_budget() {
     let warm = allowed_outcomes_cached(&p);
     assert!(warm.hit);
     assert_eq!(warm.stats, budgeted.stats);
+
+    // A budgeted search that completes commits its atomicity family too,
+    // each member exactly as its own fresh search would answer it.
+    let rmw = |a: Atomicity| {
+        let mut b = ProgramBuilder::new();
+        b.thread().rmw(X, RmwKind::FetchAndAdd(300_001), a).read(Y);
+        b.thread().write(Y, 300_002).read(X);
+        b.build()
+    };
+    set_budget(SearchBudget {
+        max_nodes: Some(u64::MAX),
+        max_time: None,
+    });
+    let first = allowed_outcomes_cached(&rmw(Atomicity::Type1));
+    take_budget();
+    assert!(!first.unknown && !first.hit);
+    for a in [Atomicity::Type2, Atomicity::Type3] {
+        let sibling = rmw(a);
+        let got = allowed_outcomes_cached(&sibling);
+        assert!(got.hit, "{a}: committed by the budgeted search");
+        assert_eq!(got.outcomes, allowed_outcomes(&sibling), "{a}");
+        let canon = sibling.canonicalize();
+        let fresh = for_each_valid_execution(canon.program(), |_| ControlFlow::Continue(()));
+        assert_eq!(got.stats, fresh, "{a}");
+    }
 }
 
 #[test]

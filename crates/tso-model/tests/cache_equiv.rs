@@ -9,10 +9,22 @@
 //! Checked over the full [`litmus::classic`] and [`litmus::paper`]
 //! corpora, the generated families with a seeded random tail, and
 //! proptest-generated random programs.
+//!
+//! The family tests pin what a fresh search commits for its program's
+//! uniform `with_atomicity` rewrites: each such answer is exactly what a
+//! search of the rewrite's canonical program gives, outcome set and full
+//! [`tso_model::SearchStats`], including under two workers racing on opposite
+//! rewrites of the same family.
 
 use proptest::prelude::*;
 use rmw_types::{Addr, Atomicity, RmwKind};
-use tso_model::{allowed_outcomes, allowed_outcomes_cached, Instr, Program};
+use std::ops::ControlFlow;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
+use tso_model::{
+    allowed_outcomes, allowed_outcomes_cached, for_each_valid_execution, CachedOutcomes, Instr,
+    Program, ProgramBuilder,
+};
 
 /// Asserts the memoized cache answers `p` with the direct search's set.
 fn assert_cache_matches_search(name: &str, p: &Program) {
@@ -84,6 +96,121 @@ fn permuted_corpus_tests_share_cache_entries_without_changing_answers() {
             "{}: cached set wrong for the permuted sibling",
             test.name
         );
+    }
+}
+
+/// Asserts `got` answers `p` exactly as a fresh search does: the outcome
+/// set of `allowed_outcomes(p)` and the stats of a search of `p`'s
+/// canonical program (the program the cache files the stats under).
+fn assert_answer_is_a_fresh_search(name: &str, p: &Program, got: &CachedOutcomes) {
+    assert_eq!(
+        got.outcomes,
+        allowed_outcomes(p),
+        "{name}: outcome sets differ"
+    );
+    let canon = p.canonicalize();
+    let fresh = for_each_valid_execution(canon.program(), |_| ControlFlow::<()>::Continue(()));
+    assert_eq!(got.stats, fresh, "{name}: stats differ from a fresh search");
+}
+
+/// True when the uniform rewrite of `p` to `a` lands outside the frame
+/// of `p`'s canonical program: it canonicalizes to another thread order,
+/// so that program's search cannot answer it.
+fn out_of_frame(p: &Program, a: Atomicity) -> bool {
+    let rewrite = p.canonicalize().program().with_atomicity(a);
+    rewrite.canonicalize().program() != &rewrite
+}
+
+#[test]
+fn atomicity_rewrites_answer_exactly_as_their_own_searches() {
+    // Each program is queried as written, then under its three uniform
+    // rewrites — the harness's order. Seed-1 draft 215 has rewrites
+    // outside its program's frame; the first of them cannot come from the
+    // program's search and must take its own (a later one may come from
+    // that search's family).
+    let mut programs: Vec<(String, Program)> = litmus::classic::all()
+        .into_iter()
+        .chain(litmus::paper::all())
+        .map(|t| (t.name, t.program))
+        .collect();
+    for seed in [1, 1001] {
+        for i in (0..200).chain(std::iter::once(215)) {
+            let draft = litmus::gen::campaign_draft(seed, i);
+            programs.push((format!("seed {seed} {}", draft.name), draft.program));
+        }
+    }
+    let before = tso_model::cache::counters();
+    let mut own_searches = 0;
+    for (name, p) in &programs {
+        let _ = allowed_outcomes_cached(p);
+        for a in Atomicity::ALL {
+            let rewrite = p.with_atomicity(a);
+            let got = allowed_outcomes_cached(&rewrite);
+            assert_answer_is_a_fresh_search(&format!("{name} {a}"), &rewrite, &got);
+            if name.starts_with("seed 1 camp-0000215") && out_of_frame(p, a) && !got.hit {
+                own_searches += 1;
+            }
+        }
+    }
+    assert!(
+        own_searches > 0,
+        "no out-of-frame rewrite of seed-1 draft 215 took its own search"
+    );
+    let after = tso_model::cache::counters();
+    assert!(
+        after.family_fills > before.family_fills,
+        "no search answered its atomicity family"
+    );
+}
+
+#[test]
+fn workers_racing_on_opposite_rewrites_both_finish_and_agree() {
+    // Two workers query the type-1 and the type-3 rewrite of the same
+    // fresh family at once, ~200 times: each search tries to commit the
+    // other's rewrite, which must not make either wait on the other.
+    const FAMILIES: u64 = 200;
+    let family = |i: u64, a: Atomicity| {
+        let tag = 0x7000_0000 + 16 * i;
+        let mut b = ProgramBuilder::new();
+        b.thread()
+            .rmw(Addr(0), RmwKind::FetchAndAdd(tag), a)
+            .read(Addr(1));
+        b.thread()
+            .rmw(Addr(1), RmwKind::FetchAndAdd(tag + 1), a)
+            .write(Addr(0), tag + 2);
+        b.build()
+    };
+    let start = Arc::new(Barrier::new(2));
+    let (done, finished) = mpsc::channel();
+    let workers: Vec<_> = [Atomicity::Type1, Atomicity::Type3]
+        .into_iter()
+        .map(|a| {
+            let (start, done) = (Arc::clone(&start), done.clone());
+            std::thread::spawn(move || {
+                let answers: Vec<(Program, CachedOutcomes)> = (0..FAMILIES)
+                    .map(|i| {
+                        let p = family(i, a);
+                        start.wait();
+                        let got = allowed_outcomes_cached(&p);
+                        (p, got)
+                    })
+                    .collect();
+                done.send((a, answers)).expect("the test is waiting");
+            })
+        })
+        .collect();
+    drop(done);
+    // A deadlock fails the test here instead of hanging it.
+    for _ in 0..2 {
+        let (a, answers) = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a worker panicked or never finished");
+        for (i, (p, got)) in answers.iter().enumerate() {
+            assert_answer_is_a_fresh_search(&format!("family {i} {a}"), p, got);
+        }
+    }
+    for worker in workers {
+        worker.join().expect("worker panicked");
     }
 }
 
