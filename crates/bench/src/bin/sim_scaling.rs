@@ -175,20 +175,6 @@ fn run_all(runs: &[(SimConfig, Vec<Trace>)], mode: StepMode) -> (Vec<SimResult>,
 /// scheduler noise on shared machines).
 const PASSES: usize = 5;
 
-/// Cycle-identity of two result sets (the engine-equivalence contract;
-/// `engine` diagnostics legitimately differ between step modes).
-fn same_results(a: &[SimResult], b: &[SimResult]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(a, b)| {
-            a.stats == b.stats
-                && a.per_core == b.per_core
-                && a.reads == b.reads
-                && a.memory == b.memory
-                && a.net == b.net
-                && a.deadlocked == b.deadlocked
-        })
-}
-
 fn measure(shape: &Shape) -> Row {
     let runs = shape.runs();
     // Warm-up (allocator growth, page faults) so no engine pays
@@ -210,7 +196,11 @@ fn measure(shape: &Shape) -> Row {
             }
         }
     }
-    let results_match = same_results(&ev, &ls);
+    // Both engines ran the same `runs`, so the sets pair up one to one.
+    let results_match = ev
+        .iter()
+        .zip(&ls)
+        .all(|(e, l)| e.first_difference(l).is_none());
     assert!(
         ev.iter().all(|r| !r.deadlocked),
         "{}: deadlocked — the avoidance scheme failed",

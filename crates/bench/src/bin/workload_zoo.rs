@@ -79,13 +79,7 @@ fn measure(kernel: ZooKernel, atomicity: Atomicity, n: usize, iters: u64) -> (Ro
     let ev = Machine::new(cfg, traces.clone()).run();
     cfg.step_mode = StepMode::Lockstep;
     let ls = Machine::new(cfg, traces).run();
-    let results_match = ev.stats == ls.stats
-        && ev.per_core == ls.per_core
-        && ev.reads == ls.reads
-        && ev.memory == ls.memory
-        && ev.net == ls.net
-        && ev.deadlocked == ls.deadlocked
-        && ev.truncated == ls.truncated;
+    let results_match = ev.first_difference(&ls).is_none();
     let invariant_ok = kernel.check(&ev, n, iters).is_ok();
     let row = Row {
         kernel,

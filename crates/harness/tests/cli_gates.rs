@@ -239,6 +239,24 @@ fn smoke_reports_pass_on_the_small_paper_and_128_core_machines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A budget that runs out makes verdicts go missing, never wrong: the
+/// truncated checks report `unknown`, and nothing fails or disagrees.
+#[test]
+fn a_budgeted_smoke_run_reports_unknowns_and_no_failures() {
+    let dir = workdir("budget");
+    run_ok(
+        &dir,
+        "--smoke --jobs 1 --budget-nodes 1 --format json --out REPORT_litmus.json",
+    );
+    let d = read(&dir, "REPORT_litmus.json");
+    assert!(flag(&d, "passed"));
+    assert!(num(&d, "unknown") > 0, "a 1-node budget must run out");
+    for key in ["model_failures", "differential_disagreements", "deadlocks"] {
+        assert_eq!(num(&d, key), 0, "{key}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn malformed_command_lines_are_usage_errors() {
     let dir = workdir("usage");

@@ -2,14 +2,15 @@
 //! cache-tier model queries.
 //!
 //! The axiomatic search always terminates, but its cost is factorial in
-//! events per location — a pathological generated draft can make one
-//! verdict query monopolize a campaign shard for hours. A
-//! [`SearchBudget`] installed via [`set_budget`] bounds every
-//! *cache-tier* query (the [`allowed_outcomes_cached`](crate::allowed_outcomes_cached) path behind the
-//! litmus verdicts and the differential harness): when the budget is
-//! exhausted mid-search, the query stops at the next decision node and
-//! returns whatever it has with
-//! [`SearchStats::budget_exhausted`](crate::SearchStats::budget_exhausted)
+//! events per location, so one pathological program can hold a verdict
+//! query for hours. A [`SearchBudget`] installed via [`set_budget`]
+//! bounds every *cache-tier* query (the
+//! [`allowed_outcomes_cached`](crate::allowed_outcomes_cached) path
+//! behind the litmus verdicts and the differential harness). `litmus_run`
+//! installs one for its corpus mode's `--budget-nodes` and `--budget-ms`;
+//! campaign mode installs none. When the budget is exhausted mid-search,
+//! the query stops at the next decision node and returns whatever it has
+//! with [`SearchStats::budget_exhausted`](crate::SearchStats::budget_exhausted)
 //! set, which the cache layer surfaces as an explicit *unknown* answer
 //! ([`CachedOutcomes::unknown`](crate::CachedOutcomes::unknown)).
 //!
@@ -24,12 +25,15 @@
 //!   and the prefix-certificate store all skip budget-exhausted answers,
 //!   so a later (or un-budgeted) query recomputes from scratch.
 //!
-//! With no budget installed — or with one installed but never hit — every
+//! A budget decides only what the cache commits, not which code runs:
+//! budgeted and un-budgeted queries take the same fill path, so
+//! concurrent misses on one key collapse to one search either way. With
+//! no budget installed — or with one installed but never hit — every
 //! result and every [`SearchStats`](crate::SearchStats) is bit-identical
 //! to the un-budgeted engine.
 
 use std::cell::Cell;
-use std::sync::{OnceLock, RwLock};
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 /// A bound on the work one cache-tier model query may spend.
@@ -53,26 +57,18 @@ impl SearchBudget {
     }
 }
 
-fn budget_slot() -> &'static RwLock<Option<SearchBudget>> {
-    static SLOT: OnceLock<RwLock<Option<SearchBudget>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
+static BUDGET: RwLock<Option<SearchBudget>> = RwLock::new(None);
 
 /// Installs the process-wide search budget (replacing any previous one).
 /// Applies to every subsequent cache-tier query until [`take_budget`].
 pub fn set_budget(budget: SearchBudget) {
-    *budget_slot().write().expect("search budget lock") = Some(budget);
+    *BUDGET.write().expect("search budget lock") = Some(budget);
 }
 
 /// Uninstalls the process-wide search budget, returning it. Subsequent
 /// queries run unbounded, exactly as if no budget was ever set.
 pub fn take_budget() -> Option<SearchBudget> {
-    budget_slot().write().expect("search budget lock").take()
-}
-
-/// The currently installed budget, if any.
-pub fn current_budget() -> Option<SearchBudget> {
-    *budget_slot().read().expect("search budget lock")
+    BUDGET.write().expect("search budget lock").take()
 }
 
 /// Live accounting for one budgeted query. A query searches on one
@@ -123,16 +119,11 @@ impl QueryBudget {
 /// when no (limiting) budget is installed — the common case, which costs
 /// one `RwLock` read.
 pub(crate) fn begin_query() -> Option<QueryBudget> {
-    current_budget()
+    BUDGET
+        .read()
+        .expect("search budget lock")
         .filter(|b| !b.is_unlimited())
         .map(QueryBudget::start)
-}
-
-/// True when a limiting budget is installed (the cache layer routes
-/// around its memoization cells in that case, so truncated answers are
-/// never committed).
-pub(crate) fn installed() -> bool {
-    current_budget().is_some_and(|b| !b.is_unlimited())
 }
 
 #[cfg(test)]

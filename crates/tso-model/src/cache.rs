@@ -17,10 +17,19 @@
 //! Entries store the outcome set in canonical coordinates plus the
 //! [`SearchStats`] of the search that produced it; lookups map the set
 //! back into the caller's coordinates ([`Canonical::outcome_to_original`])
-//! and report whether they hit. Concurrent misses on the same key are
-//! collapsed by a per-entry [`OnceLock`], so two harness workers racing on
-//! equivalent tests compute the search once and one of them blocks
-//! briefly instead of both burning a core.
+//! and report whether they hit.
+//!
+//! Every key fills on one path. The first query to find a key empty takes
+//! that key's fill lock, asks the persistent store, and otherwise
+//! searches. It commits the answer (the memory cell and the store) only
+//! when the search ran to completion: an installed
+//! [`SearchBudget`](crate::budget::SearchBudget) decides what is
+//! committed, not which code runs. Concurrent misses on the key wait on
+//! the lock and then read the committed answer, so two harness workers
+//! racing on equivalent tests search once, with or without a budget. A
+//! truncated search, or a fill that panics, leaves the key empty for the
+//! next query to fill. A query holds at most one fill lock and never
+//! waits on another key's.
 //!
 //! On a miss the query drops to the prefix-certificate tier
 //! ([`crate::prefix`]): a program sharing its atomicity-masked canonical
@@ -76,10 +85,16 @@ struct Entry {
     stats: SearchStats,
 }
 
-type Cell = Arc<OnceLock<Arc<Entry>>>;
+/// One key's slot. `entry` is empty until a complete answer is committed
+/// and is read without a lock; `fill` is held by the query filling it.
+#[derive(Default)]
+struct KeyCell {
+    fill: Mutex<()>,
+    entry: OnceLock<Arc<Entry>>,
+}
 
-fn cache() -> &'static Mutex<FastHashMap<Vec<u64>, Cell>> {
-    static CACHE: OnceLock<Mutex<FastHashMap<Vec<u64>, Cell>>> = OnceLock::new();
+fn cache() -> &'static Mutex<FastHashMap<Vec<u64>, Arc<KeyCell>>> {
+    static CACHE: OnceLock<Mutex<FastHashMap<Vec<u64>, Arc<KeyCell>>>> = OnceLock::new();
     CACHE.get_or_init(Mutex::default)
 }
 
@@ -153,7 +168,8 @@ pub struct CacheCounters {
     /// atomicity family ([`crate::prefix`]). Like store hits, they are not
     /// invocations, and a later query of one is a hit.
     pub family_fills: u64,
-    /// Distinct canonical programs currently cached.
+    /// Distinct canonical programs whose answer is cached. A key still
+    /// being filled, or left empty by a truncated search, is not counted.
     pub entries: u64,
 }
 
@@ -171,7 +187,12 @@ pub fn counters() -> CacheCounters {
         invocations: MISSES.load(Ordering::Relaxed),
         store_hits: STORE_HITS.load(Ordering::Relaxed),
         family_fills: FAMILY_FILLS.load(Ordering::Relaxed),
-        entries: cache().lock().expect("model cache lock").len() as u64,
+        entries: cache()
+            .lock()
+            .expect("model cache lock")
+            .values()
+            .filter(|cell| cell.entry.get().is_some())
+            .count() as u64,
     }
 }
 
@@ -212,7 +233,7 @@ pub struct CachedOutcomes {
     /// allowed, but absence proves nothing). Truncated answers are never
     /// committed to the in-memory cache, the [`VerdictStore`], or the
     /// certificate tier, so a later query recomputes. Always false when
-    /// no budget is installed.
+    /// no budget is installed, and on every hit.
     pub unknown: bool,
     /// The canonical fingerprint the entry is filed under (diagnostics).
     pub fingerprint: u64,
@@ -229,48 +250,64 @@ pub fn allowed_outcomes_cached(program: &Program) -> CachedOutcomes {
 /// [`allowed_outcomes_cached`] for callers that already canonicalized.
 pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
     QUERIES.fetch_add(1, Ordering::Relaxed);
-    let cell: Cell = {
+    let cell = {
         let mut map = cache().lock().expect("model cache lock");
         Arc::clone(map.entry(canon.key().to_vec()).or_default())
     };
-    if crate::budget::installed() {
-        // A limiting budget might truncate the search, and a `OnceLock`
-        // cell cannot be un-populated — so budgeted queries take a path
-        // that only commits complete answers.
-        return budgeted_canonical(canon, &cell);
-    }
+    // A fill that panics poisons the lock but commits nothing, so the next
+    // query of the key finds it empty and fills it again.
+    let filling = cell.entry.get().is_none().then(|| {
+        cell.fill
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    });
     let mut searched = false;
     let mut prefix_hit = false;
     let mut family = Vec::new();
-    let entry = Arc::clone(cell.get_or_init(|| {
-        // Memory miss: the persistent store (when installed) is the next
-        // tier — a store hit costs a lookup, not a search.
-        if let Some(store) = current_store() {
-            if let Some((outcomes, stats)) = store.load(canon.key()) {
-                STORE_HITS.fetch_add(1, Ordering::Relaxed);
-                return Arc::new(Entry { outcomes, stats });
+    let entry = match cell.entry.get() {
+        // Committed before this query looked, or by the fill it waited on.
+        Some(entry) => Arc::clone(entry),
+        None => {
+            // Memory miss: the persistent store (when installed) is the
+            // next tier — a store hit costs a lookup, not a search.
+            let store = current_store();
+            let entry = match store.as_ref().and_then(|s| s.load(canon.key())) {
+                Some((outcomes, stats)) => {
+                    STORE_HITS.fetch_add(1, Ordering::Relaxed);
+                    Arc::new(Entry { outcomes, stats })
+                }
+                None => {
+                    searched = true;
+                    MISSES.fetch_add(1, Ordering::Relaxed);
+                    // The certificate tier replays a masked-key sibling's
+                    // pruned search when it can, and otherwise runs the
+                    // recording search under the installed budget.
+                    let answer = crate::prefix::query(canon);
+                    prefix_hit = answer.prefix_hit;
+                    family = answer.family;
+                    Arc::new(Entry {
+                        outcomes: answer.outcomes,
+                        stats: answer.stats,
+                    })
+                }
+            };
+            // A truncated answer is returned as unknown and committed
+            // nowhere, so the key stays empty for the next query.
+            if !entry.stats.budget_exhausted {
+                if let Some(store) = store.filter(|_| searched) {
+                    store.save(
+                        canon.key(),
+                        canon.fingerprint(),
+                        &entry.outcomes,
+                        &entry.stats,
+                    );
+                }
+                let _ = cell.entry.set(Arc::clone(&entry));
             }
+            entry
         }
-        searched = true;
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        // The certificate tier replays a masked-key sibling's pruned
-        // search when it can, and otherwise runs the recording search.
-        let answer = crate::prefix::query(canon);
-        prefix_hit = answer.prefix_hit;
-        family = answer.family;
-        if let Some(store) = current_store() {
-            store.save(
-                canon.key(),
-                canon.fingerprint(),
-                &answer.outcomes,
-                &answer.stats,
-            );
-        }
-        Arc::new(Entry {
-            outcomes: answer.outcomes,
-            stats: answer.stats,
-        })
-    }));
+    };
+    drop(filling);
     commit_family(family);
     let outcomes = entry
         .outcomes
@@ -282,7 +319,7 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
         stats: entry.stats,
         hit: !searched,
         prefix_hit,
-        unknown: false,
+        unknown: entry.stats.budget_exhausted,
         fingerprint: canon.fingerprint(),
     }
 }
@@ -304,7 +341,10 @@ fn commit_family(family: Vec<MemberAnswer>) {
             .entry(member.canon.key().to_vec())
         {
             Slot::Vacant(slot) => {
-                slot.insert(Arc::new(OnceLock::from(Arc::clone(&entry))));
+                slot.insert(Arc::new(KeyCell {
+                    fill: Mutex::new(()),
+                    entry: OnceLock::from(Arc::clone(&entry)),
+                }));
                 true
             }
             Slot::Occupied(_) => false,
@@ -322,81 +362,6 @@ fn commit_family(family: Vec<MemberAnswer>) {
                 &entry.stats,
             );
         }
-    }
-}
-
-/// Builds a [`CachedOutcomes`] hit answer from a committed entry, mapped
-/// back into the caller's coordinates. Committed entries are always
-/// complete (truncated answers never reach a cell), hence `unknown:
-/// false`.
-fn from_entry(canon: &Canonical, entry: &Entry) -> CachedOutcomes {
-    CachedOutcomes {
-        outcomes: entry
-            .outcomes
-            .iter()
-            .map(|o| canon.outcome_to_original(o))
-            .collect(),
-        stats: entry.stats,
-        hit: true,
-        prefix_hit: false,
-        unknown: false,
-        fingerprint: canon.fingerprint(),
-    }
-}
-
-/// The budget-aware query path: same tiers as the `OnceLock` path
-/// (memory → persistent store → prefix/search), but a budget-exhausted
-/// search result is returned as an explicit *unknown* answer without
-/// being written to the cell, the [`VerdictStore`], or (via the
-/// `stopped_early` gate in [`crate::prefix`]) the certificate tier and
-/// the family.
-/// Concurrent misses on the same key may each search — the miss-collapse
-/// optimization is traded away while a budget is installed, results are
-/// unaffected.
-fn budgeted_canonical(canon: &Canonical, cell: &Cell) -> CachedOutcomes {
-    if let Some(entry) = cell.get() {
-        return from_entry(canon, entry);
-    }
-    if let Some(store) = current_store() {
-        if let Some((outcomes, stats)) = store.load(canon.key()) {
-            STORE_HITS.fetch_add(1, Ordering::Relaxed);
-            let entry = Arc::new(Entry { outcomes, stats });
-            let answer = from_entry(canon, &entry);
-            let _ = cell.set(entry); // a racing loser changes nothing
-            return answer;
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let answer = crate::prefix::query(canon);
-    let outcomes = answer
-        .outcomes
-        .iter()
-        .map(|o| canon.outcome_to_original(o))
-        .collect();
-    let truncated = answer.stats.budget_exhausted;
-    if !truncated {
-        if let Some(store) = current_store() {
-            store.save(
-                canon.key(),
-                canon.fingerprint(),
-                &answer.outcomes,
-                &answer.stats,
-            );
-        }
-        let _ = cell.set(Arc::new(Entry {
-            outcomes: answer.outcomes,
-            stats: answer.stats,
-        }));
-    }
-    // Empty when the search stopped early (see `prefix::query`).
-    commit_family(answer.family);
-    CachedOutcomes {
-        outcomes,
-        stats: answer.stats,
-        hit: false,
-        prefix_hit: answer.prefix_hit,
-        unknown: truncated,
-        fingerprint: canon.fingerprint(),
     }
 }
 

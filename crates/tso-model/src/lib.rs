@@ -79,7 +79,7 @@ pub mod program;
 pub mod search;
 pub mod validity;
 
-pub use budget::{current_budget, set_budget, take_budget, SearchBudget};
+pub use budget::{set_budget, take_budget, SearchBudget};
 pub use cache::{allowed_outcomes_cached, CacheCounters, CachedOutcomes, VerdictStore};
 pub use canon::Canonical;
 pub use event::{Event, EventId, EventKind, RmwHalf};

@@ -1,6 +1,8 @@
 //! Search-budget integration: exhausted budgets return explicit unknown
 //! answers and never poison any cache tier; unhit budgets are
-//! observationally invisible.
+//! observationally invisible. Budgeted queries share the cache's one fill
+//! path, so racing misses on one key search once, and a fill that panics
+//! leaves its key empty for the next query.
 //!
 //! The budget slot, verdict cache, and certificate cache are process-wide,
 //! so every test here serializes on one mutex and uses programs made
@@ -9,8 +11,10 @@
 use rmw_types::{Addr, Atomicity, RmwKind};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::thread;
 use std::time::Duration;
 use tso_model::cache::{self, VerdictStore};
 use tso_model::{
@@ -80,8 +84,8 @@ fn exhausted_budget_returns_unknown_and_poisons_nothing() {
     let p = deep_program(100_000);
     let full = allowed_outcomes(&p);
 
-    let store = std::sync::Arc::new(CountingStore::default());
-    cache::set_store(std::sync::Arc::clone(&store) as std::sync::Arc<dyn VerdictStore>);
+    let store = Arc::new(CountingStore::default());
+    cache::set_store(Arc::clone(&store) as Arc<dyn VerdictStore>);
     set_budget(SearchBudget {
         max_nodes: Some(10),
         max_time: None,
@@ -256,4 +260,95 @@ fn an_unlimited_budget_is_ignored_entirely() {
     take_budget();
     assert!(!answer.unknown);
     assert_eq!(answer.outcomes, allowed_outcomes(&p));
+}
+
+#[test]
+fn racing_budgeted_misses_collapse_to_one_search() {
+    let _guard = budget_lock();
+    set_budget(SearchBudget {
+        max_nodes: Some(u64::MAX),
+        max_time: None,
+    });
+    for round in 0..20u64 {
+        let p = deep_program(400_000 + 10 * round);
+        let barrier = Barrier::new(2);
+        let answers: Vec<_> = thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        allowed_outcomes_cached(&p)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let searches = answers.iter().filter(|a| !a.hit).count();
+        assert_eq!(searches, 1, "round {round}: one racer searches");
+        assert_eq!(answers[0].outcomes, answers[1].outcomes, "round {round}");
+        assert!(answers.iter().all(|a| !a.unknown), "round {round}");
+    }
+    take_budget();
+}
+
+#[test]
+fn only_answered_keys_count_as_entries() {
+    let _guard = budget_lock();
+    let p = deep_program(500_000);
+    set_budget(SearchBudget {
+        max_nodes: Some(10),
+        max_time: None,
+    });
+    let before = cache::counters().entries;
+    assert!(allowed_outcomes_cached(&p).unknown);
+    take_budget();
+    assert_eq!(
+        cache::counters().entries,
+        before,
+        "a truncated query leaves its key empty"
+    );
+    assert!(!allowed_outcomes_cached(&p).unknown);
+    assert_eq!(
+        cache::counters().entries,
+        before + 1,
+        "the completed rerun caches one answer"
+    );
+}
+
+/// A store whose first `load` panics, as a failing backend might.
+#[derive(Default)]
+struct PanicOnceStore {
+    panicked: AtomicBool,
+}
+
+impl VerdictStore for PanicOnceStore {
+    fn load(&self, _key: &[u64]) -> Option<(BTreeSet<Outcome>, SearchStats)> {
+        assert!(
+            self.panicked.swap(true, Ordering::Relaxed),
+            "store load fails"
+        );
+        None
+    }
+    fn save(
+        &self,
+        _key: &[u64],
+        _fingerprint: u64,
+        _outcomes: &BTreeSet<Outcome>,
+        _stats: &SearchStats,
+    ) {
+    }
+}
+
+#[test]
+fn a_fill_that_panics_leaves_its_key_answerable() {
+    let _guard = budget_lock();
+    let p = small_program(3);
+    cache::set_store(Arc::new(PanicOnceStore::default()));
+    let crashed = panic::catch_unwind(AssertUnwindSafe(|| allowed_outcomes_cached(&p)));
+    let retried = allowed_outcomes_cached(&p);
+    cache::take_store();
+    assert!(crashed.is_err(), "the first fill panicked");
+    assert!(!retried.hit && !retried.unknown, "the retry searched");
+    assert_eq!(retried.outcomes, allowed_outcomes(&p));
+    assert!(allowed_outcomes_cached(&p).hit, "and committed its answer");
 }

@@ -35,13 +35,7 @@ fn assert_engines_agree(mut cfg: SimConfig, traces: Vec<Trace>, label: &str) -> 
     let ls = Machine::new(cfg, traces.clone()).run();
     cfg.step_mode = StepMode::EventDriven;
     let ev = Machine::new(cfg, traces).run();
-    assert_eq!(ev.stats, ls.stats, "{label}: aggregate stats");
-    assert_eq!(ev.per_core, ls.per_core, "{label}: per-core stats");
-    assert_eq!(ev.reads, ls.reads, "{label}: read values");
-    assert_eq!(ev.memory, ls.memory, "{label}: final memory");
-    assert_eq!(ev.net, ls.net, "{label}: interconnect traffic");
-    assert_eq!(ev.deadlocked, ls.deadlocked, "{label}: deadlock");
-    assert_eq!(ev.truncated, ls.truncated, "{label}: truncation");
+    assert_eq!(ev.first_difference(&ls), None, "{label}: engines disagree");
     ev
 }
 

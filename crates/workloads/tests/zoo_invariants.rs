@@ -16,19 +16,6 @@ fn run(mut cfg: SimConfig, mode: StepMode, k: ZooKernel, n: usize, iters: u64) -
     Machine::new(cfg, k.traces(n, iters)).run()
 }
 
-fn assert_equal(k: ZooKernel, a: &SimResult, b: &SimResult, label: &str) {
-    assert_eq!(a.stats, b.stats, "{k} {label}: aggregate stats diverge");
-    assert_eq!(
-        a.per_core, b.per_core,
-        "{k} {label}: per-core stats diverge"
-    );
-    assert_eq!(a.reads, b.reads, "{k} {label}: read values diverge");
-    assert_eq!(a.memory, b.memory, "{k} {label}: final memory diverges");
-    assert_eq!(a.net, b.net, "{k} {label}: net traffic diverges");
-    assert_eq!(a.deadlocked, b.deadlocked, "{k} {label}");
-    assert_eq!(a.truncated, b.truncated, "{k} {label}");
-}
-
 /// The full small-machine matrix: 12 kernels × 3 atomicities × 2 engines,
 /// every run invariant-checked and the engine pair compared exactly.
 #[test]
@@ -44,7 +31,11 @@ fn small_machine_all_kernels_all_atomicities_both_engines() {
             let ls = run(cfg, StepMode::Lockstep, k, n, iters);
             k.check(&ls, n, iters)
                 .unwrap_or_else(|e| panic!("{k} {atomicity} lockstep: {e}"));
-            assert_equal(k, &ev, &ls, &format!("{atomicity}"));
+            assert_eq!(
+                ev.first_difference(&ls),
+                None,
+                "{k} {atomicity}: engines diverge"
+            );
         }
     }
 }
@@ -96,7 +87,11 @@ fn table2_lockstep_equivalence_rotating_atomicity() {
         let ls = run(cfg, StepMode::Lockstep, k, n, iters);
         k.check(&ev, n, iters)
             .unwrap_or_else(|e| panic!("{k} {atomicity}: {e}"));
-        assert_equal(k, &ev, &ls, &format!("{atomicity} @32 cores"));
+        assert_eq!(
+            ev.first_difference(&ls),
+            None,
+            "{k} {atomicity} @32 cores: engines diverge"
+        );
     }
 }
 
