@@ -6,9 +6,7 @@
 //!
 //! | binary          | paper artefact |
 //! |-----------------|----------------|
-//! | `table3`        | Table 3 (benchmark characteristics) |
-//! | `fig11a`        | Fig. 11(a) (RMW cost split, type-1/2/3) |
-//! | `fig11b`        | Fig. 11(b) (RMW share of execution time) |
+//! | `fig11`         | Table 3, Fig. 11(a) and Fig. 11(b), from one sweep |
 //! | `intro_latency` | §1's 67-cycle / mfence hypothesis check |
 //! | `bloom_ablation`| §3.2 design choice: filter size / hash count |
 //! | `dirlock_ablation` | §3.3 design choice: directory locking |
@@ -28,9 +26,9 @@ pub const DEFAULT_MEMOPS: usize = 20_000;
 /// Seed used by all experiments (results are deterministic).
 pub const SEED: u64 = 0xD15EA5E;
 
-/// Parses the command line of the paper-artifact binaries (`table3`,
-/// `fig11a`, `fig11b`, `intro_latency`, `bloom_ablation`,
-/// `dirlock_ablation`): `[cores] [memops-per-core]`, defaulting to
+/// Parses the command line of the paper-artifact binaries (`fig11`,
+/// `intro_latency`, `bloom_ablation`, `dirlock_ablation`):
+/// `[cores] [memops-per-core]`, defaulting to
 /// [`DEFAULT_CORES`] × [`DEFAULT_MEMOPS`]. `--help` or a malformed
 /// argument prints usage for binary `name` and exits with status 2.
 pub fn cli_scale(name: &str) -> (usize, usize) {
@@ -147,7 +145,8 @@ pub fn run(bench: Benchmark, atomicity: Atomicity, cores: usize, memops: usize) 
     result
 }
 
-/// Per-benchmark, per-type results for the Fig. 11 experiments.
+/// Per-benchmark, per-type results for the Table 3 and Fig. 11
+/// experiments.
 #[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// The benchmark.
@@ -169,11 +168,6 @@ pub fn fig11_sweep(cores: usize, memops: usize) -> Vec<Fig11Row> {
             ],
         })
         .collect()
-}
-
-/// Formats a float with fixed width for the table printers.
-pub fn f(v: f64) -> String {
-    format!("{v:8.2}")
 }
 
 /// Model-search scaling shapes of the `model_scaling` experiment binary

@@ -11,7 +11,8 @@
 //!
 //! Flags (corpus mode, the default):
 //!
-//! * `--filter SUBSTR` — run only tests whose name contains `SUBSTR`;
+//! * `--filter SUBSTR` — run only tests whose name contains `SUBSTR`
+//!   (a selection of no test is a usage error);
 //! * `--jobs N` — worker threads, at least 1 (default: available
 //!   parallelism);
 //! * `--smoke` — small-program subset (capped), for CI; the reported
@@ -31,8 +32,8 @@
 //!
 //! * `litmus_run campaign` — resumable sharded campaign over the
 //!   deterministic `litmus::gen::campaign_draft` stream. Key flags:
-//!   `--count N`, `--shard I/N`, `--seed N`, `--store PATH` (default
-//!   `verdicts.store`; per-shard files `PATH.i-of-n` when sharded),
+//!   `--count N` (at least 1), `--shard I/N`, `--seed N`, `--store PATH`
+//!   (default `verdicts.store`; per-shard files `PATH.i-of-n` when sharded),
 //!   `--no-store`, `--checkpoint PATH`, `--resume`, `--chunk N`,
 //!   `--jobs N`, `--machine`, `--out PATH`, `--max-chunks N` (stop early
 //!   after N chunks — simulates a kill, for testing resume).
@@ -260,7 +261,7 @@ fn corpus_main(argv: Vec<String>) {
     // that fails to open degrades to a store-less run (reported via the
     // JSON `degraded` flag) — persistence is an optimization, not a
     // prerequisite for verification.
-    let ((corpus_total, outcomes, elapsed), store) = with_store(args.store.as_deref(), || {
+    let (run, store) = with_store(args.store.as_deref(), || {
         let corpus = full_corpus(args.seed, args.random);
         let corpus_total = corpus.len();
         let mut selected: Vec<litmus::Litmus> = corpus
@@ -271,6 +272,9 @@ fn corpus_main(argv: Vec<String>) {
         if args.smoke {
             selected.truncate(SMOKE_CAP);
         }
+        if selected.is_empty() {
+            return None;
+        }
         eprintln!(
             "litmus_run: corpus {corpus_total} tests, running {} on {} jobs, {} machine{}",
             selected.len(),
@@ -279,13 +283,26 @@ fn corpus_main(argv: Vec<String>) {
             if args.smoke { " (smoke)" } else { "" }
         );
         let (outcomes, elapsed) = run_batch_on(&selected, args.jobs, args.machine);
-        (corpus_total, outcomes, elapsed)
+        Some((corpus_total, outcomes, elapsed))
     });
+    // A run that checks no test would pass vacuously.
+    let Some((corpus_total, outcomes, elapsed)) = run else {
+        eprintln!(
+            "no test matches --filter {:?}{}",
+            args.filter.as_deref().unwrap_or(""),
+            if args.smoke {
+                " in the --smoke subset"
+            } else {
+                ""
+            }
+        );
+        usage()
+    };
     if let Some(st) = store.as_ref().filter(|st| st.open_error.is_none()) {
         eprintln!(
-            "store {}: {} verdicts + {} certs loaded, {} records appended, \
-             {} keys + {} certs on disk, {} save errors swallowed",
-            st.path, st.loads, st.cert_loads, st.appended, st.keys, st.certs, st.save_errors
+            "store {}: {} verdicts loaded, {} records appended, {} keys on disk, \
+             {} save errors swallowed",
+            st.path, st.loads, st.appended, st.keys, st.save_errors
         );
     }
     let report = Report {

@@ -109,14 +109,16 @@ impl CampaignConfig {
     }
 
     /// Why this configuration cannot run, or `None` when it can: the shard
-    /// must lie in `0..shards`, and `chunk` and `max_chunks` must be
-    /// positive.
+    /// must lie in `0..shards`, and `count`, `chunk` and `max_chunks` must
+    /// be positive (a campaign of no draft would pass vacuously).
     pub fn problem(&self) -> Option<String> {
         if self.shards == 0 || self.shard >= self.shards {
             Some(format!(
                 "shard {} out of range for {} shards",
                 self.shard, self.shards
             ))
+        } else if self.count == 0 {
+            Some("count must be positive".to_owned())
         } else if self.chunk == 0 {
             Some("chunk size must be positive".to_owned())
         } else if self.max_chunks == Some(0) {
@@ -816,6 +818,8 @@ mod tests {
         cfg.shard = 2;
         cfg.shards = 2;
         assert!(run_campaign(&cfg).is_err(), "shard out of range");
+        let cfg = CampaignConfig::new(1, 0);
+        assert!(run_campaign(&cfg).is_err(), "zero count");
         let mut cfg = CampaignConfig::new(1, 10);
         cfg.chunk = 0;
         assert!(run_campaign(&cfg).is_err(), "zero chunk");

@@ -283,10 +283,8 @@ impl From<&StoreCounters> for Value {
             ("degraded", st.degraded().into()),
             ("open_error", st.open_error.as_deref().into()),
             ("loads", st.loads.into()),
-            ("cert_loads", st.cert_loads.into()),
             ("appended", st.appended.into()),
             ("keys", st.keys.into()),
-            ("certs", st.certs.into()),
             ("recovered_bytes", st.recovered_bytes.into()),
             ("skipped_records", st.skipped_records.into()),
             ("save_errors", st.save_errors.into()),

@@ -1,6 +1,5 @@
 //! The persistent verdict store: an append-only record file that keeps
-//! model verdicts (and prefix certificates) across `litmus_run`
-//! invocations.
+//! model verdicts across `litmus_run` invocations.
 //!
 //! The in-memory verdict cache (`tso_model::cache`) eliminates repeated
 //! model searches *within* a process; this store eliminates them *across*
@@ -8,10 +7,7 @@
 //! over a corpus pays every model search once and appends each result;
 //! every later run — a resumed shard, a re-run, a different shard sharing
 //! the file, tomorrow's regression sweep — answers those queries with a
-//! file lookup instead of a search. Since format version 2 the same file
-//! also persists **prefix certificates**
-//! ([`tso_model::prefix`]): the recorded complete-leaf paths that let
-//! atomicity siblings replay one pruned search instead of re-running it.
+//! file lookup instead of a search.
 //!
 //! # On-disk format (version 2)
 //!
@@ -31,39 +27,35 @@
 //!            outcome_count:u32 outcome*
 //! outcome := reads:u32 read_value:u64[reads]
 //!            mem:u32  (addr:u64 value:u64)[mem]
-//! kind 2 (certificate):
-//! body    := fingerprint:u64
-//!            key_words:u32  key:u64[key_words]
-//!            nodes:u64 pruned:u64 complete:u64
-//!            leaf_count:u32 leaf*
-//! leaf    := ws:u32 event:u64[ws]  rf:u32 event:u64[rf]
 //! ```
 //!
 //! A verdict's record key is the program's **full canonical
-//! serialization** (`tso_model::Canonical::key`); a certificate's is the
-//! **atomicity-masked** canonical key (`tso_model::canon::masked_key`
-//! zeroes the per-RMW atomicity rank words) — both collision-proof by
-//! construction, with the 64-bit `fingerprint` riding along for
-//! diagnostics and shard routing. Outcome reads/memory and certificate
-//! leaf paths are in the canonical program's coordinates, which is exactly
-//! what the in-memory tiers store; coordinate translation back to each
-//! caller's frame stays where it always was, in `tso_model::cache`.
+//! serialization** (`tso_model::Canonical::key`, RMW atomicities
+//! included) — collision-proof by construction, with the 64-bit
+//! `fingerprint` riding along for diagnostics and shard routing. Outcome
+//! reads/memory are in the canonical program's coordinates, which is
+//! exactly what the in-memory cache stores; coordinate translation back to
+//! each caller's frame stays where it always was, in `tso_model::cache`.
+//!
+//! Kind 2 is retired. Earlier builds also wrote the prefix certificates of
+//! `tso_model::prefix` here as kind-2 records; this build never writes
+//! one, skips them on open like any unknown kind, and [`Store::compact`]
+//! drops them. Certificates live in process memory only.
 //!
 //! # Forward and backward compatibility
 //!
 //! * **Unknown record kinds are skipped, not treated as corruption.** A
-//!   record whose checksum validates but whose `kind` this build does not
-//!   know is counted in [`OpenStats::skipped_records`] and replay
-//!   continues at the next record — a file written by a newer build loses
-//!   only the records this build cannot read. Checksum failures still cut
-//!   the replay (see below): the checksum guards record *boundaries*,
-//!   the kind tags record *content*.
+//!   record whose checksum validates but whose `kind` is not a verdict is
+//!   counted in [`OpenStats::skipped_records`] and replay continues at the
+//!   next record — a file written by a newer build (or an older build's
+//!   certificates) loses only the records this build cannot read.
+//!   Checksum failures still cut the replay (see below): the checksum
+//!   guards record *boundaries*, the kind tags record *content*.
 //! * **Version-1 files still open.** `"RMWVST01"` files (bare verdict
 //!   payloads, no kind tag) replay fully; appends through a v1 handle keep
 //!   writing v1 verdict records so older tools sharing the file stay
-//!   functional, and certificate appends on a v1 file are dropped (v1 has
-//!   no encoding for them). [`Store::compact`] always rewrites in the
-//!   current format, upgrading the file.
+//!   functional. [`Store::compact`] always rewrites in the current format,
+//!   upgrading the file.
 //!
 //! # Crash safety
 //!
@@ -80,9 +72,10 @@
 //!
 //! Later records win: appending the same key again shadows the earlier
 //! record at load time. [`Store::compact`] rewrites the file with one
-//! record per key (atomically, via a temp file + rename) — worth running
-//! after long campaigns that recorded shadowed entries, and it doubles as
-//! the fold when merging per-shard store files into one.
+//! record per key (atomically, via a temp file + rename), dropping
+//! shadowed and skipped records — worth running after long campaigns,
+//! and it doubles as the fold when merging per-shard store files into
+//! one.
 //!
 //! One process per store file at a time: the store does no file locking,
 //! so concurrent *shards* must write distinct files (the campaign driver
@@ -134,11 +127,9 @@ pub const MAGIC: &[u8; 8] = b"RMWVST02";
 /// no kind tags) open read/write in their own format; see the module docs.
 pub const MAGIC_V1: &[u8; 8] = b"RMWVST01";
 
-/// Record kind tag for a verdict record (format version 2).
+/// Record kind tag for a verdict record (format version 2), the only
+/// kind this build reads or writes; kind 2 is retired (see module docs).
 pub const KIND_VERDICT: u32 = 1;
-
-/// Record kind tag for a prefix-certificate record (format version 2).
-pub const KIND_CERT: u32 = 2;
 
 /// Number of `u64` stats words in a record: `nodes`, `pruned`, `complete`,
 /// `valid` (the additive [`SearchStats`] counters), then two words that
@@ -209,15 +200,15 @@ impl StoredVerdict {
 /// Statistics from opening a store file — how much survived recovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenStats {
-    /// Valid records replayed (verdicts and certificates, including
-    /// shadowed duplicates).
+    /// Valid verdict records replayed (including shadowed duplicates).
     pub records: u64,
     /// Distinct verdict keys in the index after replay.
     pub keys: u64,
     /// Bytes dropped from a torn tail (0 on a clean file).
     pub recovered_bytes: u64,
-    /// Checksummed records whose kind this build does not understand,
-    /// skipped during replay (forward compatibility — see module docs).
+    /// Checksummed records that are not verdicts (an unknown kind, or
+    /// kind 2, the retired certificates), skipped during replay — see
+    /// module docs.
     pub skipped_records: u64,
 }
 
@@ -231,7 +222,6 @@ pub struct Store {
     /// this handle stay in the file's own format.
     version: u8,
     index: FastHashMap<Vec<u64>, StoredVerdict>,
-    certs: FastHashMap<Vec<u64>, CertData>,
     open_stats: OpenStats,
     appended: u64,
     /// Byte offset of the last known-good record boundary. A failed
@@ -255,9 +245,9 @@ pub fn fsync_parent(path: &Path) -> io::Result<()> {
 /// One decoded record during replay.
 enum Record {
     Verdict(Vec<u64>, StoredVerdict),
-    Cert(Vec<u64>, CertData),
-    /// Checksummed but not interpretable by this build (unknown kind, or a
-    /// malformed body behind a valid checksum) — skipped, never truncated.
+    /// Checksummed but not a verdict this build reads (an unknown or
+    /// retired kind, or a malformed body behind a valid checksum) —
+    /// skipped, never truncated.
     Skipped,
 }
 
@@ -286,7 +276,6 @@ impl Store {
                 file,
                 version: 2,
                 index: FastHashMap::default(),
-                certs: FastHashMap::default(),
                 open_stats: OpenStats::default(),
                 appended: 0,
                 end_offset: MAGIC.len() as u64,
@@ -304,7 +293,6 @@ impl Store {
         };
 
         let mut index = FastHashMap::default();
-        let mut certs = FastHashMap::default();
         let mut records = 0u64;
         let mut skipped_records = 0u64;
         let mut pos = MAGIC.len();
@@ -312,10 +300,6 @@ impl Store {
             match parse_payload(payload, version) {
                 Some(Record::Verdict(key, verdict)) => {
                     index.insert(key, verdict);
-                    records += 1;
-                }
-                Some(Record::Cert(key, cert)) => {
-                    certs.insert(key, cert);
                     records += 1;
                 }
                 Some(Record::Skipped) => skipped_records += 1,
@@ -338,7 +322,6 @@ impl Store {
             file,
             version,
             index,
-            certs,
             open_stats: OpenStats {
                 records,
                 keys,
@@ -365,19 +348,9 @@ impl Store {
         self.index.get(key)
     }
 
-    /// Looks up the prefix certificate for an atomicity-masked key.
-    pub fn lookup_cert(&self, masked_key: &[u64]) -> Option<&CertData> {
-        self.certs.get(masked_key)
-    }
-
     /// Distinct verdict keys currently indexed.
     pub fn len(&self) -> usize {
         self.index.len()
-    }
-
-    /// Distinct certificate keys currently indexed.
-    pub fn cert_count(&self) -> usize {
-        self.certs.len()
     }
 
     /// True when the store holds no verdicts.
@@ -402,7 +375,10 @@ impl Store {
 
     /// Appends a verdict record and updates the index. The record is
     /// written with a single `write_all` and flushed, so a crash leaves
-    /// at most a torn tail that the next [`Store::open`] truncates.
+    /// at most a torn tail that the next [`Store::open`] truncates. A
+    /// write that fails partway rolls the file back to the last good
+    /// boundary, so a failed append never strands later records behind a
+    /// torn frame.
     pub fn append(
         &mut self,
         key: &[u64],
@@ -410,19 +386,12 @@ impl Store {
         verdict: &StoredVerdict,
     ) -> io::Result<()> {
         let payload = encode_verdict_payload(key, fingerprint, verdict, self.version);
-        self.append_record(&encode_frame(&payload), "store.append.write")?;
-        self.index.insert(key.to_vec(), verdict.clone());
-        Ok(())
-    }
-
-    /// Writes one framed record at the current end, rolling the file back
-    /// to the last good boundary if the write fails partway (so a failed
-    /// append never strands later records behind a torn frame).
-    fn append_record(&mut self, record: &[u8], point: &str) -> io::Result<()> {
-        let write = faults::write_point(&mut self.file, record, point).and_then(|()| {
-            faults::io_point("store.append.flush")?;
-            self.file.flush()
-        });
+        let record = encode_frame(&payload);
+        let write =
+            faults::write_point(&mut self.file, &record, "store.append.write").and_then(|()| {
+                faults::io_point("store.append.flush")?;
+                self.file.flush()
+            });
         if let Err(e) = write {
             // Best-effort rollback; if it fails too, the torn tail is
             // truncated by the next open instead.
@@ -432,33 +401,17 @@ impl Store {
         }
         self.end_offset += record.len() as u64;
         self.appended += 1;
-        Ok(())
-    }
-
-    /// Appends a prefix-certificate record keyed by the atomicity-masked
-    /// canonical key. On a version-1 file this is a no-op (v1 has no
-    /// certificate encoding); [`Store::compact`] upgrades such files.
-    pub fn append_cert(
-        &mut self,
-        masked_key: &[u64],
-        fingerprint: u64,
-        cert: &CertData,
-    ) -> io::Result<()> {
-        if self.version < 2 {
-            return Ok(());
-        }
-        let payload = encode_cert_payload(masked_key, fingerprint, cert);
-        self.append_record(&encode_frame(&payload), "store.append_cert.write")?;
-        self.certs.insert(masked_key.to_vec(), cert.clone());
+        self.index.insert(key.to_vec(), verdict.clone());
         Ok(())
     }
 
     /// Rewrites the file with exactly one record per key (later appends
     /// already won at replay time), atomically via a temp file + rename,
     /// always in the current format — compaction upgrades version-1
-    /// files. Returns `(records_before, records_after)`.
+    /// files and drops skipped records. Returns
+    /// `(records_before, records_after)`, skipped records counted before.
     pub fn compact(&mut self) -> io::Result<(u64, u64)> {
-        let before = self.open_stats.records + self.appended;
+        let before = self.open_stats.records + self.open_stats.skipped_records + self.appended;
         let tmp = self.path.with_extension("tmp");
         {
             faults::io_point("store.compact.create")?;
@@ -478,12 +431,6 @@ impl Store {
                     2,
                 )));
             }
-            let mut cert_entries: Vec<(&Vec<u64>, &CertData)> = self.certs.iter().collect();
-            cert_entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            for (key, cert) in cert_entries {
-                let fingerprint = fingerprint_of(key);
-                buf.extend_from_slice(&encode_frame(&encode_cert_payload(key, fingerprint, cert)));
-            }
             faults::write_point(&mut out, &buf, "store.compact.write")?;
             out.sync_all()?;
         }
@@ -496,28 +443,22 @@ impl Store {
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         self.end_offset = self.file.seek(SeekFrom::End(0))?;
         self.version = 2;
-        let after = (self.index.len() + self.certs.len()) as u64;
+        let after = self.index.len() as u64;
         self.open_stats.records = after;
         self.open_stats.skipped_records = 0;
         self.appended = 0;
         Ok((before, after))
     }
 
-    /// Folds every verdict and certificate of `other` into this store
-    /// (appending records for keys this store doesn't already have —
-    /// existing entries win, matching "first prover wins" semantics
-    /// across shard files). Returns the number of records appended.
+    /// Folds every verdict of `other` into this store (appending records
+    /// for keys this store doesn't already have — existing entries win,
+    /// matching "first prover wins" semantics across shard files).
+    /// Returns the number of records appended.
     pub fn absorb(&mut self, other: &Store) -> io::Result<u64> {
         let mut added = 0;
         for (key, verdict) in &other.index {
             if !self.index.contains_key(key) {
                 self.append(key, fingerprint_of(key), verdict)?;
-                added += 1;
-            }
-        }
-        for (key, cert) in &other.certs {
-            if self.version >= 2 && !self.certs.contains_key(key) {
-                self.append_cert(key, fingerprint_of(key), cert)?;
                 added += 1;
             }
         }
@@ -579,31 +520,6 @@ fn encode_verdict_payload(
     payload
 }
 
-fn encode_cert_payload(masked_key: &[u64], fingerprint: u64, cert: &CertData) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(48 + masked_key.len() * 8);
-    payload.extend_from_slice(&KIND_CERT.to_le_bytes());
-    payload.extend_from_slice(&fingerprint.to_le_bytes());
-    payload.extend_from_slice(&(masked_key.len() as u32).to_le_bytes());
-    for &w in masked_key {
-        payload.extend_from_slice(&w.to_le_bytes());
-    }
-    payload.extend_from_slice(&cert.nodes.to_le_bytes());
-    payload.extend_from_slice(&cert.pruned.to_le_bytes());
-    payload.extend_from_slice(&cert.complete.to_le_bytes());
-    payload.extend_from_slice(&(cert.leaves.len() as u32).to_le_bytes());
-    for (ws, rf) in &cert.leaves {
-        payload.extend_from_slice(&(ws.len() as u32).to_le_bytes());
-        for &e in ws {
-            payload.extend_from_slice(&e.to_le_bytes());
-        }
-        payload.extend_from_slice(&(rf.len() as u32).to_le_bytes());
-        for &e in rf {
-            payload.extend_from_slice(&e.to_le_bytes());
-        }
-    }
-    payload
-}
-
 /// Validates one record frame at the front of `bytes`: a complete length
 /// field, a complete body, and a matching payload checksum. Returns the
 /// bytes consumed and the payload — or `None` on a torn/corrupt frame,
@@ -622,28 +538,21 @@ fn parse_frame(bytes: &[u8]) -> Option<(usize, &[u8])> {
 }
 
 /// Interprets a checksummed payload under the file's format version.
-/// Version 2 never returns `None`: an unknown kind (or a malformed body
-/// behind a valid checksum) is [`Record::Skipped`], because the checksum
-/// already proved the record *boundary* and truncating would throw away a
-/// valid suffix. Version 1 keeps its original strictness: a payload that
-/// is not a verdict ends the replay (`None`).
+/// Version 2 returns `None` only for a payload too short to hold a kind
+/// tag: a kind other than a verdict (or a malformed body behind a valid
+/// checksum) is [`Record::Skipped`], because the checksum already proved
+/// the record *boundary* and truncating would throw away a valid suffix.
+/// Version 1 keeps its original strictness: a payload that is not a
+/// verdict ends the replay (`None`).
 fn parse_payload(payload: &[u8], version: u8) -> Option<Record> {
     if version < 2 {
         return parse_verdict_body(payload).map(|(k, v)| Record::Verdict(k, v));
     }
     let mut cur = Cursor { bytes: payload };
-    let kind = cur.u32()?;
-    Some(match kind {
-        KIND_VERDICT => match parse_verdict_body(cur.bytes) {
-            Some((k, v)) => Record::Verdict(k, v),
-            None => Record::Skipped,
-        },
-        KIND_CERT => match parse_cert_body(cur.bytes) {
-            Some((k, c)) => Record::Cert(k, c),
-            None => Record::Skipped,
-        },
-        _ => Record::Skipped,
-    })
+    let verdict = (cur.u32()? == KIND_VERDICT)
+        .then(|| parse_verdict_body(cur.bytes))
+        .flatten();
+    Some(verdict.map_or(Record::Skipped, |(k, v)| Record::Verdict(k, v)))
 }
 
 /// Parses a verdict body (the payload minus any kind tag).
@@ -682,47 +591,6 @@ fn parse_verdict_body(bytes: &[u8]) -> Option<(Vec<u64>, StoredVerdict)> {
     Some((key, StoredVerdict { outcomes, stats }))
 }
 
-/// Parses a certificate body (the payload minus the kind tag).
-fn parse_cert_body(bytes: &[u8]) -> Option<(Vec<u64>, CertData)> {
-    let mut cur = Cursor { bytes };
-    let _fingerprint = cur.u64()?;
-    let key_words = cur.u32()? as usize;
-    let mut key = Vec::with_capacity(key_words);
-    for _ in 0..key_words {
-        key.push(cur.u64()?);
-    }
-    let nodes = cur.u64()?;
-    let pruned = cur.u64()?;
-    let complete = cur.u64()?;
-    let leaf_count = cur.u32()? as usize;
-    let mut leaves = Vec::with_capacity(leaf_count);
-    for _ in 0..leaf_count {
-        let ws_len = cur.u32()? as usize;
-        let mut ws = Vec::with_capacity(ws_len);
-        for _ in 0..ws_len {
-            ws.push(cur.u64()?);
-        }
-        let rf_len = cur.u32()? as usize;
-        let mut rf = Vec::with_capacity(rf_len);
-        for _ in 0..rf_len {
-            rf.push(cur.u64()?);
-        }
-        leaves.push((ws, rf));
-    }
-    if !cur.bytes.is_empty() {
-        return None;
-    }
-    Some((
-        key,
-        CertData {
-            leaves,
-            nodes,
-            pruned,
-            complete,
-        },
-    ))
-}
-
 struct Cursor<'a> {
     bytes: &'a [u8],
 }
@@ -741,12 +609,10 @@ impl Cursor<'_> {
     }
 }
 
-/// A [`Store`] behind a mutex, implementing both of the model's
-/// persistence hooks: the verdict cache's
-/// [`VerdictStore`] and the certificate tier's
-/// [`CertificateStore`] — this is what `litmus_run` installs with
-/// `tso_model::cache::set_store` and `tso_model::prefix::set_store` so
-/// every model query in the process reads and writes one shared file.
+/// A [`Store`] behind a mutex, implementing the verdict cache's
+/// [`VerdictStore`] hook — this is what `litmus_run` installs with
+/// `tso_model::cache::set_store` so every model query in the process
+/// reads and writes one shared file.
 ///
 /// Write errors during a save are counted ([`SharedStore::save_errors`])
 /// but otherwise swallowed: persistence is an optimization, and a full
@@ -755,7 +621,6 @@ impl Cursor<'_> {
 pub struct SharedStore {
     inner: Mutex<Store>,
     loads: AtomicU64,
-    cert_loads: AtomicU64,
     save_errors: AtomicU64,
 }
 
@@ -765,7 +630,6 @@ impl SharedStore {
         SharedStore {
             inner: Mutex::new(store),
             loads: AtomicU64::new(0),
-            cert_loads: AtomicU64::new(0),
             save_errors: AtomicU64::new(0),
         }
     }
@@ -780,12 +644,7 @@ impl SharedStore {
         self.loads.load(Ordering::Relaxed)
     }
 
-    /// Successful [`CertificateStore::load_cert`] answers served so far.
-    pub fn cert_loads(&self) -> u64 {
-        self.cert_loads.load(Ordering::Relaxed)
-    }
-
-    /// Failed (swallowed) save attempts so far (verdicts + certificates).
+    /// Failed (swallowed) save attempts so far.
     pub fn save_errors(&self) -> u64 {
         self.save_errors.load(Ordering::Relaxed)
     }
@@ -812,19 +671,14 @@ pub struct StoreCounters {
     pub open_error: Option<String>,
     /// Model-cache misses answered from the store (searches avoided).
     pub loads: u64,
-    /// Prefix certificates served from the store (sibling searches
-    /// replayed instead of re-run, even cold).
-    pub cert_loads: u64,
-    /// Fresh records appended this run (verdicts + certificates).
+    /// Fresh verdict records appended this run.
     pub appended: u64,
     /// Distinct verdict keys in the store after the run.
     pub keys: u64,
-    /// Distinct certificate keys in the store after the run.
-    pub certs: u64,
     /// Bytes dropped from a torn tail when the store was opened.
     pub recovered_bytes: u64,
-    /// Checksummed records with a kind this build does not understand,
-    /// skipped during replay.
+    /// Checksummed records that are not verdicts (an unknown kind, or an
+    /// earlier build's certificates), skipped during replay.
     pub skipped_records: u64,
     /// Swallowed write failures (persistence is best-effort).
     pub save_errors: u64,
@@ -839,21 +693,18 @@ impl StoreCounters {
     }
 }
 
-/// Runs `run` with the store at `path` (if any) installed on both model
-/// hooks, `tso_model::cache` and `tso_model::prefix`, then detaches it
-/// and returns `run`'s result with the store's counters. A store that
-/// fails to open costs persistence, never the run: the error is printed
-/// and carried in [`StoreCounters::open_error`].
+/// Runs `run` with the store at `path` (if any) installed on the verdict
+/// cache (`tso_model::cache`), then detaches it and returns `run`'s
+/// result with the store's counters. Prefix certificates stay in process
+/// memory. A store that fails to open costs persistence, never the run:
+/// the error is printed and carried in [`StoreCounters::open_error`].
 pub fn with_store<T>(path: Option<&Path>, run: impl FnOnce() -> T) -> (T, Option<StoreCounters>) {
     let Some(path) = path else {
         return (run(), None);
     };
     let opened = SharedStore::open(path).map(Arc::new);
     match &opened {
-        Ok(shared) => {
-            tso_model::cache::set_store(shared.clone());
-            tso_model::prefix::set_store(shared.clone());
-        }
+        Ok(shared) => tso_model::cache::set_store(shared.clone()),
         Err(e) => eprintln!(
             "cannot open store {} ({e}) — continuing without persistence",
             path.display()
@@ -867,14 +718,11 @@ pub fn with_store<T>(path: Option<&Path>, run: impl FnOnce() -> T) -> (T, Option
     match opened {
         Ok(shared) => {
             let _ = tso_model::cache::take_store();
-            let _ = tso_model::prefix::take_store();
             counters.loads = shared.loads();
-            counters.cert_loads = shared.cert_loads();
             counters.save_errors = shared.save_errors();
             shared.with(|s| {
                 counters.appended = s.appended();
                 counters.keys = s.len() as u64;
-                counters.certs = s.cert_count() as u64;
                 counters.recovered_bytes = s.recovered_bytes();
                 counters.skipped_records = s.open_stats().skipped_records;
             });
@@ -909,22 +757,18 @@ impl VerdictStore for SharedStore {
     }
 }
 
+/// Persists nothing: every lookup misses and every save is dropped, so
+/// certificates live in the prefix tier's process memory only.
+/// [`with_store`] does not install it; the impl is kept only because
+/// perfbench's `TimedStore` wraps a `SharedStore` as both model hooks,
+/// and it goes with the `CertificateStore` trait when the certificate
+/// tier itself is deleted.
 impl CertificateStore for SharedStore {
-    fn load_cert(&self, masked_key: &[u64]) -> Option<CertData> {
-        let inner = self.inner.lock().expect("verdict store poisoned");
-        let found = inner.lookup_cert(masked_key).cloned();
-        if found.is_some() {
-            self.cert_loads.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+    fn load_cert(&self, _masked_key: &[u64]) -> Option<CertData> {
+        None
     }
 
-    fn save_cert(&self, masked_key: &[u64], fingerprint: u64, cert: &CertData) {
-        let mut inner = self.inner.lock().expect("verdict store poisoned");
-        if inner.append_cert(masked_key, fingerprint, cert).is_err() {
-            self.save_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    fn save_cert(&self, _masked_key: &[u64], _fingerprint: u64, _cert: &CertData) {}
 }
 
 #[cfg(test)]
@@ -945,18 +789,6 @@ mod tests {
                     (Vec::new(), Vec::new()),
                 ],
                 stats: [10 + tag, 4, 3, 3, 1, 1],
-            },
-        )
-    }
-
-    fn sample_cert(tag: u64) -> (Vec<u64>, CertData) {
-        (
-            vec![2, 0, 0, 7, tag],
-            CertData {
-                leaves: vec![(vec![3, 1, tag], vec![0, 2]), (vec![1, 3, tag], vec![2, 0])],
-                nodes: 40 + tag,
-                pruned: 11,
-                complete: 2,
             },
         )
     }
@@ -1014,13 +846,19 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn record_encoding_matches_golden_bytes() {
-        // One verdict from a real search and one certificate, encoded and
-        // compared byte for byte with the format's field layout. Any drift
-        // in the encoding — including the two trailing stats words, which
-        // must stay `1, 1` — fails here even though a round trip would
-        // still succeed.
+        // One verdict from a real search, encoded and compared byte for
+        // byte with the format's field layout. Any drift in the encoding —
+        // including the two trailing stats words, which must stay `1, 1` —
+        // fails here even though a round trip would still succeed.
         use tso_model::ProgramBuilder;
         let mut b = ProgramBuilder::new();
         b.thread()
@@ -1056,32 +894,6 @@ mod tests {
             "0100000000000000", // mem: [(0, 1)]
         );
         assert_eq!(hex(&record), golden, "verdict record");
-
-        let cert = CertData {
-            leaves: vec![(vec![1], vec![0])],
-            nodes: 1,
-            pruned: 0,
-            complete: 1,
-        };
-        let record = encode_frame(&encode_cert_payload(&[1, 0], 0x99, &cert));
-        let golden = concat!(
-            "5c000000",         // len = 8 + payload bytes
-            "6d8d5eeb84374c2a", // checksum
-            "02000000",         // kind 2 (certificate)
-            "9900000000000000", // fingerprint
-            "02000000",         // key_words
-            "0100000000000000",
-            "0000000000000000", // masked key
-            "0100000000000000", // nodes
-            "0000000000000000", // pruned
-            "0100000000000000", // complete
-            "01000000",         // leaf_count
-            "01000000",
-            "0100000000000000", // ws: [1]
-            "01000000",
-            "0000000000000000", // rf: [0]
-        );
-        assert_eq!(hex(&record), golden, "certificate record");
     }
 
     #[test]
@@ -1112,7 +924,6 @@ mod tests {
         assert!(VerdictStore::load(&shared, &[1, 2, 3]).is_none());
         assert!(CertificateStore::load_cert(&shared, &[1, 2, 3]).is_none());
         assert_eq!(shared.loads(), 0, "misses are not loads");
-        assert_eq!(shared.cert_loads(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1125,29 +936,66 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A kind-2 prefix-certificate record, frame included, byte for byte
+    /// as earlier builds wrote it (their golden certificate record).
+    const RETIRED_CERT_RECORD: &str = concat!(
+        "5c000000",         // len = 8 + payload bytes
+        "6d8d5eeb84374c2a", // checksum
+        "02000000",         // kind 2 (certificate)
+        "9900000000000000", // fingerprint
+        "02000000",         // key_words
+        "0100000000000000",
+        "0000000000000000", // masked key
+        "0100000000000000", // nodes
+        "0000000000000000", // pruned
+        "0100000000000000", // complete
+        "01000000",         // leaf_count
+        "01000000",
+        "0100000000000000", // ws: [1]
+        "01000000",
+        "0000000000000000", // rf: [0]
+    );
+
     #[test]
-    fn cert_records_roundtrip_and_survive_compaction() {
+    fn retired_certificate_records_are_skipped_and_compacted_away() {
         let _faults = crate::faults::passing_through();
-        let path = tmp("cert-roundtrip");
+        let path = tmp("retired-cert");
         let _ = std::fs::remove_file(&path);
-        let (vk, v) = sample(3);
-        let (ck, c) = sample_cert(8);
-        {
-            let mut s = Store::open(&path).unwrap();
-            s.append(&vk, 3, &v).unwrap();
-            s.append_cert(&ck, 8, &c).unwrap();
-            assert_eq!(s.cert_count(), 1);
-        }
+        let (k1, v1) = sample(1);
+        let (k2, v2) = sample(2);
+        let verdict_record = |k: &[u64], v: &StoredVerdict| {
+            encode_frame(&encode_verdict_payload(k, fingerprint_of(k), v, 2))
+        };
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&verdict_record(&k1, &v1));
+        bytes.extend_from_slice(&unhex(RETIRED_CERT_RECORD));
+        bytes.extend_from_slice(&verdict_record(&k2, &v2));
+        std::fs::write(&path, &bytes).unwrap();
+
         let mut s = Store::open(&path).unwrap();
-        assert_eq!(s.open_stats().records, 2, "verdict + certificate");
-        assert_eq!(s.lookup(&vk), Some(&v));
-        assert_eq!(s.lookup_cert(&ck), Some(&c));
-        let (before, after) = s.compact().unwrap();
-        assert_eq!((before, after), (2, 2));
+        assert_eq!(
+            s.open_stats().skipped_records,
+            1,
+            "the certificate is skipped"
+        );
+        assert_eq!(s.recovered_bytes(), 0, "…not truncated");
+        assert_eq!(s.open_stats().records, 2);
+        assert_eq!(s.lookup(&k1), Some(&v1));
+        assert_eq!(s.lookup(&k2), Some(&v2), "the verdict after it replays");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes.len() as u64);
+        assert_eq!(
+            s.compact().unwrap(),
+            (3, 2),
+            "compact drops the certificate"
+        );
         drop(s);
+
+        let mut verdicts_only = MAGIC.to_vec();
+        verdicts_only.extend_from_slice(&verdict_record(&k1, &v1));
+        verdicts_only.extend_from_slice(&verdict_record(&k2, &v2));
+        assert_eq!(std::fs::read(&path).unwrap(), verdicts_only);
         let s = Store::open(&path).unwrap();
-        assert_eq!(s.lookup(&vk), Some(&v), "verdicts survive compaction");
-        assert_eq!(s.lookup_cert(&ck), Some(&c), "certs survive compaction");
+        assert_eq!(s.open_stats().skipped_records, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1195,16 +1043,12 @@ mod tests {
         assert_eq!(s.version(), 1, "old magic probes as version 1");
         assert_eq!(s.lookup(&k1), Some(&v1), "v1 records replay");
         s.append(&k2, 2, &v2).unwrap();
-        // A certificate append on a v1 file is dropped, not an error.
-        let (ck, c) = sample_cert(5);
-        s.append_cert(&ck, 5, &c).unwrap();
         drop(s);
 
         let mut s = Store::open(&path).unwrap();
         assert_eq!(s.version(), 1, "appends kept the file v1");
         assert_eq!(s.len(), 2, "v1 append is readable as v1");
         assert_eq!(s.lookup(&k2), Some(&v2));
-        assert_eq!(s.cert_count(), 0, "no cert encoding in v1");
 
         // Compaction upgrades to the current format.
         s.compact().unwrap();

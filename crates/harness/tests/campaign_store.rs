@@ -148,8 +148,7 @@ fn sharded_stores_fold_into_one_equivalent_store() {
         let src = Store::open(p).unwrap();
         sizes.push(src.len());
         let added = target.absorb(&src).unwrap();
-        // `absorb` folds verdicts *and* prefix certificates.
-        assert!(added <= (src.len() + src.cert_count()) as u64);
+        assert!(added <= src.len() as u64);
     }
     assert!(target.len() >= *sizes.iter().max().unwrap());
     assert!(target.len() <= sizes.iter().sum::<usize>());

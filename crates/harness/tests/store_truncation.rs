@@ -3,16 +3,15 @@
 //! The store's crash contract is "missing, never wrong": whatever prefix
 //! of the file a crash leaves behind, `Store::open` must either refuse
 //! the file (unreadable magic) or come back with a subset of the original
-//! records — every surviving verdict and certificate byte-identical to
-//! what was written, never a silently corrupted value. These tests cut
-//! real v1 and v2 files at **every** byte offset and check exactly that,
-//! then let proptest flip arbitrary bytes to probe mid-file corruption.
+//! records — every surviving verdict byte-identical to what was written,
+//! never a silently corrupted value. These tests cut real v1 and v2 files
+//! at **every** byte offset and check exactly that, then let proptest flip
+//! arbitrary bytes to probe mid-file corruption.
 
 use harness::store::{Store, StoredVerdict, MAGIC, MAGIC_V1};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use tso_model::prefix::CertData;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("store-trunc-{}-{name}.bin", std::process::id()))
@@ -31,28 +30,9 @@ fn verdict(tag: u64) -> (Vec<u64>, StoredVerdict) {
     )
 }
 
-fn cert(tag: u64) -> (Vec<u64>, CertData) {
-    (
-        vec![7, 0, tag, 3],
-        CertData {
-            leaves: vec![(vec![2, tag], vec![1, 0]), (vec![tag, 2], vec![0, 1])],
-            nodes: 30 + tag,
-            pruned: 9,
-            complete: 2,
-        },
-    )
-}
-
-/// Builds a small v2 file (three verdicts, one certificate) and returns
-/// its bytes plus the expected contents.
-fn build_v2(
-    path: &PathBuf,
-) -> (
-    Vec<u8>,
-    BTreeMap<Vec<u64>, StoredVerdict>,
-    Vec<u64>,
-    CertData,
-) {
+/// Builds a small v2 file (three verdicts) and returns its bytes plus
+/// the expected contents.
+fn build_v2(path: &PathBuf) -> (Vec<u8>, BTreeMap<Vec<u64>, StoredVerdict>) {
     let _ = std::fs::remove_file(path);
     let mut expected = BTreeMap::new();
     {
@@ -62,17 +42,14 @@ fn build_v2(
             s.append(&k, tag, &v).unwrap();
             expected.insert(k, v);
         }
-        let (ck, c) = cert(5);
-        s.append_cert(&ck, 5, &c).unwrap();
     }
     let bytes = std::fs::read(path).unwrap();
-    let (ck, c) = cert(5);
-    (bytes, expected, ck, c)
+    (bytes, expected)
 }
 
-/// Builds a small v1 file (three verdicts, no certificate encoding) by
-/// seeding the old magic and appending through the public API, which
-/// keeps the file in its original format.
+/// Builds a small v1 file (three verdicts) by seeding the old magic and
+/// appending through the public API, which keeps the file in its original
+/// format.
 fn build_v1(path: &PathBuf) -> (Vec<u8>, BTreeMap<Vec<u64>, StoredVerdict>) {
     let _ = std::fs::remove_file(path);
     std::fs::write(path, MAGIC_V1).unwrap();
@@ -98,7 +75,6 @@ fn check_cut(
     bytes: &[u8],
     cut: usize,
     expected: &BTreeMap<Vec<u64>, StoredVerdict>,
-    cert_expected: Option<(&[u64], &CertData)>,
 ) {
     let _ = std::fs::remove_file(path);
     std::fs::write(path, &bytes[..cut]).unwrap();
@@ -127,11 +103,6 @@ fn check_cut(
                     }
                 }
             }
-            if let Some((ck, c)) = cert_expected {
-                if let Some(got) = s.lookup_cert(ck) {
-                    assert_eq!(got, c, "cut {cut}: surviving certificate must be exact");
-                }
-            }
             // A full-length cut loses nothing.
             if cut == bytes.len() {
                 assert_eq!(survivors, expected.len(), "uncut file keeps every record");
@@ -156,9 +127,9 @@ fn check_cut(
 #[test]
 fn every_truncation_of_a_v2_file_is_missing_never_wrong() {
     let path = tmp("v2-exhaustive");
-    let (bytes, expected, ck, c) = build_v2(&path);
+    let (bytes, expected) = build_v2(&path);
     for cut in 0..=bytes.len() {
-        check_cut(&path, &bytes, cut, &expected, Some((&ck, &c)));
+        check_cut(&path, &bytes, cut, &expected);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -168,7 +139,7 @@ fn every_truncation_of_a_v1_file_is_missing_never_wrong() {
     let path = tmp("v1-exhaustive");
     let (bytes, expected) = build_v1(&path);
     for cut in 0..=bytes.len() {
-        check_cut(&path, &bytes, cut, &expected, None);
+        check_cut(&path, &bytes, cut, &expected);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -183,7 +154,7 @@ proptest! {
     #[test]
     fn byte_flips_never_corrupt_a_surviving_verdict(offset in 0usize..4096, flip in 1u8..=255) {
         let path = tmp(&format!("v2-flip-{offset}-{flip}"));
-        let (mut bytes, expected, ck, c) = build_v2(&path);
+        let (mut bytes, expected) = build_v2(&path);
         let offset = offset % bytes.len();
         bytes[offset] ^= flip;
         std::fs::write(&path, &bytes).unwrap();
@@ -194,9 +165,6 @@ proptest! {
                     if let Some(got) = s.lookup(k) {
                         prop_assert_eq!(got, v, "surviving verdict must be exact");
                     }
-                }
-                if let Some(got) = s.lookup_cert(&ck) {
-                    prop_assert_eq!(got, &c, "surviving certificate must be exact");
                 }
             }
         }

@@ -598,26 +598,7 @@ fn draw_program(rng: &mut StdRng, space: &RandomSpace) -> Program {
 /// target over its reads and a model-derived expectation.
 pub fn random_litmus(rng: &mut StdRng, index: usize) -> Litmus {
     let program = random_program(rng);
-    let num_reads = program.num_reads();
-    let target = if num_reads == 0 {
-        Target(Vec::new())
-    } else {
-        let count = rng.gen_range(1usize..2.min(num_reads) + 1);
-        let mut indices: Vec<usize> = Vec::new();
-        while indices.len() < count {
-            let i = rng.gen_range(0usize..num_reads);
-            if !indices.contains(&i) {
-                indices.push(i);
-            }
-        }
-        indices.sort_unstable();
-        Target(
-            indices
-                .into_iter()
-                .map(|i| (i, rng.gen_range(0u64..4)))
-                .collect(),
-        )
-    };
+    let target = draw_target(rng, &program, 3);
     let expect = expect_from_model(&program, &target);
     Litmus {
         name: format!("rand-{index:03}"),
@@ -778,6 +759,17 @@ fn draw_target(rng: &mut StdRng, program: &Program, max_value: Value) -> Target 
     )
 }
 
+/// Draws the index of one instruction of `thread` that `matches`, or
+/// returns `None` without touching `rng` when none does.
+fn pick_instr(
+    rng: &mut StdRng,
+    thread: &[Instr],
+    matches: impl Fn(&Instr) -> bool,
+) -> Option<usize> {
+    let hits: Vec<usize> = (0..thread.len()).filter(|&k| matches(&thread[k])).collect();
+    (!hits.is_empty()).then(|| hits[rng.gen_range(0usize..hits.len())])
+}
+
 /// One structural mutation of a base program. Returns the mutated threads
 /// and a tag naming the mutation (for the draft description).
 fn mutate_program(rng: &mut StdRng, base: &Program) -> (Program, &'static str) {
@@ -786,14 +778,7 @@ fn mutate_program(rng: &mut StdRng, base: &Program) -> (Program, &'static str) {
     let tag = match rng.gen_range(0u32..6) {
         0 => {
             // Cycle the atomicity of one RMW (if the chosen thread has any).
-            let rmws: Vec<usize> = threads[tid]
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| matches!(i, Instr::Rmw { .. }))
-                .map(|(k, _)| k)
-                .collect();
-            if !rmws.is_empty() {
-                let k = rmws[rng.gen_range(0usize..rmws.len())];
+            if let Some(k) = pick_instr(rng, &threads[tid], |i| matches!(i, Instr::Rmw { .. })) {
                 if let Instr::Rmw { atomicity, .. } = &mut threads[tid][k] {
                     *atomicity = match *atomicity {
                         Atomicity::Type1 => Atomicity::Type2,
@@ -806,14 +791,7 @@ fn mutate_program(rng: &mut StdRng, base: &Program) -> (Program, &'static str) {
         }
         1 => {
             // Tweak one written value.
-            let writes: Vec<usize> = threads[tid]
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| matches!(i, Instr::Write(..)))
-                .map(|(k, _)| k)
-                .collect();
-            if !writes.is_empty() {
-                let k = writes[rng.gen_range(0usize..writes.len())];
+            if let Some(k) = pick_instr(rng, &threads[tid], |i| matches!(i, Instr::Write(..))) {
                 if let Instr::Write(_, v) = &mut threads[tid][k] {
                     *v = rng.gen_range(1u64..5);
                 }
@@ -836,14 +814,7 @@ fn mutate_program(rng: &mut StdRng, base: &Program) -> (Program, &'static str) {
         }
         4 => {
             // Strengthen one plain read into a read-replacement FAA(0).
-            let reads: Vec<usize> = threads[tid]
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| matches!(i, Instr::Read(_)))
-                .map(|(k, _)| k)
-                .collect();
-            if !reads.is_empty() {
-                let k = reads[rng.gen_range(0usize..reads.len())];
+            if let Some(k) = pick_instr(rng, &threads[tid], |i| matches!(i, Instr::Read(_))) {
                 if let Instr::Read(a) = threads[tid][k] {
                     threads[tid][k] = Instr::Rmw {
                         addr: a,
@@ -856,14 +827,7 @@ fn mutate_program(rng: &mut StdRng, base: &Program) -> (Program, &'static str) {
         }
         _ => {
             // Strengthen one plain write into a write-replacement xchg.
-            let writes: Vec<usize> = threads[tid]
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| matches!(i, Instr::Write(..)))
-                .map(|(k, _)| k)
-                .collect();
-            if !writes.is_empty() {
-                let k = writes[rng.gen_range(0usize..writes.len())];
+            if let Some(k) = pick_instr(rng, &threads[tid], |i| matches!(i, Instr::Write(..))) {
                 if let Instr::Write(a, v) = threads[tid][k] {
                     threads[tid][k] = Instr::Rmw {
                         addr: a,

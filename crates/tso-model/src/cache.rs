@@ -62,7 +62,10 @@
 //! exactly those the commit inserted.
 //! The `harness` crate provides the production implementation (an
 //! append-only record file; see `DESIGN.md` "verdict store") and installs
-//! it from the `litmus_run` CLI; the hook lives here so *every* consumer
+//! it from the `litmus_run` CLI. It is the only persistent tier: the
+//! certificates of [`crate::prefix`] stay in process memory, and a warm
+//! store answers every query before that tier is asked. The hook lives
+//! here so *every* consumer
 //! of [`allowed_outcomes_cached`] — `Litmus::check`, corpus generation,
 //! the differential harness — shares one store without `tso-model`
 //! depending on any I/O code.

@@ -43,9 +43,13 @@
 //! type, some of another) met after a sibling was searched, and uniform
 //! rewrites that canonicalize to another thread order.
 //!
-//! Certificates can outlive the process through a [`CertificateStore`]
-//! (the harness's record file implements it beside the verdict store), so
-//! a warm campaign skips even the first-per-family search.
+//! A [`CertificateStore`] installed with [`set_store`] could carry
+//! certificates across processes, but no production backend does: the
+//! harness's verdict store keeps verdicts only (its certificate records,
+//! kind 2, are retired). In a 1,000-draft campaign the stored
+//! certificates answered no query yet made up 61 % of the store, and a
+//! warm rerun never reaches this tier. Certificates therefore live in
+//! process memory; the hook stays until the tier itself is deleted.
 
 use crate::canon::Canonical;
 use crate::event::EventId;
