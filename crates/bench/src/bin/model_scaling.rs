@@ -1,6 +1,6 @@
 //! Model-search scaling sweep: streaming pruned engine vs. the legacy
-//! materializing enumerator, plus atomicity-family and prefix-certificate
-//! sharing, recorded as `BENCH_model.json`.
+//! materializing enumerator, plus atomicity-family sharing, recorded as
+//! `BENCH_model.json`.
 //!
 //! For each shape of the [`bench::model_shapes::dekker_variant`] family the
 //! binary measures the streaming engine (`for_each_valid_execution`) and —
@@ -23,10 +23,7 @@
 //! search also answers the other two, which the cache commits, so the
 //! siblings hit; the JSON records the reduction in *searched* decision
 //! nodes versus the attributed (3-searches) total and the time of that
-//! search. Each shape then queries one mixed-type sibling (thread 0 of
-//! type-2, the rest type-1): it shares the masked key but is no family
-//! member, so it replays the search's certificate (`tso_model::prefix`),
-//! and the row times that replay against a fresh search of the sibling.
+//! search.
 //!
 //! A fourth section measures **canonicalization** (`canon`), the thread-
 //! order search behind every cache and store key and every campaign shard
@@ -42,10 +39,9 @@
 //! and exits non-zero when one fails: engines agree on every outcome set,
 //! the non-trivial shapes keep a ≥10× streaming speedup, every RMW leaf
 //! row's µs per node stays within 4× of its plain row, both siblings of
-//! every family are answered without a search and the mixed-type sibling
-//! by replay, each with the outcome set of a direct search, sharing cuts
-//! the family sweep's searched nodes ≥2×, and the `canon` section has
-//! rows (it carries no timing bound).
+//! every family are answered without a search, with the outcome set of a
+//! direct search, sharing cuts the family sweep's searched nodes ≥2×, and
+//! the `canon` section has rows (it carries no timing bound).
 //!
 //! Usage:
 //!
@@ -81,7 +77,7 @@ const MIN_SHARED_SPEEDUP: f64 = 10.0;
 
 /// Gate: family sharing must cut the family sweep's searched nodes by at
 /// least this factor.
-const MIN_PREFIX_REDUCTION: f64 = 2.0;
+const MIN_FAMILY_REDUCTION: f64 = 2.0;
 
 /// Gate: an RMW `rmw_leaf` row may cost at most this many times the µs per
 /// decision node of the plain row of its shape.
@@ -90,7 +86,7 @@ const MAX_LEAF_NODE_RATIO: f64 = 4.0;
 /// Timed runs per `rmw_leaf` row; the row reports their median.
 const LEAF_RUNS: usize = 9;
 
-/// Timed passes per prefix family; the row reports the median times.
+/// Timed passes per family; the row reports the median time.
 const FAMILY_RUNS: usize = 5;
 
 /// Timed calls per worst-case `canon` row; the row reports their median.
@@ -225,9 +221,9 @@ fn measure_leaf_shape(threads: usize, rounds: usize) -> Vec<LeafRow> {
         .collect()
 }
 
-/// One `(n, rounds)` family of the prefix-sharing sweep: three atomicity
-/// rewrites and one mixed-type sibling queried through the verdict cache.
-struct PrefixRow {
+/// One `(n, rounds)` family of the family-sharing sweep: three atomicity
+/// rewrites queried through the verdict cache.
+struct FamilyRow {
     name: String,
     threads: usize,
     rounds: usize,
@@ -238,76 +234,37 @@ struct PrefixRow {
     attributed_nodes: u64,
     /// Rewrites answered without a search: the family hits.
     family_hits: u64,
-    /// The mixed-type sibling was answered by certificate replay.
-    replayed: bool,
-    /// Every cached outcome set (rewrites and mixed sibling) equals its
-    /// direct search.
+    /// Every cached outcome set equals its direct search.
     outcomes_match: bool,
     /// Cached queries of the rewrites that searched (median pass).
     search_ms: f64,
-    /// The mixed sibling's cached query, a certificate replay (median
-    /// pass).
-    replay_ms: f64,
-    /// A fresh, uncached search of the mixed sibling (median pass).
-    fresh_ms: f64,
 }
 
-impl PrefixRow {
+impl FamilyRow {
     fn reduction(&self) -> f64 {
         self.attributed_nodes as f64 / (self.searched_nodes.max(1)) as f64
     }
-
-    /// Replay time over a fresh search of the mixed sibling: below 1.0
-    /// the certificate tier saves wall-clock time.
-    fn replay_vs_fresh(&self) -> f64 {
-        self.replay_ms / self.fresh_ms.max(1e-6)
-    }
 }
 
-/// The family's mixed-type sibling: `dekker_rmw(threads, rounds, Type1)`
-/// with thread 0's RMWs of type-2. It shares the family's masked key but
-/// is not a uniform rewrite, so no family search answers it.
-fn mixed_sibling(threads: usize, rounds: usize) -> Program {
-    let mut mixed = Program::new();
-    for (t, instrs) in dekker_rmw(threads, rounds, Atomicity::Type1).iter() {
-        let instrs = instrs.iter().map(|&i| match i {
-            Instr::Rmw { addr, kind, .. } if t.0 == 0 => Instr::Rmw {
-                addr,
-                kind,
-                atomicity: Atomicity::Type2,
-            },
-            other => other,
-        });
-        mixed.add_thread(instrs.collect());
-    }
-    mixed
-}
-
-/// Queries one `dekker_rmw` family (all three atomicities, then the mixed
-/// sibling) through the verdict cache from empty caches, [`FAMILY_RUNS`]
-/// times, and tallies how much of the decision work sharing avoided. Only
-/// the cached queries count as search or replay time; the fresh search
-/// that verifies each answer is timed apart, the mixed sibling's as
-/// `fresh_ms`.
-fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
-    let mut row = PrefixRow {
+/// Queries one `dekker_rmw` family (all three atomicities) through the
+/// verdict cache from an empty cache, [`FAMILY_RUNS`] times, and tallies
+/// how much of the decision work sharing avoided. Only the cached queries
+/// that searched count as search time; the direct search that verifies
+/// each answer is not timed.
+fn measure_family(threads: usize, rounds: usize) -> FamilyRow {
+    let mut row = FamilyRow {
         name: format!("dekker-rmw n={threads} r={rounds}"),
         threads,
         rounds,
         searched_nodes: 0,
         attributed_nodes: 0,
         family_hits: 0,
-        replayed: true,
         outcomes_match: true,
         search_ms: 0.0,
-        replay_ms: 0.0,
-        fresh_ms: 0.0,
     };
-    let mixed = mixed_sibling(threads, rounds);
-    let (mut search, mut replay, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+    let mut search = Vec::new();
     for _ in 0..FAMILY_RUNS {
         tso_model::cache::clear();
-        tso_model::prefix::clear();
         row.searched_nodes = 0;
         row.attributed_nodes = 0;
         row.family_hits = 0;
@@ -326,19 +283,9 @@ fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
             }
             row.outcomes_match &= got.outcomes == allowed_outcomes(&program);
         }
-        let start = Instant::now();
-        let got = allowed_outcomes_cached(&mixed);
-        replay.push(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        let direct = allowed_outcomes(&mixed);
-        fresh.push(start.elapsed().as_secs_f64() * 1e3);
-        row.replayed &= got.prefix_hit;
-        row.outcomes_match &= got.outcomes == direct;
         search.push(search_ms);
     }
     row.search_ms = median(search);
-    row.replay_ms = median(replay);
-    row.fresh_ms = median(fresh);
     row
 }
 
@@ -438,11 +385,11 @@ fn min_shared_speedup(rows: &[Row]) -> Option<f64> {
         .reduce(f64::min)
 }
 
-/// Searched and attributed node totals of the prefix-sharing sweep.
-fn prefix_totals(prefix_rows: &[PrefixRow]) -> (u64, u64) {
+/// Searched and attributed node totals of the family-sharing sweep.
+fn family_totals(family_rows: &[FamilyRow]) -> (u64, u64) {
     (
-        prefix_rows.iter().map(|r| r.searched_nodes).sum(),
-        prefix_rows.iter().map(|r| r.attributed_nodes).sum(),
+        family_rows.iter().map(|r| r.searched_nodes).sum(),
+        family_rows.iter().map(|r| r.attributed_nodes).sum(),
     )
 }
 
@@ -450,7 +397,7 @@ fn prefix_totals(prefix_rows: &[PrefixRow]) -> (u64, u64) {
 fn gates(
     rows: &[Row],
     leaf_rows: &[LeafRow],
-    prefix_rows: &[PrefixRow],
+    family_rows: &[FamilyRow],
     canon: &[CanonRow],
 ) -> Vec<String> {
     let mut failed = Vec::new();
@@ -483,10 +430,10 @@ fn gates(
             Some(_) => {}
         }
     }
-    for r in prefix_rows {
+    for r in family_rows {
         if !r.outcomes_match {
             failed.push(format!(
-                "{}: a family hit or the replay disagrees with a direct search",
+                "{}: a family answer disagrees with a direct search",
                 r.name
             ));
         }
@@ -496,19 +443,13 @@ fn gates(
                 r.name
             ));
         }
-        if !r.replayed {
-            failed.push(format!(
-                "{}: the mixed-type sibling did not replay the certificate",
-                r.name
-            ));
-        }
     }
-    let (searched, attributed) = prefix_totals(prefix_rows);
+    let (searched, attributed) = family_totals(family_rows);
     let reduction = attributed as f64 / searched.max(1) as f64;
-    if reduction < MIN_PREFIX_REDUCTION {
+    if reduction < MIN_FAMILY_REDUCTION {
         failed.push(format!(
             "family sharing cut searched nodes {reduction:.1}x, below the \
-             {MIN_PREFIX_REDUCTION}x floor"
+             {MIN_FAMILY_REDUCTION}x floor"
         ));
     }
     if canon.is_empty() {
@@ -520,7 +461,7 @@ fn gates(
 fn to_json(
     rows: &[Row],
     leaf_rows: &[LeafRow],
-    prefix_rows: &[PrefixRow],
+    family_rows: &[FamilyRow],
     canon: &[CanonRow],
     mode: &str,
 ) -> String {
@@ -569,9 +510,8 @@ fn to_json(
         ])
     });
     // Sharing over the dekker_rmw family: three atomicity rewrites per
-    // shape, one search + two family hits each, plus the replay of one
-    // mixed-type sibling.
-    let families = prefix_rows.iter().map(|r| {
+    // shape, one search + two family hits each.
+    let families = family_rows.iter().map(|r| {
         obj([
             ("name", r.name.as_str().into()),
             ("threads", r.threads.into()),
@@ -579,18 +519,14 @@ fn to_json(
             ("searched_nodes", r.searched_nodes.into()),
             ("attributed_nodes", r.attributed_nodes.into()),
             ("family_hits", r.family_hits.into()),
-            ("replayed", r.replayed.into()),
             ("reduction", num(r.reduction())),
             ("runs", FAMILY_RUNS.into()),
             ("search_ms", num(r.search_ms)),
-            ("replay_ms", num(r.replay_ms)),
-            ("fresh_ms", num(r.fresh_ms)),
-            ("replay_vs_fresh", num(r.replay_vs_fresh())),
             ("outcomes_match", r.outcomes_match.into()),
         ])
     });
-    let (searched, attributed) = prefix_totals(prefix_rows);
-    let hits: u64 = prefix_rows.iter().map(|r| r.family_hits).sum();
+    let (searched, attributed) = family_totals(family_rows);
+    let hits: u64 = family_rows.iter().map(|r| r.family_hits).sum();
     let canon_rows = canon.iter().map(|r| {
         obj([
             ("name", r.name.as_str().into()),
@@ -634,7 +570,7 @@ fn to_json(
                 ("reduction", num(attributed as f64 / searched.max(1) as f64)),
                 (
                     "all_outcomes_match",
-                    prefix_rows.iter().all(|r| r.outcomes_match).into(),
+                    family_rows.iter().all(|r| r.outcomes_match).into(),
                 ),
             ]),
         ),
@@ -716,42 +652,30 @@ fn main() {
         );
     }
 
-    // Family and certificate sharing sweep: dekker_rmw families, three
-    // atomicities and a mixed sibling each, through the verdict cache
-    // from empty caches.
-    let prefix_shapes: &[(usize, usize)] = if smoke {
+    // Family sharing sweep: dekker_rmw families, three atomicities each,
+    // through the verdict cache from an empty cache.
+    let family_shapes: &[(usize, usize)] = if smoke {
         &[(2, 1), (2, 2)]
     } else {
         &[(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
     };
     println!(
-        "\n{:<18} {:>10} {:>11} {:>10} {:>5} {:>10} {:>10} {:>10} {:>8}",
-        "prefix family",
-        "searched",
-        "attributed",
-        "reduction",
-        "hits",
-        "search ms",
-        "replay ms",
-        "fresh ms",
-        "r/fresh"
+        "\n{:<18} {:>10} {:>11} {:>10} {:>5} {:>10}",
+        "family", "searched", "attributed", "reduction", "hits", "search ms"
     );
-    let mut prefix_rows = Vec::new();
-    for &(n, r) in prefix_shapes {
-        let row = measure_prefix_family(n, r);
+    let mut family_rows = Vec::new();
+    for &(n, r) in family_shapes {
+        let row = measure_family(n, r);
         println!(
-            "{:<18} {:>10} {:>11} {:>9.1}x {:>5} {:>10.3} {:>10.3} {:>10.3} {:>8.2}",
+            "{:<18} {:>10} {:>11} {:>9.1}x {:>5} {:>10.3}",
             row.name,
             row.searched_nodes,
             row.attributed_nodes,
             row.reduction(),
             row.family_hits,
             row.search_ms,
-            row.replay_ms,
-            row.fresh_ms,
-            row.replay_vs_fresh(),
         );
-        prefix_rows.push(row);
+        family_rows.push(row);
     }
 
     // Canonicalization: the corpus and seed-1 drafts, one call per
@@ -774,10 +698,10 @@ fn main() {
         );
     }
 
-    let json = to_json(&rows, &leaf_rows, &prefix_rows, &canon, args.mode());
+    let json = to_json(&rows, &leaf_rows, &family_rows, &canon, args.mode());
     std::fs::write(&args.out, &json).expect("write BENCH_model.json");
     println!("\nwrote {}", args.out);
-    let failed = gates(&rows, &leaf_rows, &prefix_rows, &canon);
+    let failed = gates(&rows, &leaf_rows, &family_rows, &canon);
     for f in &failed {
         eprintln!("GATE FAILED: {f}");
     }
@@ -809,19 +733,16 @@ mod tests {
         }
     }
 
-    fn family(searched_nodes: u64, family_hits: u64, replayed: bool) -> PrefixRow {
-        PrefixRow {
+    fn family(searched_nodes: u64, family_hits: u64) -> FamilyRow {
+        FamilyRow {
             name: "family".to_owned(),
             threads: 2,
             rounds: 2,
             searched_nodes,
             attributed_nodes: 300,
             family_hits,
-            replayed,
             outcomes_match: true,
             search_ms: 1.0,
-            replay_ms: 1.5,
-            fresh_ms: 2.0,
         }
     }
 
@@ -860,10 +781,10 @@ mod tests {
         let leaves = leaf_pair(3.5);
         let canon = [canon_row()];
         assert_eq!(
-            gates(&rows, &leaves, &[family(100, 2, true)], &canon),
+            gates(&rows, &leaves, &[family(100, 2)], &canon),
             Vec::<String>::new()
         );
-        let json = to_json(&rows, &leaves, &[family(100, 2, true)], &canon, "smoke");
+        let json = to_json(&rows, &leaves, &[family(100, 2)], &canon, "smoke");
         assert_eq!(harness::jsonx::parse(&json).unwrap().render(), json);
     }
 
@@ -873,13 +794,12 @@ mod tests {
             row(5832.0, Some(5.0), Some(true)), // 5x: below the floor
             row(324.0, Some(0.8), Some(false)), // engines disagree
         ];
-        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1, false)], &[]);
-        assert_eq!(failed.len(), 7, "{failed:?}");
+        let failed = gates(&rows, &leaf_pair(4.5), &[family(200, 1)], &[]);
+        assert_eq!(failed.len(), 6, "{failed:?}");
         assert!(failed.iter().any(|f| f.contains("engines disagree")));
         assert!(failed.iter().any(|f| f.contains("speedup")));
         assert!(failed.iter().any(|f| f.contains("per node")));
         assert!(failed.iter().any(|f| f.contains("without a search")));
-        assert!(failed.iter().any(|f| f.contains("did not replay")));
         assert!(failed.iter().any(|f| f.contains("family sharing")));
         assert!(failed.iter().any(|f| f.contains("no canon row")));
     }

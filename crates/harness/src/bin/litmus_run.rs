@@ -316,7 +316,6 @@ fn corpus_main(argv: Vec<String>) {
         // timed run — queries vs. invocations is the memoization +
         // symmetry saving for the whole corpus run.
         model_cache: Some(tso_model::cache::counters()),
-        prefix_cache: Some(tso_model::prefix::counters()),
         store,
     };
 

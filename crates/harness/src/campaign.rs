@@ -234,7 +234,8 @@ pub struct CampaignReport {
     pub elapsed_ms: f64,
     /// Process-wide model cache counters at report time.
     pub model_cache: tso_model::CacheCounters,
-    /// Process-wide prefix-certificate counters at report time.
+    /// Always the default, and not rendered. Kept for perfbench; removed
+    /// by ROADMAP item 2's benchmark-kind PR.
     pub prefix_cache: tso_model::prefix::PrefixCounters,
     /// Store activity, when a store was configured.
     pub store: Option<StoreCounters>,
@@ -288,7 +289,6 @@ impl CampaignReport {
             ("digest", state.digest.into()),
             ("elapsed_ms", fixed(self.elapsed_ms, 3)),
             ("model_cache", (&self.model_cache).into()),
-            ("prefix_cache", (&self.prefix_cache).into()),
             ("store", self.store.as_ref().into()),
             ("failures", failures_json(&state.failures)),
         ])
@@ -463,7 +463,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
         state,
         elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
         model_cache: tso_model::cache::counters(),
-        prefix_cache: tso_model::prefix::counters(),
+        prefix_cache: Default::default(),
         store,
         checkpoint_errors,
     })

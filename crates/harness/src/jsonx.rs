@@ -212,12 +212,19 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest container nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a hostile file (a checkpoint or a
+/// shard report) could overflow the stack; the deepest document this
+/// workspace writes nests 4 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage and duplicate object keys rejected).
+/// garbage, duplicate object keys and nesting deeper than [`MAX_DEPTH`]
+/// rejected).
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -231,16 +238,20 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value inside `depth` enclosing containers.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "containers nest deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members: Vec<(String, Value)> = Vec::new();
             parse_members(b, pos, b'}', |b, pos| {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Value::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -252,7 +263,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                members.push((key, parse_value(b, pos)?));
+                members.push((key, parse_value(b, pos, depth + 1)?));
                 Ok(())
             })?;
             Ok(Value::Obj(members))
@@ -261,7 +272,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             *pos += 1;
             let mut items = Vec::new();
             parse_members(b, pos, b']', |b, pos| {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 Ok(())
             })?;
             Ok(Value::Arr(items))
@@ -434,6 +445,17 @@ mod tests {
     }
 
     #[test]
+    fn rejects_nesting_deeper_than_the_bound() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let deep = "[".repeat(200_000);
+        assert!(parse(&deep).unwrap_err().contains("nest deeper"));
+        let merged = crate::campaign::merge_reports(&[("deep.json".to_owned(), deep)]);
+        assert!(merged.unwrap_err().starts_with("deep.json: "));
+    }
+
+    #[test]
     fn rejects_duplicate_keys() {
         let err = parse(r#"{"passed": true, "n": 1, "passed": false}"#).unwrap_err();
         assert!(err.contains("duplicate key \"passed\""), "{err}");
@@ -543,7 +565,6 @@ mod tests {
             machine: MachineKind::Small,
             elapsed_ms: 1.5,
             model_cache: Some(tso_model::cache::counters()),
-            prefix_cache: Some(tso_model::prefix::counters()),
             store: None,
         };
         let text = report.to_json();

@@ -166,8 +166,8 @@ pub struct TestOutcome {
     pub model_queries: u32,
     /// How many of those were served from the memoized verdict cache.
     pub model_cache_hits: u32,
-    /// How many verdict-cache misses were answered by replaying a prefix
-    /// certificate from an atomicity sibling instead of searching.
+    /// Always 0. Kept for perfbench; removed by ROADMAP item 2's
+    /// benchmark-kind PR.
     pub prefix_hits: u32,
     /// Always 0: a model search never fans out across workers, and no
     /// report prints this. The field remains only because code outside
@@ -273,7 +273,6 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
     let mut model_stats = check.model_stats;
     let mut model_queries = 1u32;
     let mut model_cache_hits = u32::from(check.cache_hit);
-    let mut prefix_hits = u32::from(check.prefix_hit);
 
     let mut differential = Vec::with_capacity(Atomicity::ALL.len());
     for atomicity in Atomicity::ALL {
@@ -287,7 +286,6 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
         model_stats.absorb(&allowed.stats);
         model_queries += 1;
         model_cache_hits += u32::from(allowed.hit);
-        prefix_hits += u32::from(allowed.prefix_hit);
         let found = allowed.outcomes.iter().any(|o| {
             o.read_values() == sim_reads
                 && o.final_memory().iter().all(|&(a, v)| {
@@ -327,7 +325,7 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
         model_stats,
         model_queries,
         model_cache_hits,
-        prefix_hits,
+        prefix_hits: 0,
         split_decisions: 0,
         unknown,
         crashed: false,

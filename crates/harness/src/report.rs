@@ -1,13 +1,12 @@
 //! Harness reports: aggregation plus JSON, TAP, and human summaries.
 //! The blocks every JSON document kind shares are serialized here, once
-//! each: `CacheCounters`, `PrefixCounters`, and `StoreCounters` (as
-//! `jsonx::Value::from`) and a failure entry (`failure_json`).
+//! each: `CacheCounters` and `StoreCounters` (as `jsonx::Value::from`)
+//! and a failure entry (`failure_json`).
 
 use crate::jsonx::{arr, fixed, obj, Value};
 use crate::store::StoreCounters;
 use crate::{faults, MachineKind, TestOutcome};
 use std::fmt::Write as _;
-use tso_model::prefix::PrefixCounters;
 use tso_model::CacheCounters;
 
 /// The paper every harness document names.
@@ -32,10 +31,6 @@ pub struct Report {
     /// many model searches actually ran — the memoization + symmetry
     /// savings, observable from the JSON alone.
     pub model_cache: Option<CacheCounters>,
-    /// Process-wide prefix-certificate counters at report time: how many
-    /// verdict-cache misses were answered by replaying an atomicity
-    /// sibling's pruned search, and how many decision nodes that skipped.
-    pub prefix_cache: Option<PrefixCounters>,
     /// Persistent verdict-store activity, when `--store` was given —
     /// including `open_error`/`save_errors`/`recovered_bytes`/
     /// `skipped_records`, so persistence degradation is visible from the
@@ -167,12 +162,6 @@ impl Report {
             .sum()
     }
 
-    /// Verdict-cache misses across the reported tests that a prefix
-    /// certificate replay answered instead of a fresh search.
-    pub fn prefix_hits(&self) -> u64 {
-        self.outcomes.iter().map(|o| u64::from(o.prefix_hits)).sum()
-    }
-
     /// The full report as JSON. Failures carry their diagnosis; passing
     /// tests are counted, not listed.
     pub fn to_json(&self) -> String {
@@ -196,9 +185,7 @@ impl Report {
             ("passed", self.passed().into()),
             ("model_queries", self.model_queries().into()),
             ("model_query_hits", self.model_query_hits().into()),
-            ("prefix_hits", self.prefix_hits().into()),
             ("model_cache", self.model_cache.as_ref().into()),
-            ("prefix_cache", self.prefix_cache.as_ref().into()),
             ("store", self.store.as_ref().into()),
             (
                 "failures",
@@ -240,7 +227,6 @@ fn test_json(o: &TestOutcome) -> Value {
         ("model_valid", o.model_stats.valid.into()),
         ("model_queries", o.model_queries.into()),
         ("model_cache_hits", o.model_cache_hits.into()),
-        ("prefix_hits", o.prefix_hits.into()),
     ])
 }
 
@@ -258,20 +244,6 @@ impl From<&CacheCounters> for Value {
             ("store_hits", c.store_hits.into()),
             ("family_fills", c.family_fills.into()),
             ("entries", c.entries.into()),
-        ])
-    }
-}
-
-impl From<&PrefixCounters> for Value {
-    fn from(p: &PrefixCounters) -> Value {
-        obj([
-            ("queries", p.queries.into()),
-            ("hits", p.hits.into()),
-            ("store_hits", p.store_hits.into()),
-            ("stored", p.stored.into()),
-            ("nodes_saved", p.nodes_saved.into()),
-            ("replayed_leaves", p.replayed_leaves.into()),
-            ("entries", p.entries.into()),
         ])
     }
 }
@@ -309,7 +281,6 @@ mod tests {
             machine: MachineKind::Small,
             elapsed_ms: elapsed.as_secs_f64() * 1e3,
             model_cache: Some(tso_model::cache::counters()),
-            prefix_cache: Some(tso_model::prefix::counters()),
             store: None,
         }
     }
@@ -334,17 +305,11 @@ mod tests {
             assert_eq!(v.get(key), Some(&want), "{key}");
         }
         let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64);
-        for key in [
-            "model_queries",
-            "model_query_hits",
-            "prefix_hits",
-            "faults_fired",
-        ] {
+        for key in ["model_queries", "model_query_hits", "faults_fired"] {
             assert!(num(&v, key).is_some(), "missing {key}");
         }
         assert!(num(v.get("model_cache").unwrap(), "invocations").is_some());
         assert!(num(v.get("model_cache").unwrap(), "family_fills").is_some());
-        assert!(num(v.get("prefix_cache").unwrap(), "nodes_saved").is_some());
         for t in v.get("tests").and_then(Value::as_arr).unwrap() {
             assert!(num(t, "worker").is_some() && num(t, "model_nodes").is_some());
         }
@@ -383,7 +348,6 @@ mod tests {
             machine: MachineKind::Paper,
             elapsed_ms: elapsed.as_secs_f64() * 1e3,
             model_cache: None,
-            prefix_cache: None,
             store: None,
         };
         assert!(!r.passed());

@@ -38,9 +38,9 @@
 //! each caller's frame stays where it always was, in `tso_model::cache`.
 //!
 //! Kind 2 is retired. Earlier builds also wrote the prefix certificates of
-//! `tso_model::prefix` here as kind-2 records; this build never writes
-//! one, skips them on open like any unknown kind, and [`Store::compact`]
-//! drops them. Certificates live in process memory only.
+//! the since-deleted certificate tier here as kind-2 records; this build
+//! never writes one, skips them on open like any unknown kind, and
+//! [`Store::compact`] drops them.
 //!
 //! # Forward and backward compatibility
 //!
@@ -555,11 +555,14 @@ fn parse_payload(payload: &[u8], version: u8) -> Option<Record> {
     Some(verdict.map_or(Record::Skipped, |(k, v)| Record::Verdict(k, v)))
 }
 
-/// Parses a verdict body (the payload minus any kind tag).
+/// Parses a verdict body (the payload minus any kind tag). Every count is
+/// checked against the bytes left before anything is allocated for it, so
+/// a crafted count behind a valid checksum is a malformed body, not an
+/// allocation failure.
 fn parse_verdict_body(bytes: &[u8]) -> Option<(Vec<u64>, StoredVerdict)> {
     let mut cur = Cursor { bytes };
     let _fingerprint = cur.u64()?;
-    let key_words = cur.u32()? as usize;
+    let key_words = cur.count(8)?;
     let mut key = Vec::with_capacity(key_words);
     for _ in 0..key_words {
         key.push(cur.u64()?);
@@ -568,15 +571,17 @@ fn parse_verdict_body(bytes: &[u8]) -> Option<(Vec<u64>, StoredVerdict)> {
     for s in &mut stats {
         *s = cur.u64()?;
     }
-    let outcome_count = cur.u32()? as usize;
+    // An outcome is at least its two counts; a read is one word and a
+    // memory entry two.
+    let outcome_count = cur.count(8)?;
     let mut outcomes = Vec::with_capacity(outcome_count);
     for _ in 0..outcome_count {
-        let reads_len = cur.u32()? as usize;
+        let reads_len = cur.count(8)?;
         let mut reads = Vec::with_capacity(reads_len);
         for _ in 0..reads_len {
             reads.push(cur.u64()?);
         }
-        let mem_len = cur.u32()? as usize;
+        let mem_len = cur.count(16)?;
         let mut mem = Vec::with_capacity(mem_len);
         for _ in 0..mem_len {
             let a = cur.u64()?;
@@ -606,6 +611,13 @@ impl Cursor<'_> {
         let v = u64::from_le_bytes(self.bytes.get(..8)?.try_into().ok()?);
         self.bytes = &self.bytes[8..];
         Some(v)
+    }
+
+    /// Reads a `u32` element count, or `None` when that many elements of
+    /// at least `min_bytes` each cannot fit in the bytes left.
+    fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n.checked_mul(min_bytes)? <= self.bytes.len()).then_some(n)
     }
 }
 
@@ -695,9 +707,9 @@ impl StoreCounters {
 
 /// Runs `run` with the store at `path` (if any) installed on the verdict
 /// cache (`tso_model::cache`), then detaches it and returns `run`'s
-/// result with the store's counters. Prefix certificates stay in process
-/// memory. A store that fails to open costs persistence, never the run:
-/// the error is printed and carried in [`StoreCounters::open_error`].
+/// result with the store's counters. A store that fails to open costs
+/// persistence, never the run: the error is printed and carried in
+/// [`StoreCounters::open_error`].
 pub fn with_store<T>(path: Option<&Path>, run: impl FnOnce() -> T) -> (T, Option<StoreCounters>) {
     let Some(path) = path else {
         return (run(), None);
@@ -757,12 +769,9 @@ impl VerdictStore for SharedStore {
     }
 }
 
-/// Persists nothing: every lookup misses and every save is dropped, so
-/// certificates live in the prefix tier's process memory only.
-/// [`with_store`] does not install it; the impl is kept only because
-/// perfbench's `TimedStore` wraps a `SharedStore` as both model hooks,
-/// and it goes with the `CertificateStore` trait when the certificate
-/// tier itself is deleted.
+/// Persists nothing: every lookup misses and every save is dropped, and
+/// nothing calls either. Kept for perfbench; removed by ROADMAP item 2's
+/// benchmark-kind PR.
 impl CertificateStore for SharedStore {
     fn load_cert(&self, _masked_key: &[u64]) -> Option<CertData> {
         None

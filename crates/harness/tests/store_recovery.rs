@@ -1,9 +1,12 @@
 //! Crash-recovery and compaction tests for the persistent verdict store:
 //! torn tails are truncated, corrupt records cut the replay at the first
-//! bad byte, compaction is deterministic, and absorb folds shard files
-//! with first-prover-wins semantics.
+//! bad byte, crafted counts behind a valid checksum are skipped,
+//! compaction is deterministic, and absorb folds shard files with
+//! first-prover-wins semantics.
 
-use harness::store::{Store, StoredVerdict, MAGIC};
+use harness::store::{Store, StoredVerdict, KIND_VERDICT, MAGIC};
+use rmw_types::fasthash::FastHasher;
+use std::hash::Hasher as _;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -104,6 +107,62 @@ fn a_corrupt_middle_record_cuts_the_replay_there() {
     for tag in 0..s.len() as u64 {
         let (k, v) = verdict(tag);
         assert_eq!(s.lookup(&k), Some(&v), "prefix record {tag} intact");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A version-2 record frame around `payload`: length, then the payload's
+/// checksum, then the payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut checksum = FastHasher::default();
+    checksum.write(payload);
+    let mut record = ((8 + payload.len()) as u32).to_le_bytes().to_vec();
+    record.extend_from_slice(&checksum.finish().to_le_bytes());
+    record.extend_from_slice(payload);
+    record
+}
+
+/// A one-verdict store file's records, magic stripped.
+fn verdict_records(name: &str, tag: u64) -> Vec<u8> {
+    let path = tmp(name);
+    let _ = std::fs::remove_file(&path);
+    fill(&path, tag..tag + 1);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes[MAGIC.len()..].to_vec()
+}
+
+#[test]
+fn records_with_crafted_counts_are_skipped_not_allocated() {
+    // A 28-byte verdict record whose key claims 2^32 - 1 words.
+    let mut huge_key = KIND_VERDICT.to_le_bytes().to_vec();
+    huge_key.extend_from_slice(&7u64.to_le_bytes()); // fingerprint
+    huge_key.extend_from_slice(&u32::MAX.to_le_bytes()); // key_words
+    let huge_key = frame(&huge_key);
+    assert_eq!(huge_key.len(), 28);
+    // An empty key and stats, then 2^32 - 1 outcomes.
+    let mut huge_outcomes = KIND_VERDICT.to_le_bytes().to_vec();
+    huge_outcomes.extend_from_slice(&7u64.to_le_bytes()); // fingerprint
+    huge_outcomes.extend_from_slice(&0u32.to_le_bytes()); // key_words
+    huge_outcomes.extend_from_slice(&[0; 48]); // stats
+    huge_outcomes.extend_from_slice(&u32::MAX.to_le_bytes()); // outcome_count
+    let huge_outcomes = frame(&huge_outcomes);
+
+    let path = tmp("crafted-counts");
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&verdict_records("crafted-a", 0));
+    bytes.extend_from_slice(&huge_key);
+    bytes.extend_from_slice(&huge_outcomes);
+    bytes.extend_from_slice(&verdict_records("crafted-b", 1));
+    std::fs::write(&path, &bytes).unwrap();
+
+    let s = Store::open(&path).unwrap();
+    assert_eq!(s.open_stats().skipped_records, 2);
+    assert_eq!(s.recovered_bytes(), 0, "the records are skipped, not cut");
+    assert_eq!(s.len(), 2);
+    for tag in 0..2 {
+        let (k, v) = verdict(tag);
+        assert_eq!(s.lookup(&k), Some(&v), "tag {tag}");
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -114,10 +114,6 @@ pub struct CheckResult {
     /// True when the verdict was served from the memoized outcome-set
     /// cache (no model search ran for this call).
     pub cache_hit: bool,
-    /// True when the verdict-cache miss was answered by replaying a
-    /// prefix certificate from an atomicity sibling instead of searching
-    /// (`tso_model::prefix`). Always false on a cache hit.
-    pub prefix_hit: bool,
     /// True when the verdict is *inconclusive*: the model search hit an
     /// installed [`tso_model::SearchBudget`] and the target outcome was
     /// not among the (sound but possibly incomplete) outcomes it did
@@ -193,7 +189,6 @@ impl Litmus {
             witness,
             model_stats: cached.stats,
             cache_hit: cached.hit,
-            prefix_hit: cached.prefix_hit,
             unknown,
         }
     }

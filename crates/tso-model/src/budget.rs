@@ -20,10 +20,11 @@
 //!   **positive** observations (a witness was found) remain sound;
 //! * **absence** is unproven, so consumers must treat "not observed" as
 //!   unknown, not forbidden;
-//! * a truncated result never poisons any cache tier — the in-memory
-//!   verdict cache, the persistent [`VerdictStore`](crate::VerdictStore),
-//!   and the prefix-certificate store all skip budget-exhausted answers,
-//!   so a later (or un-budgeted) query recomputes from scratch.
+//! * a truncated result never poisons the cache — the in-memory verdict
+//!   cache and the persistent [`VerdictStore`](crate::VerdictStore) both
+//!   skip budget-exhausted answers, and a truncated search answers no
+//!   member of its atomicity family, so a later (or un-budgeted) query
+//!   recomputes from scratch.
 //!
 //! A budget decides only what the cache commits, not which code runs:
 //! budgeted and un-budgeted queries take the same fill path, so

@@ -31,16 +31,15 @@
 //! next query to fill. A query holds at most one fill lock and never
 //! waits on another key's.
 //!
-//! On a miss the query drops to the prefix-certificate tier
-//! ([`crate::prefix`]): a program sharing its atomicity-masked canonical
-//! key with an already searched sibling replays that sibling's
-//! certificate instead of searching, and a genuinely novel program runs
-//! the sequential pruned search ([`crate::search`]) on the calling
-//! thread. That search also answers the program's *family* — its uniform
-//! `with_atomicity` rewrites that are their own canonical form — and
-//! the cache commits those answers next to the program's entry, so the
+//! A key neither in memory nor in the store runs the sequential pruned
+//! search ([`crate::search`]) on the calling thread. That search also
+//! answers the program's *family*: its uniform `with_atomicity` rewrites
+//! that are their own canonical form. Atomicity enters the search only
+//! at its complete leaves, so one walk tests each leaf for every member,
+//! and the cache commits those answers next to the program's entry: the
 //! harness's three per-atomicity queries of a draft cost one search and
-//! then hit. A member goes only into a vacant slot: the commit never
+//! then hit. Any other program, a mixed-type sibling included, takes its
+//! own search. A member goes only into a vacant slot: the commit never
 //! waits on or overwrites a cell another worker is filling, so two
 //! workers filling each other's families cannot deadlock. Parallelism
 //! lives one level up: consumers fan whole tests out across workers, and
@@ -62,20 +61,17 @@
 //! exactly those the commit inserted.
 //! The `harness` crate provides the production implementation (an
 //! append-only record file; see `DESIGN.md` "verdict store") and installs
-//! it from the `litmus_run` CLI. It is the only persistent tier: the
-//! certificates of [`crate::prefix`] stay in process memory, and a warm
-//! store answers every query before that tier is asked. The hook lives
-//! here so *every* consumer
+//! it from the `litmus_run` CLI. The hook lives here so *every* consumer
 //! of [`allowed_outcomes_cached`] — `Litmus::check`, corpus generation,
 //! the differential harness — shares one store without `tso-model`
 //! depending on any I/O code.
 
 use crate::canon::Canonical;
 use crate::outcome::Outcome;
-use crate::prefix::MemberAnswer;
 use crate::program::Program;
-use crate::search::SearchStats;
+use crate::search::{self, SearchStats};
 use rmw_types::fasthash::FastHashMap;
+use rmw_types::Atomicity;
 use std::collections::hash_map::Entry as Slot;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,7 +164,7 @@ pub struct CacheCounters {
     /// invocations: no search ran.
     pub store_hits: u64,
     /// Entries committed by the search of another member of their
-    /// atomicity family ([`crate::prefix`]). Like store hits, they are not
+    /// atomicity family. Like store hits, they are not
     /// invocations, and a later query of one is a hit.
     pub family_fills: u64,
     /// Distinct canonical programs whose answer is cached. A key still
@@ -226,16 +222,15 @@ pub struct CachedOutcomes {
     pub stats: SearchStats,
     /// True when no search ran for this query.
     pub hit: bool,
-    /// True when this query was answered by replaying a prefix
-    /// certificate ([`crate::prefix`]) recorded for a masked-key sibling
-    /// — set only on the query that did the work, like `hit`'s negation.
+    /// Always false. Kept for perfbench; removed by ROADMAP item 2's
+    /// benchmark-kind PR.
     pub prefix_hit: bool,
     /// True when an installed [`SearchBudget`](crate::budget::SearchBudget)
     /// ran out mid-search: `outcomes` is a sound but possibly incomplete
     /// subset (*missing, never wrong* — every member is genuinely
     /// allowed, but absence proves nothing). Truncated answers are never
-    /// committed to the in-memory cache, the [`VerdictStore`], or the
-    /// certificate tier, so a later query recomputes. Always false when
+    /// committed to the in-memory cache or the [`VerdictStore`], and
+    /// answer no family member, so a later query recomputes. Always false when
     /// no budget is installed, and on every hit.
     pub unknown: bool,
     /// The canonical fingerprint the entry is filed under (diagnostics).
@@ -265,7 +260,6 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     });
     let mut searched = false;
-    let mut prefix_hit = false;
     let mut family = Vec::new();
     let entry = match cell.entry.get() {
         // Committed before this query looked, or by the fill it waited on.
@@ -282,16 +276,9 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
                 None => {
                     searched = true;
                     MISSES.fetch_add(1, Ordering::Relaxed);
-                    // The certificate tier replays a masked-key sibling's
-                    // pruned search when it can, and otherwise runs the
-                    // recording search under the installed budget.
-                    let answer = crate::prefix::query(canon);
-                    prefix_hit = answer.prefix_hit;
-                    family = answer.family;
-                    Arc::new(Entry {
-                        outcomes: answer.outcomes,
-                        stats: answer.stats,
-                    })
+                    let (entry, members) = search_family(canon);
+                    family = members;
+                    Arc::new(entry)
                 }
             };
             // A truncated answer is returned as unknown and committed
@@ -321,27 +308,83 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
         outcomes,
         stats: entry.stats,
         hit: !searched,
-        prefix_hit,
+        prefix_hit: false,
         unknown: entry.stats.budget_exhausted,
         fingerprint: canon.fingerprint(),
     }
 }
 
-/// Commits the family members a fresh search answered
-/// ([`crate::prefix::query`]), after the searched program's own entry:
-/// each into a *vacant* slot only, never into a cell another query
-/// created (it may be filling it), and each inserted entry is saved to
-/// the store, in the members' order.
+/// A family member's answer, as a fresh search of it would give it.
+struct MemberAnswer {
+    /// The member, its own canonical form.
+    canon: Canonical,
+    /// Its outcome set, in its (and the searched program's) canonical
+    /// coordinates, and stats bit-identical to a sequential search of it.
+    entry: Entry,
+}
+
+/// The family of a canonical program `canon`: each uniform rewrite
+/// `m = canon.with_atomicity(a)` that differs from `canon` and is its own
+/// canonical form. Such an `m` has `canon`'s events, event numbering and
+/// decision tree, so one search answers it without any coordinate
+/// mapping. A rewrite that canonicalizes to another thread order is left
+/// to its own query.
+fn family_of(canon: &Canonical) -> Vec<(Atomicity, Canonical)> {
+    let program = canon.program();
+    Atomicity::ALL
+        .into_iter()
+        .filter_map(|a| {
+            let member = program.with_atomicity(a);
+            if member == *program {
+                return None;
+            }
+            let own = member.canonicalize();
+            (*own.program() == member).then_some((a, own))
+        })
+        .collect()
+}
+
+/// The fresh search of a canonical program under the installed budget (if
+/// any), answering its family at the same leaves. A search that stopped
+/// early (budget exhaustion always sets `stopped_early`) answers no
+/// member.
+fn search_family(canon: &Canonical) -> (Entry, Vec<MemberAnswer>) {
+    let budget = crate::budget::begin_query();
+    let members = family_of(canon);
+    let rewrites: Vec<Atomicity> = members.iter().map(|&(a, _)| a).collect();
+    let mut family = search::Family::new(canon.program(), &rewrites);
+    let stats = search::run_family(canon.program(), &mut family, budget.as_ref());
+    let mut answers = family.into_answers().into_iter();
+    let (outcomes, _) = answers.next().expect("slot 0 is the searched program");
+    let members = if stats.stopped_early {
+        Vec::new()
+    } else {
+        members
+            .into_iter()
+            .zip(answers)
+            .map(|((_, canon), (outcomes, valid))| MemberAnswer {
+                canon,
+                entry: Entry {
+                    outcomes,
+                    stats: SearchStats { valid, ..stats },
+                },
+            })
+            .collect()
+    };
+    (Entry { outcomes, stats }, members)
+}
+
+/// Commits the family members a fresh search answered, after the
+/// searched program's own entry: each into a *vacant* slot only, never
+/// into a cell another query created (it may be filling it), and each
+/// inserted entry is saved to the store, in the members' order.
 fn commit_family(family: Vec<MemberAnswer>) {
-    for member in family {
-        let entry = Arc::new(Entry {
-            outcomes: member.outcomes,
-            stats: member.stats,
-        });
+    for MemberAnswer { canon, entry } in family {
+        let entry = Arc::new(entry);
         let inserted = match cache()
             .lock()
             .expect("model cache lock")
-            .entry(member.canon.key().to_vec())
+            .entry(canon.key().to_vec())
         {
             Slot::Vacant(slot) => {
                 slot.insert(Arc::new(KeyCell {
@@ -357,7 +400,6 @@ fn commit_family(family: Vec<MemberAnswer>) {
         }
         FAMILY_FILLS.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = current_store() {
-            let canon = &member.canon;
             store.save(
                 canon.key(),
                 canon.fingerprint(),

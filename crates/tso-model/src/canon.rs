@@ -165,56 +165,6 @@ impl Canonical {
     pub fn thread_perm(&self) -> &[ThreadId] {
         &self.perm
     }
-
-    /// The atomicity-masked canonical key: [`Canonical::key`] with every
-    /// RMW's atomicity-rank word zeroed. See [`masked_key`].
-    pub(crate) fn masked_key(&self) -> Vec<u64> {
-        masked_key(&self.key)
-    }
-}
-
-/// Zeroes the atomicity-rank word of every RMW instruction in a canonical
-/// serialization, walking the word format structurally (values may be any
-/// `u64`, so scanning for separators would be unsound).
-///
-/// Two canonical programs with equal masked keys are identical except for
-/// per-RMW atomicity — and atomicity enters the search *only* through the
-/// leaf-level `ato` disjunctions ([`crate::validity`]); the
-/// `ppo`/`bar`/`po-loc`/dep graphs and hence every `ws`/`rf` decision,
-/// prune, and complete leaf are atomicity-independent. Masked-key
-/// equality is therefore exactly the soundness condition for sharing a
-/// prefix certificate ([`crate::prefix`]) between programs.
-///
-/// For *uniform* atomicity rewrites (`Program::with_atomicity`, the
-/// harness's per-test sweep) the canonical thread permutation is also
-/// unaffected — every candidate serialization changes by the same rank
-/// word substitutions, preserving the lexicographic minimum — so all
-/// three rewrites of a test share one masked key. Mixed-atomicity
-/// programs may canonicalize differently and miss sharing; that costs
-/// performance only, never soundness.
-pub(crate) fn masked_key(key: &[u64]) -> Vec<u64> {
-    let mut out = key.to_vec();
-    let mut i = 1; // skip the thread count
-    while i < out.len() {
-        debug_assert_eq!(out[i], u64::MAX, "expected thread separator");
-        i += 1;
-        let count = out[i] as usize;
-        i += 1;
-        for _ in 0..count {
-            match out[i] {
-                1 => i += 2, // Read: tag, addr
-                2 => i += 3, // Write: tag, addr, value
-                3 => {
-                    // Rmw: tag, addr, kind, arg1, arg2, atomicity rank
-                    out[i + 5] = 0;
-                    i += 6;
-                }
-                4 => i += 1, // Fence: tag
-                _ => unreachable!("malformed canonical key"),
-            }
-        }
-    }
-    out
 }
 
 impl Program {
@@ -591,61 +541,6 @@ mod tests {
         // Addresses were renamed densely from 0.
         let addrs = c1.program().addresses();
         assert_eq!(addrs, (0..addrs.len() as u64).map(Addr).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn masked_keys_match_across_atomicity_rewrites_only() {
-        // The three uniform-atomicity rewrites of an RMW test share one
-        // masked key (the certificate sharing condition) while their full
-        // keys stay distinct (the verdict cache still distinguishes them).
-        let mut b = ProgramBuilder::new();
-        b.thread()
-            .rmw(X, rmw_types::RmwKind::FetchAndAdd(1), Atomicity::Type1)
-            .read(Y);
-        b.thread().write(Y, 1).read(X);
-        let p = b.build();
-        let base = p.canonicalize();
-        for a in [Atomicity::Type2, Atomicity::Type3] {
-            let rewritten = p.with_atomicity(a).canonicalize();
-            assert_ne!(base.key(), rewritten.key(), "{a:?}");
-            assert_eq!(base.masked_key(), rewritten.masked_key(), "{a:?}");
-        }
-        // A structurally different program must not collide.
-        let other = sb(X, Y).canonicalize();
-        assert_ne!(base.masked_key(), other.masked_key());
-    }
-
-    #[test]
-    fn masked_key_only_touches_rmw_rank_words() {
-        // Adversarial values: a write of u64::MAX must not be mistaken
-        // for a thread separator, and Fence/Read tags must parse.
-        let mut b = ProgramBuilder::new();
-        b.thread()
-            .write(X, u64::MAX)
-            .fence()
-            .rmw(
-                Y,
-                rmw_types::RmwKind::CompareAndSwap {
-                    expected: 3,
-                    new: u64::MAX,
-                },
-                Atomicity::Type3,
-            )
-            .read(X);
-        let p = b.build();
-        let canon = p.canonicalize();
-        let masked = canon.masked_key();
-        let diffs: Vec<usize> = canon
-            .key()
-            .iter()
-            .zip(&masked)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(diffs.len(), 1, "exactly the one RMW rank word changes");
-        assert_eq!(canon.key()[diffs[0]], 3, "Type3 rank");
-        assert_eq!(masked[diffs[0]], 0);
     }
 
     #[test]

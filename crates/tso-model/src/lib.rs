@@ -30,20 +30,20 @@
 //! [`enumerate_candidates`] survives as a materializing compatibility
 //! wrapper.
 //!
-//! Three layers scale that engine across a corpus (each observationally
+//! Two layers scale that engine across a corpus (each observationally
 //! invisible — same sets, same verdicts, same decision stats):
 //!
 //! * [`canon`] — **symmetry reduction**: programs are canonicalized
 //!   under thread- and address-renaming
 //!   ([`Program::canonicalize`](program::Program::canonicalize));
 //! * [`cache`] — **verdict memoization**: [`allowed_outcomes_cached`]
-//!   proves each canonical class once, process-wide;
-//! * [`prefix`] — **atomicity-family and prefix-certificate sharing**:
-//!   programs identical up to per-RMW atomicity (equal atomicity-masked
-//!   canonical keys) share one pruned search. That search answers the
-//!   program's uniform atomicity rewrites at the same leaves; other
-//!   siblings replay its recorded complete leaves and re-solve only the
-//!   leaf-level atomicity disjunctions.
+//!   answers a query from memory, then from an installed persistent
+//!   [`VerdictStore`], then with one fresh search, which also answers the
+//!   program's uniform atomicity rewrites at the same leaves; each
+//!   canonical class is proven once, process-wide.
+//!
+//! [`prefix`] holds only the inert names of the deleted prefix-certificate
+//! tier, kept for the end-to-end benchmark.
 //!
 //! # Quickstart
 //!

@@ -51,28 +51,22 @@
 //! to filtering the legacy enumeration with `check_validity` (the
 //! reference solver).
 //!
-//! Atomicity enters the search only there: the `ppo`/`bar`/`po-loc`/dep
-//! graphs, and so every decision, prune and complete leaf, are the same
-//! for every atomicity assignment of one program. The certificate tier's
-//! fresh search exploits this with a `Family`: at each complete leaf it
-//! also runs the test for the program's uniform atomicity rewrites on the
-//! same closed graph, builds the leaf's outcome once, and adds it to the
-//! set of every program that accepts the leaf — one walk answers the
-//! whole family.
-//!
 //! Valid executions are yielded through a visitor
 //! ([`for_each_valid_execution`]); returning [`ControlFlow::Break`] stops
 //! the search, which is what gives `outcome_allowed` its early exit.
 //!
-//! # Prefix-replay hooks
+//! # Family search
 //!
-//! The crate-private primitives at the bottom of this module back the
-//! prefix-certificate tier ([`crate::prefix`]): `build_ctx` (the
-//! immutable per-program context), `run_family` (the sequential DFS that
-//! records every complete leaf, answers the program's `Family` and
-//! charges an optional query budget), and `run_prefix` (replay one
-//! recorded full-depth leaf path straight to its leaf through the same
-//! acyclic insert, re-solving only the atomicity disjunctions).
+//! Atomicity enters the search only at the leaves: the
+//! `ppo`/`bar`/`po-loc`/dep graphs, and so every decision, prune and
+//! complete leaf, are the same for every atomicity assignment of one
+//! program. The verdict cache's fresh search ([`crate::cache`]) exploits
+//! this with the crate-private `run_family` and its `Family`: at each
+//! complete leaf it also runs the test for the program's uniform
+//! atomicity rewrites on the same closed graph, builds the leaf's outcome
+//! once, and adds it to the set of every program that accepts the leaf —
+//! one walk answers the whole family. It also charges an optional query
+//! budget at every decision node.
 
 use crate::budget::QueryBudget;
 use crate::event::{EventId, RmwHalf};
@@ -92,10 +86,9 @@ use std::sync::Arc;
 
 /// Counters describing one search run, for benchmarks and scaling reports.
 ///
-/// A certificate replay ([`crate::prefix`]) and a family member's answer
-/// report exactly the numbers a fresh search of the same program would
-/// (asserted by `tests/prefix_equiv.rs` and `tests/cache_equiv.rs`), so
-/// the counters describe the program, not which tier answered it.
+/// A family member's answer reports exactly the numbers a fresh search of
+/// the same program would (asserted by `tests/cache_equiv.rs`), so the
+/// counters describe the program, not which search answered it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Partial-assignment decision nodes explored (one per `ws` placement
@@ -121,9 +114,9 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Accumulates another run's counters into `self`: decision counters
-    /// add, the two flags OR. Used both by certificate replay (summing
-    /// per-leaf stats) and by consumers aggregating several searches (e.g.
-    /// the harness's per-test model stats across its four model queries).
+    /// add, the two flags OR. Used by consumers aggregating several
+    /// searches (e.g. the harness's per-test model stats across its four
+    /// model queries).
     pub fn absorb(&mut self, other: &SearchStats) {
         self.nodes += other.nodes;
         self.pruned += other.pruned;
@@ -211,9 +204,8 @@ struct LocWrites {
 }
 
 /// Immutable per-program search context: everything the DFS reads but
-/// never writes. Built once per query and shared by its recording search
-/// or its certificate replays.
-pub(crate) struct SearchCtx {
+/// never writes.
+struct SearchCtx {
     ctx: Arc<ExecCtx>,
     mode: Mode,
     locs: Vec<LocWrites>,
@@ -256,12 +248,6 @@ impl Graphs {
         let (u, v) = (u.index(), v.index());
         self.ghb.close_edge_acyclic(u, v) && self.uni.close_edge_acyclic(u, v)
     }
-}
-
-/// Builds the search context for the valid-only (pruned) engine — the
-/// certificate tier in [`crate::prefix`] starts here.
-pub(crate) fn build_ctx(program: &Program) -> SearchCtx {
-    SearchCtx::build(program, Mode::ValidOnly)
 }
 
 impl SearchCtx {
@@ -374,31 +360,6 @@ impl SearchCtx {
             base_ws,
         }
     }
-
-    /// The decision shape `(total non-init writes, reads)` — the exact
-    /// lengths a full-depth leaf path must have. [`crate::prefix`] uses
-    /// this (plus [`SearchCtx::max_event_id`]) to reject a persisted
-    /// certificate that does not structurally fit the program before
-    /// replaying it.
-    pub(crate) fn decision_shape(&self) -> (usize, usize) {
-        let writes = self.locs.iter().map(|l| l.writes.len()).sum();
-        (writes, self.reads.len())
-    }
-
-    /// One past the largest valid [`EventId`] index for this program.
-    pub(crate) fn max_event_id(&self) -> usize {
-        self.ctx.events.len()
-    }
-}
-
-/// The full decision path of one complete leaf: every location's `ws`
-/// placements (in decision order, locations in address order), then every
-/// read's `rf` source (in read order). Recorded by [`run_family`],
-/// replayed by [`run_prefix`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Prefix {
-    pub(crate) ws: Vec<EventId>,
-    pub(crate) rf: Vec<EventId>,
 }
 
 /// The outcome sets one search collects: the searched program's (slot 0)
@@ -407,7 +368,7 @@ pub(crate) struct Prefix {
 /// event numbering and decision tree, and differs only in its `ato`
 /// disjunctions, so the search tests each complete leaf against every
 /// slot's disjunctions on the same closed `ghb`. Which rewrites qualify
-/// is the caller's business ([`crate::prefix`]); a slot's `valid` equals
+/// is the caller's business ([`crate::cache`]); a slot's `valid` equals
 /// that of a fresh search of its program, and so do the set and, with
 /// the shared `nodes`/`pruned`/`complete`, the whole [`SearchStats`].
 pub(crate) struct Family {
@@ -501,67 +462,23 @@ impl Family {
     }
 }
 
-/// Runs the full sequential DFS from a prebuilt context, optionally
-/// recording the decision path of every complete leaf into `leaves` (in
-/// DFS order — the order [`run_prefix`] replays them for a certificate
-/// hit, see [`crate::prefix`]). The context must be `ValidOnly` when
-/// recording (only complete leaves of the pruned engine are meaningful
-/// certificate entries).
-pub(crate) fn run_ctx(
-    sc: &SearchCtx,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    leaves: Option<&mut Vec<Prefix>>,
-) -> SearchStats {
-    let mut search = Search::new(sc, visitor);
-    search.leaves = leaves;
-    // A `Break` here is just the early exit reaching the root.
-    let _ = search.search_ws(0, 0);
-    search.stats
-}
-
-/// The certificate tier's fresh search: [`run_ctx`] recording every
-/// complete leaf into `leaves` and collecting the outcome sets of
-/// `family` (built for `sc`'s program) instead of yielding executions.
-/// Under a [`QueryBudget`] the DFS additionally charges every decision
-/// node and aborts, marking the stats budget-exhausted, when it runs out;
-/// `budget = None` never truncates.
+/// The verdict cache's fresh search of `program` (pruned): the full
+/// sequential DFS, collecting the outcome sets of `family` (built for
+/// `program`) instead of yielding executions. Under a [`QueryBudget`] the
+/// DFS additionally charges every decision node and aborts, marking the
+/// stats budget-exhausted, when it runs out; `budget = None` never
+/// truncates.
 pub(crate) fn run_family(
-    sc: &SearchCtx,
+    program: &Program,
     family: &mut Family,
-    leaves: &mut Vec<Prefix>,
     budget: Option<&QueryBudget>,
 ) -> SearchStats {
+    let sc = SearchCtx::build(program, Mode::ValidOnly);
     let mut ignore = |_: &CandidateExecution| ControlFlow::Continue(());
-    let mut search = Search::new(sc, &mut ignore);
-    search.leaves = Some(leaves);
+    let mut search = Search::new(&sc, &mut ignore);
     search.budget = budget;
     search.family = Some(family);
     let _ = search.search_ws(0, 0);
-    search.stats
-}
-
-/// Replays one recorded full-depth leaf path `leaf` (every `ws` placement
-/// and every `rf` choice — the shape [`crate::prefix`] checks before
-/// replaying) straight to its leaf, yielding to `visitor`: zero decision
-/// nodes, one `complete`, with the atomicity disjunctions solved for
-/// *this* context's program. That is exactly how a certificate's leaves
-/// answer a sibling program.
-///
-/// The edges go in through the same acyclic insert as in the search. A
-/// path on which one is refused is a leaf a fresh search of this program
-/// would have pruned: it still counts as `complete` (as it did in the
-/// certificate), but nothing is yielded.
-pub(crate) fn run_prefix(
-    sc: &SearchCtx,
-    leaf: &Prefix,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-) -> SearchStats {
-    let mut search = Search::new(sc, visitor);
-    if search.replay(leaf) {
-        let _ = search.complete();
-    } else {
-        search.stats.complete += 1;
-    }
     search.stats
 }
 
@@ -582,9 +499,6 @@ struct Search<'a> {
     /// set.
     budget: Option<&'a QueryBudget>,
     visitor: &'a mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    /// When set, every complete leaf's full decision path is appended (in
-    /// DFS order) — the raw material of a prefix certificate.
-    leaves: Option<&'a mut Vec<Prefix>>,
     /// When set, every complete leaf is also tested for the family's
     /// members and its outcome recorded for each slot that accepts it.
     family: Option<&'a mut Family>,
@@ -596,7 +510,10 @@ fn run(
     visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
 ) -> SearchStats {
     let sc = SearchCtx::build(program, mode);
-    run_ctx(&sc, visitor, None)
+    let mut search = Search::new(&sc, visitor);
+    // A `Break` here is just the early exit reaching the root.
+    let _ = search.search_ws(0, 0);
+    search.stats
 }
 
 impl<'a> Search<'a> {
@@ -613,21 +530,8 @@ impl<'a> Search<'a> {
             stats: SearchStats::default(),
             budget: None,
             visitor,
-            leaves: None,
             family: None,
         }
-    }
-
-    /// The full decision path of the current (complete) assignment.
-    /// Feeding this back through [`run_prefix`] replays straight to the
-    /// same leaf.
-    fn leaf_path(&self) -> Prefix {
-        let mut ws = Vec::new();
-        for loc in &self.sc.locs {
-            ws.extend_from_slice(&self.ws[&loc.addr][1..]);
-        }
-        let rf = self.sc.reads.iter().map(|r| self.rf[r]).collect();
-        Prefix { ws, rf }
     }
 
     /// True when the query budget ran out; the caller unwinds with
@@ -782,31 +686,6 @@ impl<'a> Search<'a> {
         source && order[pos + 1..].iter().all(|&u| self.graphs.add_com(r, u))
     }
 
-    /// Commits a recorded leaf path (see [`run_prefix`]): every location's
-    /// serialization, then every read's source. False as soon as an edge
-    /// would close a cycle.
-    fn replay(&mut self, leaf: &Prefix) -> bool {
-        // Decision order fills locations in address order, so each
-        // location's serialization is the next `writes.len()` entries.
-        let mut placements = leaf.ws.iter().copied();
-        for loc in &self.sc.locs {
-            let order: Vec<EventId> = placements.by_ref().take(loc.writes.len()).collect();
-            for (k, &w) in order.iter().enumerate() {
-                if !self.precede(w, &order[k + 1..]) {
-                    return false;
-                }
-            }
-            self.ws
-                .get_mut(&loc.addr)
-                .expect("ws has every addr")
-                .extend(order);
-        }
-        leaf.rf
-            .iter()
-            .enumerate()
-            .all(|(ri, &w)| self.push_rf(ri, w))
-    }
-
     /// A complete `rf × ws` assignment: finish the validity check (the
     /// atomicity disjunctions), then assemble the execution and yield.
     /// With a family, the leaf is tested for every slot; it is assembled
@@ -814,14 +693,6 @@ impl<'a> Search<'a> {
     /// program does.
     fn complete(&mut self) -> ControlFlow<()> {
         self.stats.complete += 1;
-        if self.leaves.is_some() {
-            // `leaf_path` needs `&self`, so the path is built before the
-            // mutable re-borrow of the log.
-            let path = self.leaf_path();
-            if let Some(leaves) = &mut self.leaves {
-                leaves.push(path);
-            }
-        }
         // uniproc already holds (incremental `uni` checks); what is left is
         // the existential over atomicity-induced edges, decided on the
         // closed `com ∪ ppo ∪ bar`. Bit 0 of the mask is the searched
@@ -1045,58 +916,5 @@ mod tests {
         assert_eq!(a.valid, 3);
         assert!(a.stopped_early);
         assert!(a.budget_exhausted);
-    }
-
-    #[test]
-    fn recorded_leaves_replay_to_the_same_executions() {
-        // The invariant prefix certificates rest on: replaying each
-        // recorded full-depth leaf path reproduces the sequential yield
-        // sequence with zero decision nodes and one `complete` per leaf.
-        let mut b = ProgramBuilder::new();
-        b.thread()
-            .write(X, 1)
-            .rmw(Y, RmwKind::FetchAndAdd(1), Atomicity::Type2);
-        b.thread().write(Y, 5).read(X);
-        let p = b.build();
-        let sc = build_ctx(&p);
-        let mut leaves = Vec::new();
-        let mut seq_yield = Vec::new();
-        let stats = run_ctx(
-            &sc,
-            &mut |e| {
-                seq_yield.push(e.read_values());
-                ControlFlow::Continue(())
-            },
-            Some(&mut leaves),
-        );
-        assert_eq!(leaves.len() as u64, stats.complete);
-        let mut replay_yield = Vec::new();
-        let mut replay = SearchStats::default();
-        for leaf in &leaves {
-            replay.absorb(&run_prefix(&sc, leaf, &mut |e| {
-                replay_yield.push(e.read_values());
-                ControlFlow::Continue(())
-            }));
-        }
-        assert_eq!(replay.nodes, 0, "full-depth replay explores no decisions");
-        assert_eq!(replay.complete, stats.complete);
-        assert_eq!(replay.valid, stats.valid);
-        assert_eq!(replay_yield, seq_yield);
-
-        // A path the search prunes replays to nothing: serializing two
-        // same-thread writes against program order closes a `ghb` cycle.
-        let mut b = ProgramBuilder::new();
-        b.thread().write(X, 1).write(X, 2);
-        let sc = build_ctx(&b.build());
-        let backwards = Prefix {
-            ws: sc.locs[0].writes.iter().rev().copied().collect(),
-            rf: Vec::new(),
-        };
-        let mut yielded = 0;
-        let stats = run_prefix(&sc, &backwards, &mut |_| {
-            yielded += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!((yielded, stats.complete, stats.valid), (0, 1, 0));
     }
 }

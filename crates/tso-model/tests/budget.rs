@@ -4,9 +4,9 @@
 //! path, so racing misses on one key search once, and a fill that panics
 //! leaves its key empty for the next query.
 //!
-//! The budget slot, verdict cache, and certificate cache are process-wide,
-//! so every test here serializes on one mutex and uses programs made
-//! unique by written values.
+//! The budget slot and verdict cache are process-wide, so every test here
+//! serializes on one mutex and uses programs made unique by written
+//! values.
 
 use rmw_types::{Addr, Atomicity, RmwKind};
 use std::collections::BTreeSet;
@@ -129,7 +129,7 @@ fn exhausted_budget_returns_unknown_and_poisons_nothing() {
 }
 
 #[test]
-fn exhausted_budget_records_no_prefix_certificate() {
+fn exhausted_budget_answers_no_atomicity_family() {
     let _guard = budget_lock();
     let mk = |a: Atomicity| {
         let mut b = ProgramBuilder::new();
@@ -149,14 +149,8 @@ fn exhausted_budget_records_no_prefix_certificate() {
         max_time: None,
     });
     let fills = cache::counters().family_fills;
-    let before = tso_model::prefix::counters();
     let truncated = allowed_outcomes_cached(&mk(Atomicity::Type1));
-    let after = tso_model::prefix::counters();
     assert!(truncated.unknown);
-    assert_eq!(
-        after.stored, before.stored,
-        "a truncated search must not certify its incomplete leaf set"
-    );
     assert_eq!(
         cache::counters().family_fills,
         fills,
@@ -164,16 +158,12 @@ fn exhausted_budget_records_no_prefix_certificate() {
     );
     take_budget();
 
-    // The atomicity sibling can neither hit a (nonexistent) family entry
-    // nor replay a (nonexistent) truncated cert: it runs a full search
-    // and matches the direct engine.
+    // The atomicity sibling cannot hit a (nonexistent) family entry: it
+    // runs a full search and matches the direct engine.
     let sibling = mk(Atomicity::Type3);
     let complete = allowed_outcomes_cached(&sibling);
     assert!(!complete.unknown);
-    assert!(
-        !complete.hit && !complete.prefix_hit,
-        "the sibling searched"
-    );
+    assert!(!complete.hit, "the sibling searched");
     assert_eq!(complete.outcomes, allowed_outcomes(&sibling));
 }
 

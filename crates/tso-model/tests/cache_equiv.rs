@@ -11,10 +11,13 @@
 //! proptest-generated random programs.
 //!
 //! The family tests pin what a fresh search commits for its program's
-//! uniform `with_atomicity` rewrites: each such answer is exactly what a
-//! search of the rewrite's canonical program gives, outcome set and full
-//! [`tso_model::SearchStats`], including under two workers racing on opposite
-//! rewrites of the same family.
+//! uniform `with_atomicity` rewrites: each such answer is a cache hit and
+//! exactly what a search of the rewrite's canonical program gives,
+//! outcome set and full [`tso_model::SearchStats`], also across thread
+//! and address permutations and under two workers racing on opposite
+//! rewrites of the same family. A mixed-type program (one RMW type on one
+//! thread, another on the next) is no uniform rewrite: it misses and takes
+//! its own search, with the same exact answer.
 
 use proptest::prelude::*;
 use rmw_types::{Addr, Atomicity, RmwKind};
@@ -161,6 +164,122 @@ fn atomicity_rewrites_answer_exactly_as_their_own_searches() {
         after.family_fills > before.family_fills,
         "no search answered its atomicity family"
     );
+}
+
+/// The mixed-type programs: two threads under two different types.
+const MIXES: [[Atomicity; 2]; 3] = [
+    [Atomicity::Type1, Atomicity::Type2],
+    [Atomicity::Type1, Atomicity::Type3],
+    [Atomicity::Type2, Atomicity::Type3],
+];
+
+/// A 2-thread Dekker-RMW shape, thread `i`'s RMWs of type `types[i]`,
+/// whose written values carry `tag`, making its canonical key unique to
+/// the calling test (canonicalization does not quotient values).
+fn dekker_rmw(rounds: u64, types: [Atomicity; 2], tag: u64) -> Program {
+    let mut b = ProgramBuilder::new();
+    for (i, atomicity) in (0..2u64).zip(types) {
+        let mine = Addr(i);
+        let other = Addr((i + 1) % 2);
+        let mut t = b.thread();
+        for k in 1..=rounds {
+            t.rmw(mine, RmwKind::FetchAndAdd(tag + k), atomicity)
+                .read(other);
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn atomicity_siblings_hit_the_family_or_search_afresh() {
+    for rounds in 1..=2 {
+        let tag = 0x9100 + rounds * 16;
+        let uniform = |a| dekker_rmw(rounds, [a, a], tag);
+        let first = uniform(Atomicity::Type1);
+        let seeded = allowed_outcomes_cached(&first);
+        assert!(!seeded.hit, "rounds={rounds}: the first rewrite searches");
+        assert_answer_is_a_fresh_search(&format!("rounds={rounds} type-1"), &first, &seeded);
+
+        // The uniform siblings are the first search's family.
+        for atomicity in [Atomicity::Type2, Atomicity::Type3] {
+            let sibling = uniform(atomicity);
+            let got = allowed_outcomes_cached(&sibling);
+            let name = format!("rounds={rounds} {atomicity}");
+            assert!(got.hit, "{name}: expected a family hit");
+            assert_answer_is_a_fresh_search(&name, &sibling, &got);
+        }
+
+        // Mixed-type siblings are not: each takes its own search.
+        for types in MIXES {
+            let sibling = dekker_rmw(rounds, types, tag);
+            let got = allowed_outcomes_cached(&sibling);
+            let name = format!("rounds={rounds} {}/{}", types[0], types[1]);
+            assert!(!got.hit, "{name}: expected a miss");
+            assert_answer_is_a_fresh_search(&name, &sibling, &got);
+        }
+    }
+}
+
+#[test]
+fn thread_and_address_permutations_hit_the_family_or_search_afresh() {
+    let tag = 0x9900u64;
+    // Asymmetric shape (different round counts per thread) so swapping
+    // the threads is a genuine permutation, not an identity. `long` is
+    // the two-round thread's type, `short` the other's.
+    let original = |long: Atomicity, short: Atomicity| {
+        let mut b = ProgramBuilder::new();
+        b.thread()
+            .rmw(Addr(0), RmwKind::FetchAndAdd(tag + 1), long)
+            .read(Addr(1))
+            .rmw(Addr(0), RmwKind::FetchAndAdd(tag + 2), long)
+            .read(Addr(1));
+        b.thread()
+            .rmw(Addr(1), RmwKind::FetchAndAdd(tag + 3), short)
+            .read(Addr(0));
+        b.build()
+    };
+    // Threads swapped AND addresses renamed (0↔7, 1↔3): canonicalization
+    // erases both, so only the atomicity distinguishes the keys.
+    let permuted = |long: Atomicity, short: Atomicity| {
+        let mut b = ProgramBuilder::new();
+        b.thread()
+            .rmw(Addr(3), RmwKind::FetchAndAdd(tag + 3), short)
+            .read(Addr(7));
+        b.thread()
+            .rmw(Addr(7), RmwKind::FetchAndAdd(tag + 1), long)
+            .read(Addr(3))
+            .rmw(Addr(7), RmwKind::FetchAndAdd(tag + 2), long)
+            .read(Addr(3));
+        b.build()
+    };
+
+    let seeded = allowed_outcomes_cached(&original(Atomicity::Type1, Atomicity::Type1));
+    assert!(!seeded.hit, "the original type-1 program searches");
+
+    // Same atomicity + permutation: one canonical class.
+    let p = permuted(Atomicity::Type1, Atomicity::Type1);
+    let same = allowed_outcomes_cached(&p);
+    assert!(same.hit, "permutation alone is a verdict-cache hit");
+    assert_answer_is_a_fresh_search("permuted type-1", &p, &same);
+
+    // Another uniform type + permutation: the search committed the
+    // rewrite in its canonical frame, and the hit maps it back.
+    for atomicity in [Atomicity::Type2, Atomicity::Type3] {
+        let p = permuted(atomicity, atomicity);
+        let got = allowed_outcomes_cached(&p);
+        let name = format!("permuted {atomicity}");
+        assert!(got.hit, "{name}: expected a family hit");
+        assert_answer_is_a_fresh_search(&name, &p, &got);
+    }
+
+    // Mixed types + permutation: no family member, so a miss.
+    for [long, short] in MIXES {
+        let p = permuted(long, short);
+        let got = allowed_outcomes_cached(&p);
+        let name = format!("permuted {long}/{short}");
+        assert!(!got.hit, "{name}: expected a miss");
+        assert_answer_is_a_fresh_search(&name, &p, &got);
+    }
 }
 
 #[test]
