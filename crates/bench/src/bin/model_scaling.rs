@@ -6,7 +6,8 @@
 //! binary measures the streaming engine (`for_each_valid_execution`) and —
 //! where the candidate space fits in memory — the legacy
 //! `enumerate_candidates` + `check_validity` pipeline, asserts both engines
-//! produce the same outcome set, and reports the speedup. The largest shape
+//! produce the same outcome set, and reports the speedup (streaming time:
+//! median of [`LEAF_RUNS`] passes; legacy: one pass). The largest shape
 //! (3 threads × 3 rounds ≈ 5.7 · 10⁷ candidates, tens of GiB materialized)
 //! is streaming-only: the legacy enumerator cannot finish it in memory.
 //!
@@ -83,7 +84,9 @@ const MIN_FAMILY_REDUCTION: f64 = 2.0;
 /// decision node of the plain row of its shape.
 const MAX_LEAF_NODE_RATIO: f64 = 4.0;
 
-/// Timed runs per `rmw_leaf` row; the row reports their median.
+/// Timed runs per `rmw_leaf` row and per streaming pass of a `shapes`
+/// row; each row reports their median. (The legacy pass, hundreds of ms
+/// on the larger shapes, runs once.)
 const LEAF_RUNS: usize = 9;
 
 /// Timed passes per family; the row reports the median time.
@@ -118,13 +121,23 @@ fn measure(threads: usize, rounds: usize, run_legacy: bool) -> Row {
     let program = dekker_variant(threads, rounds);
     let events = threads * rounds * 2 + threads; // per-thread W+R pairs + init writes
 
-    let start = Instant::now();
-    let mut streamed: BTreeSet<Outcome> = BTreeSet::new();
-    let stats = for_each_valid_execution(&program, |exec| {
-        streamed.insert(Outcome::of_execution(exec));
-        ControlFlow::Continue(())
-    });
-    let streaming_ms = start.elapsed().as_secs_f64() * 1e3;
+    // A few ms per pass: take the median of LEAF_RUNS, as `rmw_leaf` does.
+    let mut streamed = BTreeSet::new();
+    let mut stats = SearchStats::default();
+    let times = (0..LEAF_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            let mut outcomes = BTreeSet::new();
+            stats = for_each_valid_execution(&program, |exec| {
+                outcomes.insert(Outcome::of_execution(exec));
+                ControlFlow::Continue(())
+            });
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            streamed = outcomes;
+            ms
+        })
+        .collect();
+    let streaming_ms = median(times);
 
     let (legacy_ms, outcomes_match) = if run_legacy {
         let start = Instant::now();

@@ -221,7 +221,7 @@ pub mod model_shapes {
     ///
     /// The three atomicity rewrites of one `(n, rounds)` shape share their
     /// decision tree, so they are the measurement family for **family
-    /// sharing** (`tso_model::prefix`): the first rewrite pays the pruned
+    /// sharing** (`tso_model::cache`): the first rewrite pays the pruned
     /// search, which also tests every complete leaf for the two siblings,
     /// and the siblings' queries hit the verdict cache.
     ///

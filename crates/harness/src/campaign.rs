@@ -587,6 +587,11 @@ pub fn merge_reports(inputs: &[(String, String)]) -> Result<Value, String> {
         reports.push((shard, name, v));
     }
     let (seed, count, shards, machine) = header.expect("at least one input");
+    if count == 0 {
+        // The same refusal as `CampaignConfig::problem`: a campaign of no
+        // draft would pass vacuously.
+        return Err("campaign count is 0: it checked nothing".to_owned());
+    }
     if reports.len() as u64 != shards {
         return Err(format!(
             "campaign has {shards} shards but {} reports were given",
@@ -745,6 +750,19 @@ mod tests {
             let err = merge_reports(&renamed).unwrap_err();
             assert!(err.starts_with("shard0: unknown machine"), "{err}");
         }
+    }
+
+    #[test]
+    fn merge_rejects_a_campaign_of_no_draft() {
+        // Complete and self-consistent, but it checked nothing: merging it
+        // must not report a pass.
+        let zero = r#"{"experiment": "litmus_campaign", "seed": 1, "count": 0,
+            "shard": 0, "shards": 1, "machine": "small", "complete": true,
+            "scanned": 0, "processed": 0, "model_failures": 0,
+            "differential_disagreements": 0, "deadlocks": 0, "crashed": 0,
+            "digest": 0, "failures": []}"#;
+        let err = merge_reports(&[("zero".into(), zero.into())]).unwrap_err();
+        assert!(err.contains("count"), "{err}");
     }
 
     #[test]

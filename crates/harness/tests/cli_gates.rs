@@ -276,6 +276,23 @@ fn malformed_command_lines_are_usage_errors() {
 }
 
 #[test]
+fn merge_refuses_a_campaign_of_no_draft() {
+    // A complete shard report of a count-0 campaign checked nothing, so
+    // its merge exits 2 like `campaign --count 0` does.
+    let dir = workdir("merge-zero");
+    let zero = r#"{"experiment": "litmus_campaign", "seed": 1, "count": 0, "shard": 0,
+        "shards": 1, "machine": "small", "complete": true, "scanned": 0, "processed": 0,
+        "model_failures": 0, "differential_disagreements": 0, "deadlocks": 0,
+        "crashed": 0, "digest": 0, "failures": []}"#;
+    std::fs::write(dir.join("zero.json"), zero).unwrap();
+    let out = litmus_run(&dir, "merge zero.json");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("merge failed"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn compact_refuses_missing_inputs_and_creates_no_file() {
     let dir = workdir("compact-missing");
     for cmdline in [

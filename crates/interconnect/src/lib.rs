@@ -1,17 +1,12 @@
-//! 2D-mesh network-on-chip model (paper Table 2: 1-cycle links, 4-cycle
-//! routers, XY dimension-order routing).
+//! 2D-mesh network-on-chip geometry and latency (paper Table 2: 1-cycle
+//! links, 4-cycle routers, XY dimension-order routing).
 //!
-//! The simulator composes memory-system latencies out of mesh traversal
-//! times, and counts traffic — in particular the **RMW address broadcasts**
-//! of the type-2/type-3 deadlock-avoidance scheme (§3.2), whose network
-//! overhead the paper reports as negligible (<0.5 %).
-//!
-//! Two layers are provided:
-//!
-//! * [`Mesh`] — pure geometry/latency: hop counts and traversal latency
-//!   between nodes, plus broadcast latency;
-//! * [`Network`] — an event-queue wrapper delivering typed messages at
-//!   computed times, with per-kind traffic statistics.
+//! [`Mesh`] gives the hop count and the one-way traversal latency between
+//! two nodes. The simulator composes every memory-system latency out of
+//! these, and times and counts the **RMW-address broadcasts** of the
+//! type-2/type-3 deadlock-avoidance scheme (§3.2) with them: each copy
+//! reaches its node one traversal latency after it is sent and crosses
+//! `hops` links, and so does its ack.
 //!
 //! ```
 //! use interconnect::{Mesh, MeshConfig};
@@ -24,10 +19,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use rmw_types::fasthash::FastHashMap;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Cycle count type used throughout the simulator.
 pub type Cycle = u64;
@@ -125,202 +116,6 @@ impl Mesh {
         let hops = self.hops(a, b) as Cycle;
         self.config.router_latency + hops * (self.config.link_latency + self.config.router_latency)
     }
-
-    /// Latency until *all* nodes have received a broadcast from `src`
-    /// (messages travel in parallel; the farthest node dominates).
-    pub fn broadcast_latency(&self, src: usize) -> Cycle {
-        (0..self.num_nodes())
-            .filter(|&n| n != src)
-            .map(|n| self.latency(src, n))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Latency of a broadcast followed by acknowledgements collected back
-    /// at `src` — the cost of publishing a new RMW address (§3.2).
-    pub fn broadcast_ack_latency(&self, src: usize) -> Cycle {
-        (0..self.num_nodes())
-            .filter(|&n| n != src)
-            .map(|n| self.latency(src, n) + self.latency(n, src))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Classification of messages for traffic accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TrafficClass {
-    /// Data/coherence request (GetS/GetM, etc.).
-    Request,
-    /// Data or ownership response.
-    Response,
-    /// Invalidation or its acknowledgement.
-    Invalidation,
-    /// RMW address broadcast of the deadlock-avoidance scheme.
-    RmwBroadcast,
-}
-
-impl TrafficClass {
-    /// All classes, indexable for the counter arrays.
-    pub const ALL: [TrafficClass; 4] = [
-        TrafficClass::Request,
-        TrafficClass::Response,
-        TrafficClass::Invalidation,
-        TrafficClass::RmwBroadcast,
-    ];
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// An in-flight message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct InFlight<T> {
-    deliver_at: Cycle,
-    seq: u64,
-    dst: usize,
-    payload: T,
-}
-
-/// Event-queue network: messages are sent with [`Network::send`] and appear
-/// from [`Network::deliver_ready`] once simulated time reaches their
-/// delivery cycle.
-#[derive(Debug, Clone)]
-pub struct Network<T> {
-    mesh: Mesh,
-    queue: BinaryHeap<Reverse<(Cycle, u64)>>,
-    messages: FastHashMap<u64, InFlight<T>>,
-    next_seq: u64,
-    /// Per-[`TrafficClass`] message counts (indexed by class — a map here
-    /// would put two hash operations on every send of a 31-copy
-    /// broadcast).
-    sent_by_class: [u64; TrafficClass::ALL.len()],
-    hops_by_class: [u64; TrafficClass::ALL.len()],
-}
-
-impl<T> Network<T> {
-    /// Creates an empty network over the given mesh.
-    pub fn new(mesh: Mesh) -> Self {
-        Network {
-            mesh,
-            queue: BinaryHeap::new(),
-            messages: FastHashMap::default(),
-            next_seq: 0,
-            sent_by_class: [0; TrafficClass::ALL.len()],
-            hops_by_class: [0; TrafficClass::ALL.len()],
-        }
-    }
-
-    /// The underlying mesh.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// Sends `payload` from `src` to `dst` at time `now`; returns the
-    /// delivery cycle.
-    pub fn send(
-        &mut self,
-        src: usize,
-        dst: usize,
-        payload: T,
-        now: Cycle,
-        class: TrafficClass,
-    ) -> Cycle {
-        let deliver_at = now + self.mesh.latency(src, dst);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse((deliver_at, seq)));
-        self.messages.insert(
-            seq,
-            InFlight {
-                deliver_at,
-                seq,
-                dst,
-                payload,
-            },
-        );
-        self.sent_by_class[class.index()] += 1;
-        self.hops_by_class[class.index()] += self.mesh.hops(src, dst) as u64;
-        deliver_at
-    }
-
-    /// Records a message in the traffic counters **without queueing it** —
-    /// for messages whose timing is modeled analytically (e.g. broadcast
-    /// acks whose worst-case round trip the sender already waits out) but
-    /// whose network cost must still be accounted.
-    pub fn account(&mut self, src: usize, dst: usize, class: TrafficClass) {
-        self.sent_by_class[class.index()] += 1;
-        self.hops_by_class[class.index()] += self.mesh.hops(src, dst) as u64;
-    }
-
-    /// Broadcasts `payload` to every node except `src` (cloning it), at
-    /// time `now`; returns the cycle by which all copies have arrived.
-    pub fn broadcast(&mut self, src: usize, payload: T, now: Cycle, class: TrafficClass) -> Cycle
-    where
-        T: Clone,
-    {
-        let mut done = now;
-        for dst in 0..self.mesh.num_nodes() {
-            if dst != src {
-                done = done.max(self.send(src, dst, payload.clone(), now, class));
-            }
-        }
-        done
-    }
-
-    /// Pops every message whose delivery time is `<= now`, in delivery
-    /// order, as `(dst, payload)` pairs.
-    pub fn deliver_ready(&mut self, now: Cycle) -> Vec<(usize, T)> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((t, seq))) = self.queue.peek() {
-            if t > now {
-                break;
-            }
-            self.queue.pop();
-            let m = self
-                .messages
-                .remove(&seq)
-                .expect("queued message has a body");
-            debug_assert_eq!(m.deliver_at, t);
-            debug_assert_eq!(m.seq, seq);
-            out.push((m.dst, m.payload));
-        }
-        out
-    }
-
-    /// Number of messages still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Delivery cycle of the earliest in-flight message, if any — the wake
-    /// event a cycle-skipping simulator must arm so no delivery happens on
-    /// a skipped cycle.
-    pub fn next_delivery(&self) -> Option<Cycle> {
-        self.queue.peek().map(|&Reverse((t, _))| t)
-    }
-
-    /// Messages sent so far, by class.
-    pub fn sent(&self, class: TrafficClass) -> u64 {
-        self.sent_by_class[class.index()]
-    }
-
-    /// Total messages sent across all classes.
-    pub fn total_sent(&self) -> u64 {
-        self.sent_by_class.iter().sum()
-    }
-
-    /// Link traversals (hop count) accumulated per class — the paper's
-    /// network-traffic metric for quantifying broadcast overhead.
-    pub fn hop_traffic(&self, class: TrafficClass) -> u64 {
-        self.hops_by_class[class.index()]
-    }
-
-    /// Total hop traffic across classes.
-    pub fn total_hop_traffic(&self) -> u64 {
-        self.hops_by_class.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -375,18 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_latency_is_max_pairwise() {
-        let m = mesh();
-        let expect = (1..32).map(|n| m.latency(0, n)).max().unwrap();
-        assert_eq!(m.broadcast_latency(0), expect);
-        // a central node reaches everyone faster than a corner
-        assert!(m.broadcast_latency(11) < m.broadcast_latency(0));
-        // ack round-trip is at most double the one-way broadcast
-        assert!(m.broadcast_ack_latency(0) <= 2 * m.broadcast_latency(0));
-        assert!(m.broadcast_ack_latency(0) >= m.broadcast_latency(0));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn coords_bounds_checked() {
         let _ = mesh().coords(32);
@@ -401,50 +184,5 @@ mod tests {
             link_latency: 1,
             router_latency: 4,
         });
-    }
-
-    #[test]
-    fn network_delivers_in_time_order() {
-        let mut net: Network<&'static str> = Network::new(mesh());
-        assert_eq!(net.next_delivery(), None);
-        let t_far = net.send(0, 31, "far", 0, TrafficClass::Request);
-        let t_near = net.send(0, 1, "near", 0, TrafficClass::Request);
-        assert!(t_near < t_far);
-        assert_eq!(net.in_flight(), 2);
-        assert_eq!(net.next_delivery(), Some(t_near));
-        // nothing ready before the near message's time
-        assert!(net.deliver_ready(t_near - 1).is_empty());
-        let ready = net.deliver_ready(t_near);
-        assert_eq!(ready, vec![(1, "near")]);
-        assert_eq!(net.next_delivery(), Some(t_far));
-        let ready = net.deliver_ready(t_far);
-        assert_eq!(ready, vec![(31, "far")]);
-        assert_eq!(net.in_flight(), 0);
-        assert_eq!(net.next_delivery(), None);
-    }
-
-    #[test]
-    fn broadcast_reaches_all_but_source() {
-        let mut net: Network<u64> = Network::new(mesh());
-        let done = net.broadcast(5, 42, 100, TrafficClass::RmwBroadcast);
-        assert_eq!(net.sent(TrafficClass::RmwBroadcast), 31);
-        let delivered = net.deliver_ready(done);
-        assert_eq!(delivered.len(), 31);
-        assert!(delivered.iter().all(|&(dst, v)| dst != 5 && v == 42));
-    }
-
-    #[test]
-    fn traffic_accounting_by_class() {
-        let mut net: Network<()> = Network::new(mesh());
-        net.send(0, 31, (), 0, TrafficClass::Request);
-        net.send(0, 1, (), 0, TrafficClass::Invalidation);
-        net.send(0, 1, (), 0, TrafficClass::Invalidation);
-        assert_eq!(net.sent(TrafficClass::Request), 1);
-        assert_eq!(net.sent(TrafficClass::Invalidation), 2);
-        assert_eq!(net.sent(TrafficClass::Response), 0);
-        assert_eq!(net.total_sent(), 3);
-        assert_eq!(net.hop_traffic(TrafficClass::Request), 10);
-        assert_eq!(net.hop_traffic(TrafficClass::Invalidation), 2);
-        assert_eq!(net.total_hop_traffic(), 12);
     }
 }

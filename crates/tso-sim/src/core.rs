@@ -19,6 +19,10 @@
 //!                                                 (hit) ───────┴─► Drain ──► Acquire ...
 //! ```
 //!
+//! `Bloom` and `CheckConflicts` are the only readers of the core's filter
+//! (the addr-list), and each first lands the broadcast copies that have
+//! arrived by the current cycle.
+//!
 //! Critical-path attribution (Fig. 11a): cycles spent in `Drain` count as
 //! *write-buffer* cost; everything else (bloom check, broadcast ack wait,
 //! permission acquisition, locking) counts as *Ra/Wa* cost.
@@ -38,12 +42,11 @@
 //! yields exactly the same counts the per-cycle increments used to.
 
 use crate::config::SimConfig;
-use crate::sched::EventKind;
-use crate::stats::SimStats;
+use crate::stats::{NetTraffic, SimStats};
 use crate::trace::{Op, Reg, Src, Trace, NUM_REGS};
 use bloom::BloomFilter;
 use coherence::{CoherenceSystem, LockKind};
-use interconnect::{Cycle, Network, TrafficClass};
+use interconnect::{Cycle, Mesh};
 use rmw_types::fasthash::{FastHashMap, FastHashSet};
 use rmw_types::{Addr, Atomicity, CacheLine, RmwKind, Value};
 use std::collections::VecDeque;
@@ -107,23 +110,14 @@ struct RmwInFlight {
     pre_acquire_rawa: Cycle,
 }
 
-/// A message on the interconnect: the §3.2 RMW-address broadcast.
-/// Coherence transactions stay latency-composed (see the `coherence`
-/// crate docs); only the broadcast scheme is message-level. The
-/// acknowledgement each receiver returns is pure traffic accounting
-/// ([`interconnect::Network::account`]): the sender's stall already
-/// equals the precomputed worst-case round trip
-/// (`Shared::bcast_ack_latency`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NetMsg {
-    /// "Line is now an RMW address" — every receiving core inserts it into
-    /// its local filter at delivery time.
-    RmwBcast {
-        /// The broadcast address.
-        line: CacheLine,
-        /// The broadcasting core (acks return to it).
-        src: usize,
-    },
+/// One copy of a §3.2 RMW-address broadcast, on its way to a core.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BroadcastCopy {
+    /// First cycle at which the line is in the receiver's filter.
+    at: Cycle,
+    line: CacheLine,
+    /// Links the copy crosses; its ack crosses as many on the way back.
+    hops: u64,
 }
 
 /// The machine-wide futex state: one FIFO wait queue per address, plus
@@ -158,9 +152,13 @@ pub(crate) struct Shared {
     pub coherence: CoherenceSystem,
     pub memory: FastHashMap<Addr, Value>,
     pub unique_rmw_lines: FastHashSet<CacheLine>,
-    /// The mesh NoC carrying RMW-address broadcasts and their acks, with
-    /// per-hop traffic accounting.
-    pub net: Network<NetMsg>,
+    /// The mesh that times and routes RMW-address broadcasts.
+    pub mesh: Mesh,
+    /// Per core, the broadcast copies sent to it that it has not yet
+    /// taken into its filter (see [`Shared::take_arrived`]).
+    pub arrivals: Vec<Vec<BroadcastCopy>>,
+    /// Messages and link traversals of the broadcasts and their acks.
+    pub net: NetTraffic,
     /// The event queue (disabled under `StepMode::Lockstep`).
     pub sched: crate::sched::Scheduler,
     /// Set when the reset threshold fires; machine coordinates the reset.
@@ -172,24 +170,52 @@ pub(crate) struct Shared {
     pub lock_released: bool,
     /// Cycle of the last globally visible progress (retire or WB pop).
     pub last_progress: Cycle,
-    /// Memoized broadcast+ack latency per core (worst-case round trip
-    /// over all mesh nodes — identical to the delivery times of the
-    /// `net` messages, kept closed-form so the ack wait is one event).
-    /// Computed on a core's first broadcast: an O(nodes) sweep per
-    /// broadcasting core instead of O(cores × nodes) for every machine,
-    /// which used to dominate `Machine::new` for short programs.
-    pub bcast_ack_latency: Vec<Option<Cycle>>,
     /// Futex wait queues + pending wakeups.
     pub futex: FutexTable,
 }
 
 impl Shared {
-    /// The worst-case broadcast+ack round trip from `src`: mesh latency is
-    /// symmetric, so the slowest ack returns from the farthest node —
-    /// twice the one-way broadcast latency.
-    fn bcast_ack_latency(&mut self, src: usize) -> Cycle {
-        *self.bcast_ack_latency[src]
-            .get_or_insert_with(|| 2 * self.net.mesh().broadcast_latency(src))
+    /// Broadcasts `line` from core `src` at cycle `now`: one copy to every
+    /// other mesh node, each queued on its receiver's arrival list (nodes
+    /// past the core count are routers only, so their copies just cross
+    /// the mesh). A copy lands one traversal latency after it is sent,
+    /// and never before the next cycle: within `now` every receiver reads
+    /// the filter it held when the cycle began. Returns the ack round
+    /// trip the sender waits out — mesh latency is symmetric, so the last
+    /// ack returns from the farthest node after twice its latency.
+    fn broadcast(&mut self, src: usize, line: CacheLine, now: Cycle) -> Cycle {
+        let mut farthest = 0;
+        for dst in (0..self.mesh.num_nodes()).filter(|&n| n != src) {
+            let latency = self.mesh.latency(src, dst);
+            let hops = self.mesh.hops(src, dst) as u64;
+            farthest = farthest.max(latency);
+            self.net.messages += 1;
+            self.net.hops += hops;
+            if let Some(list) = self.arrivals.get_mut(dst) {
+                let at = (now + latency).max(now + 1);
+                list.push(BroadcastCopy { at, line, hops });
+            }
+        }
+        2 * farthest
+    }
+
+    /// Takes every copy that has reached `core` by cycle `by` off its
+    /// arrival list, hands its line to `land` and counts the ack the core
+    /// returns. Only the core's own `Bloom` and `CheckConflicts` phases
+    /// read its filter, and the coordinated reset takes the arrived copies
+    /// off before clearing it, so landing a copy at the next read is the
+    /// same as landing it on arrival.
+    pub fn take_arrived(&mut self, core: usize, by: Cycle, mut land: impl FnMut(CacheLine)) {
+        let net = &mut self.net;
+        self.arrivals[core].retain(|c| {
+            let arrived = c.at <= by;
+            if arrived {
+                land(c.line);
+                net.messages += 1;
+                net.hops += c.hops;
+            }
+            !arrived
+        });
     }
 }
 
@@ -321,9 +347,7 @@ impl Core {
         if (pending_send || phase_steps || fence_ready) && self.busy_until != now + 1 {
             // busy_until == now + 1 means set_busy already armed this
             // exact wakeup during this tick.
-            shared
-                .sched
-                .wake_core(now, now + 1, self.id, EventKind::Advance);
+            shared.sched.wake_core(now, now + 1, self.id);
         }
     }
 
@@ -480,9 +504,7 @@ impl Core {
                         let Some(id) = q.pop_front() else { break };
                         let resume = now + config.futex_latency;
                         shared.futex.woken[id] = Some(resume);
-                        shared
-                            .sched
-                            .wake_core(now, resume, id, EventKind::FutexWake);
+                        shared.sched.wake_core(now, resume, id);
                         woke += 1;
                     }
                 }
@@ -666,9 +688,7 @@ impl Core {
     /// lockstep would take it).
     fn set_busy(&mut self, now: Cycle, until: Cycle, shared: &mut Shared) {
         self.busy_until = until;
-        shared
-            .sched
-            .wake_core(now, until.max(now + 1), self.id, EventKind::CoreReady);
+        shared.sched.wake_core(now, until.max(now + 1), self.id);
     }
 
     /// Sends coherence requests for write-buffer entries and pops completed
@@ -710,12 +730,7 @@ impl Core {
                     e.request_arrives = Some(arrival);
                     // Clamped like every arm: a zero-latency arrival is
                     // still acted on at the next tick, as in lockstep.
-                    shared.sched.wake_core(
-                        now,
-                        arrival.max(now + 1),
-                        id,
-                        EventKind::WbRequestArrival,
-                    );
+                    shared.sched.wake_core(now, arrival.max(now + 1), id);
                     changed = true;
                 }
                 Some(arr) if now >= arr && all_prior_accepted => {
@@ -723,12 +738,7 @@ impl Core {
                         Ok(acc) => {
                             shared.memory.insert(e.addr, e.value);
                             e.issued_done = Some(acc.done_at);
-                            shared.sched.wake_core(
-                                now,
-                                acc.done_at.max(now + 1),
-                                id,
-                                EventKind::WbCompletion,
-                            );
+                            shared.sched.wake_core(now, acc.done_at.max(now + 1), id);
                         }
                         Err(_) => {
                             // Denied by a lock: retry from scratch (the
@@ -775,35 +785,31 @@ impl Core {
         changed
     }
 
+    /// Lands in this core's filter every broadcast copy that has reached
+    /// it by `now`; called before each read of the filter.
+    fn take_arrived(&mut self, now: Cycle, shared: &mut Shared) {
+        let bloom = &mut self.bloom;
+        shared.take_arrived(self.id, now, |line| {
+            bloom.insert(line.0);
+        });
+    }
+
     fn advance_rmw(&mut self, now: Cycle, shared: &mut Shared, config: &SimConfig) -> bool {
         let mut rmw = self.rmw.expect("advance_rmw called with RMW in flight");
         match rmw.phase {
             RmwPhase::Bloom => {
+                self.take_arrived(now, shared);
                 let key = rmw.line.0;
                 if !self.bloom.maybe_contains(key) {
                     self.bloom.insert(key);
-                    shared.net.broadcast(
-                        self.id,
-                        NetMsg::RmwBcast {
-                            line: rmw.line,
-                            src: self.id,
-                        },
-                        now,
-                        TrafficClass::RmwBroadcast,
-                    );
+                    let until = now + shared.broadcast(self.id, rmw.line, now);
                     self.stats.rmw_broadcasts += 1;
                     if let Some(threshold) = config.bloom_reset_threshold {
                         if self.bloom.insertions() >= threshold {
                             shared.reset_requested = true;
                         }
                     }
-                    let until = now + shared.bcast_ack_latency(self.id);
-                    shared.sched.wake_core(
-                        now,
-                        until.max(now + 1),
-                        self.id,
-                        EventKind::BroadcastAcks,
-                    );
+                    shared.sched.wake_core(now, until.max(now + 1), self.id);
                     rmw.phase = RmwPhase::WaitAcks { until };
                 } else {
                     rmw.phase = RmwPhase::CheckConflicts;
@@ -819,6 +825,7 @@ impl Core {
                 }
             }
             RmwPhase::CheckConflicts => {
+                self.take_arrived(now, shared);
                 rmw.pre_acquire_rawa = now - rmw.started;
                 // Deadlock safety only requires that no pending write waits
                 // on a line locked by *another* processor. A pending write
@@ -906,9 +913,7 @@ impl Core {
                         .expect("no foreign lock: locking proceeds");
                     acc.done_at
                 };
-                shared
-                    .sched
-                    .wake_core(now, done.max(now + 1), self.id, EventKind::RmwFinish);
+                shared.sched.wake_core(now, done.max(now + 1), self.id);
                 rmw.phase = RmwPhase::Finish { at: done };
                 shared.last_progress = now;
             }

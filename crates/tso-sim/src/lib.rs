@@ -3,9 +3,9 @@
 //!
 //! The machine models the paper's Table 2 system: in-order cores with
 //! 32-entry write buffers, private L1s, a shared distributed L2 with MOESI
-//! directory coherence (crate `coherence`), and a 2D-mesh NoC (crate
-//! `interconnect`). Cores execute [`Op`] traces produced by the `workloads`
-//! crate.
+//! directory coherence (crate `coherence`), and a 2D mesh (crate
+//! `interconnect`, geometry and latency). Cores execute [`Op`] traces
+//! produced by the `workloads` crate.
 //!
 //! The RMW implementations:
 //!
@@ -14,10 +14,13 @@
 //!   lock the line locally, perform read+write, unlock. Instructions after
 //!   the RMW wait for all of it.
 //! * **type-2** (§3.2): consult the per-core **Bloom filter** of RMW
-//!   addresses (broadcasting the address first if new); if any pending
-//!   write conflicts, *revert to a type-1 drain*; otherwise acquire
-//!   ownership, lock, retire the read, and drop the write into the write
-//!   buffer — the drain leaves the critical path.
+//!   addresses (broadcasting the address first if new and waiting for
+//!   the acks); if any pending write conflicts, *revert to a type-1
+//!   drain*; otherwise acquire ownership, lock, retire the read, and drop
+//!   the write into the write buffer — the drain leaves the critical
+//!   path. A broadcast copy waits on its receiver's arrival list and
+//!   lands in the receiver's filter at its mesh arrival cycle, which is
+//!   when the receiver next reads the filter at the earliest.
 //! * **type-3** (§3.3): like type-2, but the read needs only *read*
 //!   permission; a line held in shared state is locked **at the directory**
 //!   so other cores may keep reading (type-3 atomicity permits reads
@@ -69,6 +72,6 @@ pub mod trace;
 pub use config::{SimConfig, StepMode};
 pub use lower::{lower, lower_with_line_size, sim_addr};
 pub use machine::{Machine, SimResult};
-pub use sched::{EventKind, Scheduler};
+pub use sched::Scheduler;
 pub use stats::{NetTraffic, RmwCostBreakdown, SimStats};
 pub use trace::{Cond, Op, Reg, Src, Trace, NUM_REGS};

@@ -2,18 +2,18 @@
 //! core, every cycle) or by the cycle-skipping event scheduler.
 //!
 //! Both engines run the same per-cycle semantics (`Core::tick` in
-//! core-id order, then network delivery bookkeeping and coordinated
-//! filter resets) and are cycle-identical in every observable; see
+//! core-id order, then the coordinated filter reset) and are
+//! cycle-identical in every observable; see
 //! [`crate::sched`] for the exactness contract and
 //! `tests/engine_equiv.rs` for the suite that enforces it.
 
 use crate::config::{SimConfig, StepMode};
-use crate::core::{Core, FutexTable, NetMsg, Shared};
-use crate::sched::{Due, EventKind, Scheduler};
+use crate::core::{Core, FutexTable, Shared};
+use crate::sched::Scheduler;
 use crate::stats::{EngineStats, NetTraffic, SimStats};
 use crate::trace::Trace;
 use coherence::CoherenceSystem;
-use interconnect::{Cycle, Mesh, Network, TrafficClass};
+use interconnect::{Cycle, Mesh};
 use rmw_types::fasthash::{FastHashMap, FastHashSet};
 use rmw_types::Value;
 
@@ -29,8 +29,8 @@ pub struct SimResult {
     pub reads: Vec<Vec<Value>>,
     /// Final memory contents.
     pub memory: FastHashMap<rmw_types::Addr, Value>,
-    /// Interconnect traffic of the §3.2 RMW-address broadcast scheme
-    /// (messages and link traversals, broadcasts + acks).
+    /// Mesh traffic of the §3.2 RMW-address broadcast scheme (messages
+    /// and link traversals, broadcast copies + acks).
     pub net: NetTraffic,
     /// Host-side engine diagnostics (visited cycles, ticks, armed
     /// events); differs between step modes by design.
@@ -90,10 +90,6 @@ pub struct Machine {
     blocked: Vec<bool>,
     /// Ascending ids of the `true` entries in `blocked`.
     blocked_ids: Vec<usize>,
-    /// Delivery cycle the engine last armed a `NetDelivery` wakeup for
-    /// (event engine; avoids re-arming the same in-flight message every
-    /// visited cycle).
-    armed_delivery: Option<Cycle>,
     /// Cores not yet done (event engine; a core never un-finishes).
     live: Vec<bool>,
     /// Count of `true` entries in `live`.
@@ -116,8 +112,6 @@ impl Machine {
             traces.len(),
             config.num_cores()
         );
-        let net = Network::new(Mesh::new(config.mesh()));
-        let bcast_ack_latency = vec![None; config.num_cores()];
         let mut all = traces;
         all.resize(config.num_cores(), Trace::default());
         let cores: Vec<Core> = all
@@ -129,25 +123,26 @@ impl Machine {
         let live: Vec<bool> = cores.iter().map(|c| !c.done()).collect();
         let num_live = live.iter().filter(|&&l| l).count();
         let futex = FutexTable::new(cores.len());
+        let arrivals = vec![Vec::new(); cores.len()];
         Machine {
             cores,
             shared: Shared {
                 coherence: CoherenceSystem::new(config.coherence),
                 memory: FastHashMap::default(),
                 unique_rmw_lines: FastHashSet::default(),
-                net,
+                mesh: Mesh::new(config.mesh()),
+                arrivals,
+                net: NetTraffic::default(),
                 sched: Scheduler::new(config.step_mode != StepMode::Lockstep),
                 reset_requested: false,
                 lock_released: false,
                 last_progress: 0,
-                bcast_ack_latency,
                 futex,
             },
             config,
             now: 0,
             blocked,
             blocked_ids: Vec::new(),
-            armed_delivery: None,
             live,
             num_live,
             engine: EngineStats::default(),
@@ -180,7 +175,6 @@ impl Machine {
             if self.now.saturating_sub(self.shared.last_progress) > self.config.deadlock_threshold {
                 return self.finish(true, false, bloom_resets);
             }
-            self.deliver_due_messages();
             for i in 0..self.cores.len() {
                 let acted = self.cores[i].tick(self.now, &mut self.shared, &self.config);
                 self.engine.ticks += 1;
@@ -204,11 +198,11 @@ impl Machine {
         // Every live core is due at cycle 0, exactly like lockstep's first
         // tick; afterwards the due set comes from the armed events.
         let mut due: Vec<usize> = (0..self.cores.len()).filter(|&i| self.live[i]).collect();
-        let mut flags = Due::default();
+        let mut wake_blocked = false;
         let mut blocked_snap: Vec<usize> = Vec::new();
         loop {
-            let changed = self.event_cycle(&due, &mut blocked_snap, flags, &mut bloom_resets);
-            if changed && self.num_live == 0 {
+            self.event_cycle(&due, &mut blocked_snap, wake_blocked, &mut bloom_resets);
+            if self.num_live == 0 {
                 // Lockstep notices completion at the top of the next
                 // cycle; report the identical cycle count.
                 self.now += 1;
@@ -219,20 +213,6 @@ impl Machine {
                 // re-polling: a release means blocked cores must re-probe
                 // next cycle (earlier-id ones missed it this cycle).
                 self.shared.sched.wake_blocked(self.now, self.now + 1);
-            }
-            let next_delivery = self.shared.net.next_delivery();
-            if next_delivery != self.armed_delivery {
-                if let Some(at) = next_delivery {
-                    // Clamped like every arm: a message whose nominal
-                    // arrival is this very cycle is picked up next cycle,
-                    // exactly as lockstep's start-of-cycle delivery would.
-                    self.shared.sched.wake_machine(
-                        self.now,
-                        at.max(self.now + 1),
-                        EventKind::NetDelivery,
-                    );
-                }
-                self.armed_delivery = next_delivery;
             }
             // The watchdog in event time: the lockstep engine declares
             // deadlock at the first cycle more than `deadlock_threshold`
@@ -264,30 +244,24 @@ impl Machine {
                 }
             }
             due.clear();
-            flags = self.shared.sched.drain_due(self.now, &mut due);
+            wake_blocked = self.shared.sched.drain_due(self.now, &mut due);
         }
     }
 
     /// One simulated cycle at `self.now` under the event engine. `due`
     /// holds the cores with armed wakeups (ascending, deduplicated);
-    /// network messages are delivered when a machine event is due, and
     /// lock-blocked cores are additionally ticked when a blocked-wakeup is
-    /// due or once a lock was released earlier this cycle. Returns `true`
-    /// iff anything changed.
+    /// due (`wake_blocked`) or once a lock was released earlier this
+    /// cycle.
     fn event_cycle(
         &mut self,
         due: &[usize],
         blocked_snap: &mut Vec<usize>,
-        flags: Due,
+        wake_blocked: bool,
         bloom_resets: &mut u64,
-    ) -> bool {
+    ) {
         self.engine.visited_cycles += 1;
         self.shared.lock_released = false;
-        // Deliveries only happen at cycles with an armed machine event:
-        // `next_delivery` is the earliest in-flight arrival and is always
-        // armed, so no message can be due before its wakeup fires.
-        let mut changed = flags.machine && self.deliver_due_messages();
-        let wake_blocked = flags.wake_blocked;
 
         if self.blocked_ids.is_empty() && !wake_blocked {
             // Fast path: no lock contention anywhere — only due cores can
@@ -296,7 +270,7 @@ impl Machine {
             // just ticked, and with no cores blocked at cycle start a
             // release has no one to wake until the armed wakeup.)
             for &i in due {
-                changed |= self.tick_core(i);
+                self.tick_core(i);
             }
         } else {
             // Contended path: merge the due list with a snapshot of the
@@ -332,17 +306,17 @@ impl Machine {
                     }
                 };
                 if is_due || wake_blocked || self.shared.lock_released {
-                    changed |= self.tick_core(i);
+                    self.tick_core(i);
                 }
             }
         }
 
-        changed | self.apply_filter_reset(bloom_resets)
+        self.apply_filter_reset(bloom_resets);
     }
 
     /// Ticks one core and maintains its blocked/live bookkeeping (the core
     /// arms its own follow-up wakeups as needed).
-    fn tick_core(&mut self, i: usize) -> bool {
+    fn tick_core(&mut self, i: usize) {
         let acted = self.cores[i].tick(self.now, &mut self.shared, &self.config);
         self.engine.ticks += 1;
         self.engine.acting_ticks += u64::from(acted);
@@ -360,40 +334,16 @@ impl Machine {
             self.live[i] = false;
             self.num_live -= 1;
         }
-        acted
-    }
-
-    /// Delivers interconnect messages due at `self.now`. RMW-address
-    /// broadcasts land in each receiver's filter at their mesh delivery
-    /// time, and each receiving core acks back to the broadcaster (the
-    /// sender's stall uses the precomputed worst-case round trip, which
-    /// the last ack's delivery time equals). Mesh nodes beyond
-    /// `num_cores` (non-square scaled-down meshes) have no core:
-    /// deliveries there are dropped after paying their hops.
-    fn deliver_due_messages(&mut self) -> bool {
-        let mut changed = false;
-        for (dst, msg) in self.shared.net.deliver_ready(self.now) {
-            let NetMsg::RmwBcast { line, src } = msg;
-            if let Some(core) = self.cores.get_mut(dst) {
-                core.bloom.insert(line.0);
-                // The ack returns to the broadcaster; its arrival is the
-                // precomputed round trip the sender is already stalling
-                // on, so only its traffic is recorded.
-                self.shared
-                    .net
-                    .account(dst, src, TrafficClass::RmwBroadcast);
-                changed = true;
-            }
-        }
-        changed
     }
 
     /// Coordinated filter reset: clear everything, then re-insert the
     /// addresses of lines still locked by in-flight RMWs (they must
-    /// remain visible for the deadlock-safety property).
-    fn apply_filter_reset(&mut self, bloom_resets: &mut u64) -> bool {
+    /// remain visible for the deadlock-safety property). Broadcast copies
+    /// that arrived by this cycle are cleared with the filters (their
+    /// acks still count); later ones land in the cleared filters.
+    fn apply_filter_reset(&mut self, bloom_resets: &mut u64) {
         if !self.shared.reset_requested {
-            return false;
+            return;
         }
         self.shared.reset_requested = false;
         *bloom_resets += 1;
@@ -404,16 +354,23 @@ impl Machine {
             .filter(|l| self.shared.coherence.lock_of(**l).is_some())
             .map(|l| l.0)
             .collect();
-        for core in &mut self.cores {
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            self.shared.take_arrived(i, self.now, |_| {});
             core.bloom.reset();
             for &l in &live {
                 core.bloom.insert(l);
             }
         }
-        true
     }
 
-    fn finish(self, deadlocked: bool, truncated: bool, bloom_resets: u64) -> SimResult {
+    fn finish(mut self, deadlocked: bool, truncated: bool, bloom_resets: u64) -> SimResult {
+        // A copy that arrived before the final cycle was acked on arrival,
+        // though its receiver never read its filter again.
+        if let Some(last) = self.now.checked_sub(1) {
+            for i in 0..self.cores.len() {
+                self.shared.take_arrived(i, last, |_| {});
+            }
+        }
         let mut agg = SimStats::default();
         let mut per_core = Vec::with_capacity(self.cores.len());
         let mut reads = Vec::with_capacity(self.cores.len());
@@ -429,18 +386,12 @@ impl Machine {
         agg.bloom_resets = bloom_resets;
         let mut engine = self.engine;
         engine.events_armed = self.shared.sched.armed();
-        let net = NetTraffic {
-            messages: self.shared.net.total_sent(),
-            hops: self.shared.net.total_hop_traffic(),
-            broadcast_messages: self.shared.net.sent(TrafficClass::RmwBroadcast),
-            broadcast_hops: self.shared.net.hop_traffic(TrafficClass::RmwBroadcast),
-        };
         SimResult {
             stats: agg,
             per_core,
             reads,
             memory: self.shared.memory,
-            net,
+            net: self.shared.net,
             engine,
             deadlocked,
             truncated,
@@ -620,10 +571,46 @@ mod tests {
         let t0 = Trace::new(vec![Op::rmw(addr(0))]);
         let r = Machine::new(cfg, vec![t0]).run();
         assert_eq!(r.stats.rmw_broadcasts, 1);
-        // One broadcast to the 3 other nodes, one ack back from each core.
-        assert_eq!(r.net.broadcast_messages, 6);
-        assert_eq!(r.net.messages, r.net.broadcast_messages);
-        assert!(r.net.broadcast_hops > 0, "hop accounting exercised");
+        // One broadcast to the 3 other nodes, one ack back from each core:
+        // hops 1 + 2 + 3 each way on the 4 × 1 mesh.
+        assert_eq!(r.net.messages, 6);
+        assert_eq!(r.net.hops, 12);
+    }
+
+    #[test]
+    fn a_broadcast_copy_is_visible_from_its_arrival_cycle() {
+        // Core 2 broadcasts line M at cycle 1, so M is in core 1's filter
+        // by cycle 10. Core 0 computes for 20 cycles, starts RMW(L) at
+        // cycle 20 and broadcasts L at 21; the copy reaches core 1 at
+        // 21 + latency(0, 1). Core 1 computes for `n` cycles, buffers a
+        // write to L at `n`, starts RMW(M) at n + 1, finds M in its filter
+        // at n + 2 and checks its pending writes at n + 3: it drains iff
+        // L's copy has arrived by then.
+        let cfg = {
+            let mut c = SimConfig::small(3);
+            c.rmw_atomicity = Atomicity::Type2;
+            c
+        };
+        let (m, l) = (addr(0), addr(1));
+        let arrival = 21 + Mesh::new(cfg.mesh()).latency(0, 1);
+        let drains = |check_at: Cycle, mode: StepMode| {
+            let mut c = cfg;
+            c.step_mode = mode;
+            let n = u32::try_from(check_at - 3).unwrap();
+            let traces = vec![
+                Trace::new(vec![Op::Compute(20), Op::rmw(l)]),
+                Trace::new(vec![Op::Compute(n), Op::write(l, 9), Op::rmw(m)]),
+                Trace::new(vec![Op::rmw(m)]),
+            ];
+            let r = Machine::new(c, traces).run();
+            assert!(!r.deadlocked, "{mode:?}");
+            r.per_core[1].rmw_drains
+        };
+        for mode in [StepMode::EventDriven, StepMode::Lockstep] {
+            assert_eq!(drains(arrival, mode), 1, "{mode:?}: copy due, no drain");
+            assert_eq!(drains(arrival + 1, mode), 1, "{mode:?}: copy lost");
+            assert_eq!(drains(arrival - 1, mode), 0, "{mode:?}: copy seen early");
+        }
     }
 
     #[test]

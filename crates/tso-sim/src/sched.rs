@@ -6,10 +6,14 @@
 //! queue keyed by `(cycle, target)`: whenever a core computes a completion
 //! time — instruction-ready (`busy_until`), a write-buffer request arrival
 //! or transaction completion, a broadcast-ack deadline, an RMW `Finish`
-//! time — it arms a wakeup for *itself* at that cycle; machine-level
-//! deliveries (broadcast messages in flight) arm a machine-target wakeup.
-//! `Machine::run` jumps `now` straight to the earliest armed cycle and
-//! ticks **only the due cores**, in core-id order.
+//! time, a futex sleeper's resume — it arms a wakeup for that core at that
+//! cycle. The only other target is the blocked-core wakeup armed after a
+//! lock release. `Machine::run` jumps `now` straight to the earliest armed
+//! cycle and ticks **only the due cores**, in core-id order.
+//!
+//! Nothing else needs a wakeup. In particular a §3.2 broadcast copy waits
+//! on its receiver's arrival list until that core next reads its filter,
+//! so copy arrivals are not events.
 //!
 //! # Queue structure
 //!
@@ -57,57 +61,6 @@ use interconnect::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// What a scheduled wakeup is waiting for. Purely diagnostic — ordering is
-/// by `(cycle, target)` — but counted in [`Scheduler::armed_by_kind`] so
-/// tests and benches can see where event pressure comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A core's `busy_until` expires (instruction issue/retire).
-    CoreReady,
-    /// A write-buffer coherence request arrives at the home directory.
-    WbRequestArrival,
-    /// An accepted write-buffer transaction completes (slot frees, locks
-    /// may release).
-    WbCompletion,
-    /// The broadcast-ack collection deadline of a §3.2 RMW-address
-    /// broadcast.
-    BroadcastAcks,
-    /// An RMW's read half completes (`RmwPhase::Finish`).
-    RmwFinish,
-    /// An interconnect message (RMW broadcast or ack) is delivered.
-    NetDelivery,
-    /// Conservative `now + 1` self-wakeup after a tick that acted:
-    /// phase-machine advances and request (re-)sends ride on this.
-    Advance,
-    /// Wakeup of every lock-blocked core the cycle after a lock release
-    /// (the event-time replacement for lockstep's per-cycle lock
-    /// re-polling).
-    LockRelease,
-    /// A futex-sleeping core's resume time (`futex_latency` cycles after
-    /// an `Op::FutexWake` dequeued it). Armed by the *waker*; the sleeper
-    /// itself arms nothing while asleep.
-    FutexWake,
-}
-
-impl EventKind {
-    /// All kinds, indexable for the per-kind counters.
-    pub const ALL: [EventKind; 9] = [
-        EventKind::CoreReady,
-        EventKind::WbRequestArrival,
-        EventKind::WbCompletion,
-        EventKind::BroadcastAcks,
-        EventKind::RmwFinish,
-        EventKind::NetDelivery,
-        EventKind::Advance,
-        EventKind::LockRelease,
-        EventKind::FutexWake,
-    ];
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
 /// Wheel size in cycles. Must be a power of two, and comfortably larger
 /// than any single latency the machine composes (memory 300 + mesh round
 /// trips); longer waits (huge `Compute` bubbles, exotic configs) spill to
@@ -116,34 +69,14 @@ const WHEEL_SIZE: usize = 512;
 const WHEEL_MASK: u64 = WHEEL_SIZE as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SIZE / 64;
 
-/// Heap targets: core ids, then the two machine-level sentinels. The
-/// sentinel encodings sort *after* every real core id, so due cores come
-/// first at a given cycle.
-const TARGET_BLOCKED: u32 = u32::MAX - 1;
-const TARGET_MACHINE: u32 = u32::MAX;
-
-/// Sets per-bucket flag bit `idx`, returning whether it was newly set.
-fn set_bucket_flag(flags: &mut [u64; BITMAP_WORDS], idx: usize) -> bool {
-    let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-    let newly = flags[word] & bit == 0;
-    flags[word] |= bit;
-    newly
-}
-
-/// What [`Scheduler::drain_due`] found armed at the drained cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Due {
-    /// A blocked-wakeup was armed: every lock-blocked core must re-probe
-    /// this cycle.
-    pub wake_blocked: bool,
-    /// A machine-level event (network delivery) was armed.
-    pub machine: bool,
-}
+/// Heap target of the blocked-core wakeup: it sorts *after* every real
+/// core id, so due cores come first at a given cycle.
+const TARGET_BLOCKED: u32 = u32::MAX;
 
 /// Calendar-wheel event queue keyed by `(cycle, target)`.
 ///
 /// Each bucket is a **core bitmap** (one bit per core id, word-major
-/// across buckets) plus two per-bucket sentinel flags, so arming is one
+/// across buckets) plus a per-bucket blocked-wakeup flag, so arming is one
 /// OR and draining a bucket is a handful of word reads merged straight
 /// into the due-core bitmap. Nothing is allocated per event — the dense
 /// kernels arm millions of near-future wakeups and the queue must stay
@@ -166,10 +99,8 @@ pub struct Scheduler {
     wheel_bits: Vec<u64>,
     /// Core-bitmap words per bucket (`wheel_bits.len() / WHEEL_SIZE`).
     core_words: usize,
-    /// Bit per bucket: a blocked-wakeup sentinel is armed there.
+    /// Bit per bucket: a blocked-wakeup is armed there.
     blocked_bits: [u64; BITMAP_WORDS],
-    /// Bit per bucket: a machine-level (delivery) arm is armed there.
-    machine_bits: [u64; BITMAP_WORDS],
     /// The cycle each occupied bucket holds, for the single-cycle
     /// invariant check (debug builds only — release recomputes the cycle
     /// from the bucket index, which the invariant makes unambiguous).
@@ -184,7 +115,6 @@ pub struct Scheduler {
     enabled: bool,
     pending: usize,
     armed: u64,
-    armed_by_kind: [u64; EventKind::ALL.len()],
 }
 
 impl Scheduler {
@@ -196,7 +126,6 @@ impl Scheduler {
             wheel_bits: Vec::new(),
             core_words: 0,
             blocked_bits: [0; BITMAP_WORDS],
-            machine_bits: [0; BITMAP_WORDS],
             #[cfg(debug_assertions)]
             bucket_cycle: Box::new([0; WHEEL_SIZE]),
             overflow: BinaryHeap::new(),
@@ -204,7 +133,6 @@ impl Scheduler {
             enabled,
             pending: 0,
             armed: 0,
-            armed_by_kind: [0; EventKind::ALL.len()],
         }
     }
 
@@ -216,7 +144,7 @@ impl Scheduler {
     /// Arms `(at, target)`. `at` must be strictly in the future relative
     /// to the cycle the caller is executing — `Machine` visits every armed
     /// cycle, which keeps each bucket single-cycled.
-    fn push(&mut self, now_hint: Cycle, at: Cycle, target: u32, kind: EventKind) {
+    fn push(&mut self, now_hint: Cycle, at: Cycle, target: u32) {
         if !self.enabled {
             return;
         }
@@ -235,27 +163,26 @@ impl Scheduler {
                 );
                 self.bucket_cycle[idx] = at;
             }
-            let newly = match target {
-                TARGET_MACHINE => set_bucket_flag(&mut self.machine_bits, idx),
-                TARGET_BLOCKED => set_bucket_flag(&mut self.blocked_bits, idx),
-                id => {
-                    let w = id as usize / 64;
-                    if w >= self.core_words {
-                        self.core_words = w + 1;
-                        self.wheel_bits.resize(self.core_words * WHEEL_SIZE, 0);
-                    }
-                    let cell = &mut self.wheel_bits[w * WHEEL_SIZE + idx];
-                    let bit = 1u64 << (id % 64);
-                    let newly = *cell & bit == 0;
-                    *cell |= bit;
-                    newly
+            let (word, shift) = if target == TARGET_BLOCKED {
+                (&mut self.blocked_bits[idx / 64], idx % 64)
+            } else {
+                let w = target as usize / 64;
+                if w >= self.core_words {
+                    self.core_words = w + 1;
+                    self.wheel_bits.resize(self.core_words * WHEEL_SIZE, 0);
                 }
+                (
+                    &mut self.wheel_bits[w * WHEEL_SIZE + idx],
+                    target as usize % 64,
+                )
             };
+            let bit = 1u64 << shift;
+            let newly = *word & bit == 0;
+            *word |= bit;
             self.pending += usize::from(newly);
             self.bitmap[idx / 64] |= 1 << (idx % 64);
         }
         self.armed += 1;
-        self.armed_by_kind[kind.index()] += 1;
     }
 
     /// Arms a wakeup for `core` at `at` (call from the tick executing at
@@ -263,27 +190,26 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `core` collides with the sentinel target encodings
-    /// (≥ `u32::MAX - 1` cores — far beyond any simulated machine).
-    pub fn wake_core(&mut self, now: Cycle, at: Cycle, core: usize, kind: EventKind) {
+    /// Panics if `core` collides with the blocked-wakeup target encoding
+    /// (`u32::MAX` cores — far beyond any simulated machine).
+    pub fn wake_core(&mut self, now: Cycle, at: Cycle, core: usize) {
         let id = u32::try_from(core).expect("core id fits the queue encoding");
-        assert!(id < TARGET_BLOCKED, "core id collides with queue sentinels");
-        self.push(now, at, id, kind);
-    }
-
-    /// Arms a machine-level wakeup (network delivery) at `at`.
-    pub fn wake_machine(&mut self, now: Cycle, at: Cycle, kind: EventKind) {
-        self.push(now, at, TARGET_MACHINE, kind);
+        assert!(
+            id < TARGET_BLOCKED,
+            "core id collides with the blocked target"
+        );
+        self.push(now, at, id);
     }
 
     /// Arms a wakeup of every lock-blocked core at `at`.
     pub fn wake_blocked(&mut self, now: Cycle, at: Cycle) {
-        self.push(now, at, TARGET_BLOCKED, EventKind::LockRelease);
+        self.push(now, at, TARGET_BLOCKED);
     }
 
     /// Pops every event armed at exactly `now`, appending due core ids to
-    /// `due_cores` in ascending order without duplicates. Returns the
-    /// machine-level flags.
+    /// `due_cores` in ascending order without duplicates. Returns whether
+    /// a blocked-wakeup was armed: every lock-blocked core must then
+    /// re-probe this cycle.
     ///
     /// The drain is **batched**: a bucket holding many same-cycle events
     /// is emptied in one pass behind a single bitmap probe, and due core
@@ -293,8 +219,8 @@ impl Scheduler {
     /// wheel/overflow boundary: a core due at `now` ticks at the same
     /// position whether its arm sat in a wheel bucket or spilled to the
     /// overflow heap, so results are horizon-choice-independent.
-    pub fn drain_due(&mut self, now: Cycle, due_cores: &mut Vec<usize>) -> Due {
-        let mut due = Due::default();
+    pub fn drain_due(&mut self, now: Cycle, due_cores: &mut Vec<usize>) -> bool {
+        let mut wake_blocked = false;
         let idx = (now & WHEEL_MASK) as usize;
         let (word, bit) = (idx / 64, 1u64 << (idx % 64));
         if self.bitmap[word] & bit != 0 {
@@ -315,12 +241,7 @@ impl Scheduler {
             if self.blocked_bits[word] & bit != 0 {
                 self.blocked_bits[word] &= !bit;
                 self.pending -= 1;
-                due.wake_blocked = true;
-            }
-            if self.machine_bits[word] & bit != 0 {
-                self.machine_bits[word] &= !bit;
-                self.pending -= 1;
-                due.machine = true;
+                wake_blocked = true;
             }
         }
         while let Some(&Reverse((at, target))) = self.overflow.peek() {
@@ -332,10 +253,10 @@ impl Scheduler {
             if at < now {
                 continue; // stale (already serviced at its cycle)
             }
-            match target {
-                TARGET_MACHINE => due.machine = true,
-                TARGET_BLOCKED => due.wake_blocked = true,
-                id => self.mark_due(id),
+            if target == TARGET_BLOCKED {
+                wake_blocked = true;
+            } else {
+                self.mark_due(target);
             }
         }
         for w in 0..self.due_bits.len() {
@@ -350,7 +271,7 @@ impl Scheduler {
                 due_cores.push(w * 64 + bit);
             }
         }
-        due
+        wake_blocked
     }
 
     /// Sets `id`'s bit in the reusable due-core bitmap (overflow drains;
@@ -416,11 +337,6 @@ impl Scheduler {
     pub fn armed(&self) -> u64 {
         self.armed
     }
-
-    /// Events armed so far for one kind.
-    pub fn armed_by_kind(&self, kind: EventKind) -> u64 {
-        self.armed_by_kind[kind.index()]
-    }
 }
 
 #[cfg(test)]
@@ -430,8 +346,7 @@ mod tests {
     #[test]
     fn disabled_scheduler_ignores_arms() {
         let mut s = Scheduler::new(false);
-        s.wake_core(0, 5, 0, EventKind::CoreReady);
-        s.wake_machine(0, 6, EventKind::NetDelivery);
+        s.wake_core(0, 5, 0);
         s.wake_blocked(0, 7);
         assert!(!s.enabled());
         assert_eq!(s.pending(), 0);
@@ -442,24 +357,20 @@ mod tests {
     #[test]
     fn drains_due_cores_in_id_order_without_duplicates() {
         let mut s = Scheduler::new(true);
-        s.wake_core(0, 10, 3, EventKind::WbCompletion);
-        s.wake_core(0, 10, 1, EventKind::CoreReady);
-        s.wake_core(0, 10, 3, EventKind::Advance);
-        s.wake_core(0, 20, 0, EventKind::CoreReady);
-        s.wake_machine(0, 10, EventKind::NetDelivery);
+        s.wake_core(0, 10, 3);
+        s.wake_core(0, 10, 1);
+        s.wake_core(0, 10, 3);
+        s.wake_core(0, 20, 0);
         assert_eq!(s.next_after(0), Some(10));
         let mut due = Vec::new();
-        let flags = s.drain_due(10, &mut due);
+        let wake_blocked = s.drain_due(10, &mut due);
         assert_eq!(due, vec![1, 3]);
-        assert!(flags.machine);
-        assert!(!flags.wake_blocked);
+        assert!(!wake_blocked);
         assert_eq!(s.next_after(10), Some(20));
-        assert_eq!(s.armed(), 5);
-        assert_eq!(s.armed_by_kind(EventKind::CoreReady), 2);
+        assert_eq!(s.armed(), 4);
         due.clear();
-        let flags = s.drain_due(20, &mut due);
+        s.drain_due(20, &mut due);
         assert_eq!(due, vec![0]);
-        assert!(!flags.machine);
         assert_eq!(s.pending(), 0);
         assert_eq!(s.next_after(20), None);
     }
@@ -468,12 +379,11 @@ mod tests {
     fn far_future_arms_spill_to_the_overflow() {
         let mut s = Scheduler::new(true);
         let far = 3 + 10 * WHEEL_SIZE as u64;
-        s.wake_core(3, far, 2, EventKind::CoreReady);
+        s.wake_core(3, far, 2);
         s.wake_blocked(3, 4);
         assert_eq!(s.next_after(3), Some(4));
         let mut due = Vec::new();
-        let flags = s.drain_due(4, &mut due);
-        assert!(flags.wake_blocked);
+        assert!(s.drain_due(4, &mut due));
         assert!(due.is_empty());
         assert_eq!(s.next_after(4), Some(far));
         due.clear();
@@ -490,8 +400,8 @@ mod tests {
         // drain exists for.
         for i in 0..256usize {
             let id = (i * 97 + 13) % 256;
-            s.wake_core(0, 7, id, EventKind::CoreReady);
-            s.wake_core(0, 7, id, EventKind::Advance);
+            s.wake_core(0, 7, id);
+            s.wake_core(0, 7, id);
         }
         let mut due = Vec::new();
         s.drain_due(7, &mut due);
@@ -511,9 +421,9 @@ mod tests {
         let mut spilled = Scheduler::new(true);
         for &c in &cores {
             // now_hint 200: at - 200 < WHEEL_SIZE, lands in a bucket.
-            wheel.wake_core(200, at, c, EventKind::CoreReady);
+            wheel.wake_core(200, at, c);
             // now_hint 0: at - 0 >= WHEEL_SIZE, spills to the heap.
-            spilled.wake_core(0, at, c, EventKind::CoreReady);
+            spilled.wake_core(0, at, c);
         }
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let fa = wheel.drain_due(at, &mut a);
@@ -531,7 +441,7 @@ mod tests {
         let mut now = 0u64;
         for round in 0..2_000u64 {
             let at = now + 1 + (round % 400);
-            s.wake_core(now, at, (round % 5) as usize, EventKind::Advance);
+            s.wake_core(now, at, (round % 5) as usize);
             let next = s.next_after(now).expect("armed");
             assert_eq!(next, at);
             let mut due = Vec::new();

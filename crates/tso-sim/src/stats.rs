@@ -15,21 +15,18 @@ pub struct RmwCostBreakdown {
     pub ra_wa_cycles: Cycle,
 }
 
-/// Interconnect traffic observed during one run — currently the §3.2
-/// RMW-address broadcast scheme (broadcasts + acks), the overhead the
-/// paper reports as negligible (<0.5 %). Coherence transactions remain
+/// Mesh traffic of the §3.2 RMW-address broadcast scheme during one run:
+/// one copy to every other mesh node per broadcast, and one ack from each
+/// receiving core whose copy arrived before the run ended — the overhead
+/// the paper reports as negligible (<0.5 %). Coherence transactions are
 /// latency-composed (see the `coherence` crate docs), so they do not
 /// appear here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetTraffic {
-    /// Total messages sent on the mesh.
+    /// Broadcast copies and acks sent.
     pub messages: u64,
-    /// Total link traversals (the paper's traffic metric).
+    /// Link traversals of those messages (the paper's traffic metric).
     pub hops: u64,
-    /// Messages in the RMW-broadcast class (broadcast copies and acks).
-    pub broadcast_messages: u64,
-    /// Link traversals in the RMW-broadcast class.
-    pub broadcast_hops: u64,
 }
 
 /// Diagnostics of the time-advance engine itself (not simulated

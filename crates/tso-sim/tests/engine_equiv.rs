@@ -12,6 +12,8 @@
 //! * the §4 workload kernels (spinlock suite, TL2-style STM, Chase–Lev
 //!   work stealing) on paper-latency configurations, including a
 //!   32-core Table 2 machine and a scaled 128-core machine;
+//! * §3.2's coordinated filter resets on every §4 kernel, with broadcast
+//!   copies in flight across each reset;
 //! * the Fig. 10 write-deadlock (watchdog equivalence in event time);
 //! * dense spin phases that wedge right at the
 //!   `last_progress + threshold + 1` watchdog edge and the `max_cycles`
@@ -79,6 +81,26 @@ fn workload_kernels_are_engine_equivalent() {
             let cfg = paper_scale(4, atomicity);
             let r = assert_engines_agree(cfg, traces, &format!("{bench} / {atomicity}"));
             assert!(r.stats.rmw_count > 0, "{bench}: kernel exercised no RMWs");
+        }
+    }
+}
+
+#[test]
+fn filter_resets_are_engine_equivalent() {
+    // §3.2's coordinated reset clears every core's filter while broadcast
+    // copies are still crossing the mesh: those that arrived by the reset
+    // cycle are wiped, later ones land in the cleared filters. A small
+    // threshold makes resets frequent on an 8-core machine.
+    for bench in workloads::Benchmark::ALL {
+        for atomicity in [Atomicity::Type2, Atomicity::Type3] {
+            let traces = workloads::benchmark(bench, 8, 300, 0xD15EA5E);
+            let mut cfg = paper_scale(8, atomicity);
+            cfg.bloom_reset_threshold = Some(6);
+            let r = assert_engines_agree(cfg, traces, &format!("{bench} / {atomicity} / resets"));
+            assert!(
+                r.stats.bloom_resets > 0,
+                "{bench} / {atomicity}: no reset fired"
+            );
         }
     }
 }
@@ -395,9 +417,8 @@ proptest! {
         arms in proptest::collection::vec((1u64..2_000, 0usize..7), 1..60),
     ) {
         let mut sched = Scheduler::new(true);
-        for (i, &(at, core)) in arms.iter().enumerate() {
-            let kind = tso_sim::EventKind::ALL[i % tso_sim::EventKind::ALL.len()];
-            sched.wake_core(0, at, core, kind);
+        for &(at, core) in &arms {
+            sched.wake_core(0, at, core);
         }
         let mut expected: Vec<u64> = arms.iter().map(|&(at, _)| at).collect();
         expected.sort_unstable();
@@ -437,13 +458,12 @@ proptest! {
     ) {
         let mut wheel = Scheduler::new(true);
         let mut overflow = Scheduler::new(true);
-        for (i, &core) in cores.iter().enumerate() {
-            let kind = tso_sim::EventKind::ALL[i % tso_sim::EventKind::ALL.len()];
+        for &core in &cores {
             // Armed one cycle out: lands in a wheel bucket.
-            wheel.wake_core(at - 1, at, core, kind);
+            wheel.wake_core(at - 1, at, core);
             // Armed from cycle 0: beyond the horizon, lands in the
             // overflow heap.
-            overflow.wake_core(0, at, core, kind);
+            overflow.wake_core(0, at, core);
         }
         prop_assert_eq!(wheel.next_after(at - 1), Some(at));
         prop_assert_eq!(overflow.next_after(0), Some(at));
@@ -455,7 +475,7 @@ proptest! {
         want.dedup();
         prop_assert_eq!(&wd, &want, "wheel drain order not ascending ids");
         prop_assert_eq!(wd, od, "tick order depends on arm distance");
-        prop_assert_eq!(wf, of, "due flags depend on arm distance");
+        prop_assert_eq!(wf, of, "blocked wakeup depends on arm distance");
         prop_assert_eq!(wheel.pending(), 0);
         prop_assert_eq!(overflow.pending(), 0);
     }
@@ -486,7 +506,7 @@ proptest! {
                 }
             } else {
                 let at = now + delta;
-                sched.wake_core(now, at, 0, tso_sim::EventKind::Advance);
+                sched.wake_core(now, at, 0);
                 pending.push(at);
             }
         }

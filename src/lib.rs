@@ -22,7 +22,7 @@
 //! * [`cc11`] — the C/C++11 fragment, Table 4 mappings, and model-based
 //!   Appendix A verification;
 //! * [`bloom`] — the Bloom-filter addr-list substrate (§3.2);
-//! * [`interconnect`] — the 2D-mesh NoC (Table 2);
+//! * [`interconnect`] — the 2D-mesh geometry and latency (Table 2);
 //! * [`coherence`] — MOESI distributed-directory coherence with line and
 //!   directory locking (§3.1–3.3);
 //! * [`tso_sim`] — the CMP timing simulator with all three RMW
