@@ -22,7 +22,8 @@
 //! Every shape runs both [`StepMode`]s over identical inputs and records
 //! whether the results are **cycle-identical** (stats, reads, final
 //! memory — the engine-equivalence contract of
-//! `tso-sim/tests/engine_equiv.rs`) beside the wall-clock ratio.
+//! `tso-sim/tests/engine_equiv.rs`) beside the wall-clock ratio, and the
+//! event engine's work: its core ticks and the share of them that acted.
 //!
 //! Every run checks the record's gates ([`gates`]) after writing the JSON
 //! and exits non-zero when one fails: the engines agree on every shape,
@@ -139,6 +140,9 @@ struct Row {
     cores: usize,
     runs: usize,
     cycles: u64,
+    /// Event-engine core ticks, and those that acted.
+    ticks: u64,
+    acting_ticks: u64,
     event_ms: f64,
     lockstep_ms: f64,
     results_match: bool,
@@ -211,6 +215,8 @@ fn measure(shape: &Shape) -> Row {
         cores: shape.cores(),
         runs: runs.len(),
         cycles: ev.iter().map(|r| r.stats.cycles).sum(),
+        ticks: ev.iter().map(|r| r.engine.ticks).sum(),
+        acting_ticks: ev.iter().map(|r| r.engine.acting_ticks).sum(),
         event_ms,
         lockstep_ms,
         results_match,
@@ -265,6 +271,8 @@ fn to_json(rows: &[Row], mode: &str) -> String {
             ("cores", r.cores.into()),
             ("machine_runs", r.runs.into()),
             ("simulated_cycles", r.cycles.into()),
+            ("ticks", r.ticks.into()),
+            ("acting_ticks", r.acting_ticks.into()),
             ("event_ms", fixed(r.event_ms, 3)),
             ("lockstep_ms", fixed(r.lockstep_ms, 3)),
             ("speedup", fixed(r.speedup(), 3)),
@@ -391,6 +399,8 @@ mod tests {
             cores,
             runs: 1,
             cycles: 1000,
+            ticks: 2000,
+            acting_ticks: 1500,
             event_ms: 10.0,
             lockstep_ms: 10.0 * speedup,
             results_match,

@@ -35,11 +35,14 @@
 //! outside help — `busy_until`, write-buffer request arrivals and
 //! completions, the broadcast-ack deadline, the RMW `Finish` time — is
 //! armed in the shared [`Scheduler`](crate::sched::Scheduler) when it is
-//! computed. Waits on *other* cores (a line locked by a foreign RMW, a
-//! full buffer, a drain) burn no per-cycle work: blocked episodes probe
-//! the non-mutating `coherence` denial predicates and attribute their
-//! whole duration to the stall counters in one add when they end, which
-//! yields exactly the same counts the per-cycle increments used to.
+//! computed. A read or RMW acquisition denied by a foreign line lock
+//! records the line in `Shared::lock_waits`, and the release of the
+//! lock wakes it (see `Shared::release_lock`); a full buffer or a drain
+//! waits on the core's own completions. Blocked episodes burn no
+//! per-cycle work: they probe the non-mutating `coherence` denial
+//! predicates and attribute their whole duration to the stall counters
+//! in one add when they end, which yields exactly the same counts the
+//! per-cycle increments used to.
 
 use crate::config::SimConfig;
 use crate::stats::{NetTraffic, SimStats};
@@ -157,17 +160,15 @@ pub(crate) struct Shared {
     /// Per core, the broadcast copies sent to it that it has not yet
     /// taken into its filter (see [`Shared::take_arrived`]).
     pub arrivals: Vec<Vec<BroadcastCopy>>,
+    /// Per core, the line whose lock denied its read or RMW acquisition
+    /// since that lock's last release (see [`Shared::release_lock`]).
+    pub lock_waits: Vec<Option<CacheLine>>,
     /// Messages and link traversals of the broadcasts and their acks.
     pub net: NetTraffic,
     /// The event queue (disabled under `StepMode::Lockstep`).
     pub sched: crate::sched::Scheduler,
     /// Set when the reset threshold fires; machine coordinates the reset.
     pub reset_requested: bool,
-    /// Set when a line lock was released this cycle — the only event that
-    /// can unblock a lock-blocked core, so the event engine re-probes
-    /// blocked cores exactly when this fires (cleared by the machine each
-    /// cycle).
-    pub lock_released: bool,
     /// Cycle of the last globally visible progress (retire or WB pop).
     pub last_progress: Cycle,
     /// Futex wait queues + pending wakeups.
@@ -197,6 +198,22 @@ impl Shared {
             }
         }
         2 * farthest
+    }
+
+    /// Releases `holder`'s lock on `line` at `now` and wakes the cores it
+    /// denied at the cycle lockstep's per-cycle re-poll first succeeds: a
+    /// waiter above `holder` ticks after it in this cycle, one below it in
+    /// the next. A waiter that finds the line locked again waits for the
+    /// new lock's release.
+    fn release_lock(&mut self, holder: usize, line: CacheLine, now: Cycle) {
+        self.coherence.unlock(holder, line);
+        for (core, waits) in self.lock_waits.iter_mut().enumerate() {
+            if *waits == Some(line) {
+                *waits = None;
+                let at = if core > holder { now } else { now + 1 };
+                self.sched.wake_core(now, at, core);
+            }
+        }
     }
 
     /// Takes every copy that has reached `core` by cycle `by` off its
@@ -285,16 +302,6 @@ impl Core {
             && self.rmw.is_none()
             && self.fence_since.is_none()
             && self.futex_sleep.is_none()
-    }
-
-    /// True while this core is blocked on a *foreign* line lock (a denied
-    /// read, or a denied RMW acquisition). These are the only waits whose
-    /// resolution depends on another core's progress, so the event engine
-    /// re-ticks such cores after any acting cycle instead of the core
-    /// arming its own wakeup.
-    pub fn blocked_on_foreign_lock(&self) -> bool {
-        self.read_blocked_since.is_some()
-            || self.rmw.is_some_and(|r| r.lock_blocked_since.is_some())
     }
 
     /// True when the core is draining its write buffer for an RMW.
@@ -556,17 +563,19 @@ impl Core {
             // per-cycle re-polls and the event engine's release-time
             // re-probes leave identical protocol statistics.
             if shared.coherence.read_denied_by(self.id, line).is_some() {
+                shared.lock_waits[self.id] = Some(line);
                 return false;
             }
         }
         let acc = match shared.coherence.read(self.id, line, now) {
             Ok(acc) => acc,
             Err(_) => {
-                // First denial: blocked on a foreign lock; woken when the
-                // holder makes progress (its unlock arms an Advance
-                // event). Both engines attempt the transaction at this
-                // same cycle, so the denial count stays engine-identical.
+                // First denial: blocked on a foreign lock until its
+                // release wakes us. Both engines attempt the transaction
+                // at this same cycle, so the denial count stays
+                // engine-identical.
                 self.read_blocked_since = Some(now);
+                shared.lock_waits[self.id] = Some(line);
                 return false;
             }
         };
@@ -773,8 +782,7 @@ impl Core {
                         r.line == e.line && matches!(r.phase, RmwPhase::Finish { .. })
                     });
                     if e.unlock_on_pop && !later_wa_same_line && !in_flight_same_line {
-                        shared.coherence.unlock(self.id, e.line);
-                        shared.lock_released = true;
+                        shared.release_lock(self.id, e.line, now);
                     }
                     shared.last_progress = now;
                     changed = true;
@@ -873,12 +881,13 @@ impl Core {
                     .acquire_denied_by(self.id, rmw.line)
                     .is_some()
                 {
-                    // Blocked on a foreign lock; the holder's unlock arms
-                    // an Advance wakeup. The episode length is attributed
-                    // to `lock_retries` below, one per denied cycle.
+                    // Blocked on a foreign lock until its release wakes
+                    // us. The episode length is attributed to
+                    // `lock_retries` below, one per denied cycle.
                     if rmw.lock_blocked_since.is_none() {
                         rmw.lock_blocked_since = Some(now);
                     }
+                    shared.lock_waits[self.id] = Some(rmw.line);
                     self.rmw = Some(rmw);
                     return false;
                 }
@@ -960,8 +969,7 @@ impl Core {
                         .coherence
                         .write(self.id, rmw.line, now)
                         .expect("holder's own write cannot be denied");
-                    shared.coherence.unlock(self.id, rmw.line);
-                    shared.lock_released = true;
+                    shared.release_lock(self.id, rmw.line, now);
                     self.set_busy(now, acc.done_at, shared);
                 } else {
                     if let Some(since) = self.wb_stall_since.take() {

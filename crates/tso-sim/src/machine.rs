@@ -5,7 +5,11 @@
 //! core-id order, then the coordinated filter reset) and are
 //! cycle-identical in every observable; see
 //! [`crate::sched`] for the exactness contract and
-//! `tests/engine_equiv.rs` for the suite that enforces it.
+//! `tests/engine_equiv.rs` for the suite that enforces it. The event
+//! engine keeps no wake list of its own: each cycle it ticks the cores the
+//! scheduler hands out, and every wakeup — a core's own deadlines, a
+//! futex wake, a line-lock release waking that lock's waiters — is armed
+//! in the scheduler by the tick that causes it.
 
 use crate::config::{SimConfig, StepMode};
 use crate::core::{Core, FutexTable, Shared};
@@ -85,11 +89,6 @@ pub struct Machine {
     cores: Vec<Core>,
     shared: Shared,
     now: Cycle,
-    /// Which cores are currently blocked on a foreign line lock (event
-    /// engine only; mirrors `Core::blocked_on_foreign_lock`).
-    blocked: Vec<bool>,
-    /// Ascending ids of the `true` entries in `blocked`.
-    blocked_ids: Vec<usize>,
     /// Cores not yet done (event engine; a core never un-finishes).
     live: Vec<bool>,
     /// Count of `true` entries in `live`.
@@ -119,11 +118,11 @@ impl Machine {
             .enumerate()
             .map(|(id, t)| Core::new(id, t, &config))
             .collect();
-        let blocked = vec![false; cores.len()];
         let live: Vec<bool> = cores.iter().map(|c| !c.done()).collect();
         let num_live = live.iter().filter(|&&l| l).count();
         let futex = FutexTable::new(cores.len());
         let arrivals = vec![Vec::new(); cores.len()];
+        let lock_waits = vec![None; cores.len()];
         Machine {
             cores,
             shared: Shared {
@@ -132,17 +131,15 @@ impl Machine {
                 unique_rmw_lines: FastHashSet::default(),
                 mesh: Mesh::new(config.mesh()),
                 arrivals,
+                lock_waits,
                 net: NetTraffic::default(),
                 sched: Scheduler::new(config.step_mode != StepMode::Lockstep),
                 reset_requested: false,
-                lock_released: false,
                 last_progress: 0,
                 futex,
             },
             config,
             now: 0,
-            blocked,
-            blocked_ids: Vec::new(),
             live,
             num_live,
             engine: EngineStats::default(),
@@ -187,32 +184,29 @@ impl Machine {
     }
 
     /// The cycle-skipping engine: visit only armed cycles, and at each one
-    /// tick only the due cores (plus lock-blocked cores once a release
-    /// wakeup applies), in core-id order — see `crate::sched` for why this
-    /// is cycle-identical to lockstep.
+    /// tick only the due cores, in core-id order — see `crate::sched` for
+    /// why this is cycle-identical to lockstep.
     fn run_event_driven(mut self) -> SimResult {
         let mut bloom_resets = 0u64;
         if self.num_live == 0 {
             return self.finish(false, false, bloom_resets); // nothing to run
         }
         // Every live core is due at cycle 0, exactly like lockstep's first
-        // tick; afterwards the due set comes from the armed events.
-        let mut due: Vec<usize> = (0..self.cores.len()).filter(|&i| self.live[i]).collect();
-        let mut wake_blocked = false;
-        let mut blocked_snap: Vec<usize> = Vec::new();
+        // tick; afterwards the due set comes from the armed wakeups.
+        for i in (0..self.cores.len()).filter(|&i| self.live[i]) {
+            self.shared.sched.wake_core(0, 0, i);
+        }
         loop {
-            self.event_cycle(&due, &mut blocked_snap, wake_blocked, &mut bloom_resets);
+            self.engine.visited_cycles += 1;
+            while let Some(i) = self.shared.sched.take_due() {
+                self.tick_core(i);
+            }
+            self.apply_filter_reset(&mut bloom_resets);
             if self.num_live == 0 {
                 // Lockstep notices completion at the top of the next
                 // cycle; report the identical cycle count.
                 self.now += 1;
                 return self.finish(false, false, bloom_resets);
-            }
-            if self.shared.lock_released && !self.blocked_ids.is_empty() {
-                // The event-time replacement for lockstep's per-cycle lock
-                // re-polling: a release means blocked cores must re-probe
-                // next cycle (earlier-id ones missed it this cycle).
-                self.shared.sched.wake_blocked(self.now, self.now + 1);
             }
             // The watchdog in event time: the lockstep engine declares
             // deadlock at the first cycle more than `deadlock_threshold`
@@ -232,104 +226,23 @@ impl Machine {
             // or beyond `stop` is never visited, and a tie between the
             // ceiling and the watchdog resolves as truncation.
             let stop = fire.min(self.config.max_cycles);
-            match self.shared.sched.next_after(self.now) {
-                Some(at) if at < stop => {
-                    debug_assert!(at > self.now, "scheduler moved time backwards");
-                    self.now = at;
-                }
+            match self.shared.sched.next_cycle(self.now) {
+                Some(at) if at < stop => self.now = at,
                 _ => {
                     let truncated = self.config.max_cycles <= fire;
                     self.now = stop;
                     return self.finish(!truncated, truncated, bloom_resets);
                 }
             }
-            due.clear();
-            wake_blocked = self.shared.sched.drain_due(self.now, &mut due);
         }
     }
 
-    /// One simulated cycle at `self.now` under the event engine. `due`
-    /// holds the cores with armed wakeups (ascending, deduplicated);
-    /// lock-blocked cores are additionally ticked when a blocked-wakeup is
-    /// due (`wake_blocked`) or once a lock was released earlier this
-    /// cycle.
-    fn event_cycle(
-        &mut self,
-        due: &[usize],
-        blocked_snap: &mut Vec<usize>,
-        wake_blocked: bool,
-        bloom_resets: &mut u64,
-    ) {
-        self.engine.visited_cycles += 1;
-        self.shared.lock_released = false;
-
-        if self.blocked_ids.is_empty() && !wake_blocked {
-            // Fast path: no lock contention anywhere — only due cores can
-            // possibly act. (A core blocking or a lock releasing *during*
-            // this pass needs no extra ticks this cycle: a blocking core
-            // just ticked, and with no cores blocked at cycle start a
-            // release has no one to wake until the armed wakeup.)
-            for &i in due {
-                self.tick_core(i);
-            }
-        } else {
-            // Contended path: merge the due list with a snapshot of the
-            // blocked cores (ascending id order, exactly lockstep's), and
-            // tick blocked ones once a wakeup applies — from cycle start
-            // (`wake_blocked`) or from a release by an earlier-id core
-            // this cycle (`lock_released`).
-            blocked_snap.clear();
-            blocked_snap.extend_from_slice(&self.blocked_ids);
-            let (mut di, mut bi) = (0, 0);
-            loop {
-                let (i, is_due) = match (due.get(di), blocked_snap.get(bi)) {
-                    (None, None) => break,
-                    (Some(&d), None) => {
-                        di += 1;
-                        (d, true)
-                    }
-                    (None, Some(&b)) => {
-                        bi += 1;
-                        (b, false)
-                    }
-                    (Some(&d), Some(&b)) => {
-                        if d <= b {
-                            di += 1;
-                            if d == b {
-                                bi += 1;
-                            }
-                            (d, true)
-                        } else {
-                            bi += 1;
-                            (b, false)
-                        }
-                    }
-                };
-                if is_due || wake_blocked || self.shared.lock_released {
-                    self.tick_core(i);
-                }
-            }
-        }
-
-        self.apply_filter_reset(bloom_resets);
-    }
-
-    /// Ticks one core and maintains its blocked/live bookkeeping (the core
-    /// arms its own follow-up wakeups as needed).
+    /// Ticks one core and maintains the live count (the core arms its own
+    /// follow-up wakeups, and those of the cores it wakes).
     fn tick_core(&mut self, i: usize) {
         let acted = self.cores[i].tick(self.now, &mut self.shared, &self.config);
         self.engine.ticks += 1;
         self.engine.acting_ticks += u64::from(acted);
-        let blocked = self.cores[i].blocked_on_foreign_lock();
-        if blocked != self.blocked[i] {
-            self.blocked[i] = blocked;
-            if blocked {
-                let pos = self.blocked_ids.partition_point(|&b| b < i);
-                self.blocked_ids.insert(pos, i);
-            } else {
-                self.blocked_ids.retain(|&b| b != i);
-            }
-        }
         if acted && self.live[i] && self.cores[i].done() {
             self.live[i] = false;
             self.num_live -= 1;
@@ -610,6 +523,75 @@ mod tests {
             assert_eq!(drains(arrival, mode), 1, "{mode:?}: copy due, no drain");
             assert_eq!(drains(arrival + 1, mode), 1, "{mode:?}: copy lost");
             assert_eq!(drains(arrival - 1, mode), 0, "{mode:?}: copy seen early");
+        }
+    }
+
+    #[test]
+    fn a_release_wakes_higher_waiters_this_cycle_and_lower_ones_the_next() {
+        // Core 1's RMW holds line L until it releases it at its last
+        // cycle, `release`. Cores 0 and 2 start reading L at `release - 3`,
+        // are denied, and wait: core 2, above the releaser, reads L at
+        // `release`, after core 1's tick; core 0, below it, reads L at
+        // `release + 1`. A waiter's `lock_retries` counts its denied
+        // cycles.
+        let l = addr(0);
+        for a in Atomicity::ALL {
+            let run = |readers_at: Option<u32>, mode: StepMode| {
+                let mut cfg = SimConfig::small(3);
+                cfg.rmw_atomicity = a;
+                cfg.step_mode = mode;
+                let reader = readers_at.map_or_else(Trace::default, |n| {
+                    Trace::new(vec![Op::Compute(n), Op::read(l)])
+                });
+                let traces = vec![reader.clone(), Trace::new(vec![Op::rmw(l)]), reader];
+                let r = Machine::new(cfg, traces).run();
+                assert!(!r.deadlocked, "{a} {mode:?}");
+                r
+            };
+            let release = run(None, StepMode::EventDriven).stats.cycles - 1;
+            let n = u32::try_from(release - 3).unwrap();
+            let ev = run(Some(n), StepMode::EventDriven);
+            let ls = run(Some(n), StepMode::Lockstep);
+            assert_eq!(ev.first_difference(&ls), None, "{a}");
+            assert_eq!(ev.per_core[2].lock_retries, 3, "{a}: waiter above");
+            assert_eq!(ev.per_core[0].lock_retries, 4, "{a}: waiter below");
+        }
+    }
+
+    #[test]
+    fn a_release_does_not_tick_a_core_blocked_on_another_line() {
+        // Cores 0 and 3 write-deadlock as in Fig. 10 (filter off), so core
+        // 0 holds line M for the rest of the run and core 1's read of M,
+        // issued at cycle 20, waits to the end. Meanwhile cores 2 and 4
+        // take turns locking line L with `n` RMWs each. Core 1's ticks
+        // are the run's ticks minus those of the same run with core 1
+        // idle: its `Compute` and its denied read, however often L is
+        // released.
+        let (m, y, l) = (addr(0), addr(1), addr(2));
+        let ticks = |n: usize, bystander: bool| {
+            let mut cfg = SimConfig::small(5);
+            cfg.rmw_atomicity = Atomicity::Type2;
+            cfg.bloom_enabled = false;
+            cfg.deadlock_threshold = 2_000;
+            let reader = if bystander {
+                Trace::new(vec![Op::Compute(20), Op::read(m)])
+            } else {
+                Trace::default()
+            };
+            let traces = vec![
+                Trace::new(vec![Op::write(y, 1), Op::rmw(m)]),
+                reader,
+                Trace::new(vec![Op::rmw(l); n]),
+                Trace::new(vec![Op::write(m, 1), Op::rmw(y)]),
+                Trace::new(vec![Op::rmw(l); n]),
+            ];
+            let r = Machine::new(cfg, traces).run();
+            assert!(r.deadlocked, "M stays locked");
+            assert_eq!(r.memory.get(&l), Some(&(2 * n as u64)));
+            r.engine.ticks
+        };
+        for n in [1, 4, 16] {
+            assert_eq!(ticks(n, true) - ticks(n, false), 2, "{n} RMWs per core");
         }
     }
 

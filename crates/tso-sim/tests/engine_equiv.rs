@@ -30,6 +30,11 @@ use tso_sim::{
     lower_with_line_size, Machine, Op, Scheduler, SimConfig, SimResult, Src, StepMode, Trace,
 };
 
+/// Takes every core due in the scheduler's current cycle, in order.
+fn take_all(sched: &mut Scheduler) -> Vec<usize> {
+    std::iter::from_fn(|| sched.take_due()).collect()
+}
+
 /// Runs the same configuration + traces under both engines and asserts
 /// cycle-identical results; returns the event-driven result.
 fn assert_engines_agree(mut cfg: SimConfig, traces: Vec<Trace>, label: &str) -> SimResult {
@@ -408,7 +413,7 @@ proptest! {
         }
     }
 
-    /// Scheduler property: `next_after` is strictly monotone (time never
+    /// Scheduler property: `next_cycle` is strictly monotone (time never
     /// moves backwards) and never skips past an armed wakeup — every armed
     /// cycle in the future is visited, in order, with its due cores
     /// reported exactly once in ascending id order.
@@ -425,13 +430,11 @@ proptest! {
         expected.dedup();
         let mut now = 0u64;
         let mut visited = Vec::new();
-        let mut due = Vec::new();
-        while let Some(next) = sched.next_after(now) {
+        while let Some(next) = sched.next_cycle(now) {
             prop_assert!(next > now, "time moved backwards: {now} -> {next}");
             visited.push(next);
             now = next;
-            due.clear();
-            let _ = sched.drain_due(now, &mut due);
+            let due = take_all(&mut sched);
             let mut want: Vec<usize> = arms
                 .iter()
                 .filter(|&&(at, _)| at == now)
@@ -465,17 +468,14 @@ proptest! {
             // overflow heap.
             overflow.wake_core(0, at, core);
         }
-        prop_assert_eq!(wheel.next_after(at - 1), Some(at));
-        prop_assert_eq!(overflow.next_after(0), Some(at));
-        let (mut wd, mut od) = (Vec::new(), Vec::new());
-        let wf = wheel.drain_due(at, &mut wd);
-        let of = overflow.drain_due(at, &mut od);
+        prop_assert_eq!(wheel.next_cycle(at - 1), Some(at));
+        prop_assert_eq!(overflow.next_cycle(0), Some(at));
+        let (wd, od) = (take_all(&mut wheel), take_all(&mut overflow));
         let mut want = cores.clone();
         want.sort_unstable();
         want.dedup();
         prop_assert_eq!(&wd, &want, "wheel drain order not ascending ids");
         prop_assert_eq!(wd, od, "tick order depends on arm distance");
-        prop_assert_eq!(wf, of, "blocked wakeup depends on arm distance");
         prop_assert_eq!(wheel.pending(), 0);
         prop_assert_eq!(overflow.pending(), 0);
     }
@@ -490,18 +490,16 @@ proptest! {
         let mut sched = Scheduler::new(true);
         let mut now = 0u64;
         let mut pending: Vec<u64> = Vec::new();
-        let mut due = Vec::new();
         for (delta, advance) in steps {
             if advance {
-                let next = sched.next_after(now);
+                let next = sched.next_cycle(now);
                 pending.sort_unstable();
                 pending.dedup();
                 prop_assert_eq!(next, pending.first().copied(), "wrong next wakeup");
                 if let Some(t) = next {
                     prop_assert!(t > now);
                     now = t;
-                    due.clear();
-                    let _ = sched.drain_due(now, &mut due);
+                    prop_assert_eq!(take_all(&mut sched), vec![0], "due set wrong at {}", now);
                     pending.retain(|&p| p > now);
                 }
             } else {
