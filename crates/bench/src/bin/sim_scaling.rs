@@ -24,6 +24,8 @@
 //! memory — the engine-equivalence contract of
 //! `tso-sim/tests/engine_equiv.rs`) beside the wall-clock ratio, and the
 //! event engine's work: its core ticks and the share of them that acted.
+//! The times are medians over [`PASSES`] pass pairs, and the speedup is
+//! the median of each pair's lockstep ÷ event ratio.
 //!
 //! Every run checks the record's gates ([`gates`]) after writing the JSON
 //! and exits non-zero when one fails: the engines agree on every shape,
@@ -143,16 +145,13 @@ struct Row {
     /// Event-engine core ticks, and those that acted.
     ticks: u64,
     acting_ticks: u64,
+    /// Median pass times per engine.
     event_ms: f64,
     lockstep_ms: f64,
+    /// Median of each pass pair's lockstep ÷ event ratio.
+    speedup: f64,
     results_match: bool,
     paper_scale: bool,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.lockstep_ms / self.event_ms.max(1e-6)
-    }
 }
 
 /// Gate: the best 32-core shape's event-engine speedup over lockstep.
@@ -175,30 +174,41 @@ fn run_all(runs: &[(SimConfig, Vec<Trace>)], mode: StepMode) -> (Vec<SimResult>,
     (results, ms)
 }
 
-/// Timed passes per engine; the minimum is reported (robust against
-/// scheduler noise on shared machines).
+/// Timed pass pairs per shape, each pair one pass per engine back to
+/// back (odd, so every median is one pass).
 const PASSES: usize = 5;
+
+/// The median of an odd number of samples.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
 fn measure(shape: &Shape) -> Row {
     let runs = shape.runs();
     // Warm-up (allocator growth, page faults) so no engine pays
     // first-run costs; then timed passes over identical inputs.
     let _ = run_all(&runs, StepMode::EventDriven);
-    let (ev, mut event_ms) = run_all(&runs, StepMode::EventDriven);
-    let (ls, mut lockstep_ms) = run_all(&runs, StepMode::Lockstep);
-    // The remaining passes alternate the engine order: slow drift in
+    let (ev, event_ms) = run_all(&runs, StepMode::EventDriven);
+    let (ls, lockstep_ms) = run_all(&runs, StepMode::Lockstep);
+    let mut pairs = vec![(event_ms, lockstep_ms)];
+    // The remaining pairs alternate the engine order: slow drift in
     // machine speed (frequency scaling, throttling) would otherwise
-    // systematically tax whichever engine always ran second.
+    // systematically tax whichever engine always ran second. A pair's
+    // two passes run back to back, so host load that outlasts a pair
+    // moves both of them and leaves their ratio.
     const ORDER: [StepMode; 2] = [StepMode::EventDriven, StepMode::Lockstep];
     for p in 1..PASSES {
+        let mut pair = (0.0, 0.0);
         for k in 0..ORDER.len() {
             let mode = ORDER[(p + k) % ORDER.len()];
             let ms = run_all(&runs, mode).1;
             match mode {
-                StepMode::EventDriven => event_ms = event_ms.min(ms),
-                StepMode::Lockstep => lockstep_ms = lockstep_ms.min(ms),
+                StepMode::EventDriven => pair.0 = ms,
+                StepMode::Lockstep => pair.1 = ms,
             }
         }
+        pairs.push(pair);
     }
     // Both engines ran the same `runs`, so the sets pair up one to one.
     let results_match = ev
@@ -217,8 +227,9 @@ fn measure(shape: &Shape) -> Row {
         cycles: ev.iter().map(|r| r.stats.cycles).sum(),
         ticks: ev.iter().map(|r| r.engine.ticks).sum(),
         acting_ticks: ev.iter().map(|r| r.engine.acting_ticks).sum(),
-        event_ms,
-        lockstep_ms,
+        event_ms: median(pairs.iter().map(|p| p.0).collect()),
+        lockstep_ms: median(pairs.iter().map(|p| p.1).collect()),
+        speedup: median(pairs.iter().map(|&(e, l)| l / e.max(1e-6)).collect()),
         results_match,
         paper_scale: shape.cores() == 32,
     }
@@ -255,7 +266,7 @@ fn gates(rows: &[Row]) -> Vec<String> {
     if !head.iter().any(|r| r.paper_scale) {
         failed.push("no paper-scale (32-core) headline shape".to_owned());
     }
-    let max = head.iter().map(|r| r.speedup()).fold(0.0, f64::max);
+    let max = head.iter().map(|r| r.speedup).fold(0.0, f64::max);
     if max < MIN_HEADLINE_SPEEDUP {
         failed.push(format!(
             "best headline speedup {max:.2}x is below the {MIN_HEADLINE_SPEEDUP}x floor"
@@ -275,17 +286,17 @@ fn to_json(rows: &[Row], mode: &str) -> String {
             ("acting_ticks", r.acting_ticks.into()),
             ("event_ms", fixed(r.event_ms, 3)),
             ("lockstep_ms", fixed(r.lockstep_ms, 3)),
-            ("speedup", fixed(r.speedup(), 3)),
+            ("speedup", fixed(r.speedup, 3)),
             ("paper_scale", r.paper_scale.into()),
             ("results_match", r.results_match.into()),
         ])
     });
     let headline = headline(rows);
-    let max = headline.iter().map(|r| r.speedup()).fold(0.0, f64::max);
+    let max = headline.iter().map(|r| r.speedup).fold(0.0, f64::max);
     let geomean = if headline.is_empty() {
         0.0
     } else {
-        let log_sum: f64 = headline.iter().map(|r| r.speedup().ln()).sum();
+        let log_sum: f64 = headline.iter().map(|r| r.speedup.ln()).sum();
         (log_sum / headline.len() as f64).exp()
     };
     obj([
@@ -367,11 +378,7 @@ fn main() {
         let row = measure(shape);
         println!(
             "{:<42} {:>12} {:>9.1} {:>12.1} {:>6.1}x",
-            row.name,
-            row.cycles,
-            row.event_ms,
-            row.lockstep_ms,
-            row.speedup(),
+            row.name, row.cycles, row.event_ms, row.lockstep_ms, row.speedup,
         );
         rows.push(row);
     }
@@ -403,6 +410,7 @@ mod tests {
             acting_ticks: 1500,
             event_ms: 10.0,
             lockstep_ms: 10.0 * speedup,
+            speedup,
             results_match,
             paper_scale: cores == 32,
         }

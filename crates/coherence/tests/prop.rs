@@ -9,8 +9,10 @@ use rmw_types::CacheLine;
 enum Op {
     Read(usize, u64),
     Write(usize, u64),
-    LockLocal(usize, u64),
-    LockDir(usize, u64),
+    /// An RMW acquisition with write permission.
+    AcquireWrite(usize, u64),
+    /// An RMW acquisition with read permission (type-3 directory locking).
+    AcquireRead(usize, u64),
     Unlock(usize, u64),
 }
 
@@ -20,8 +22,8 @@ fn arb_op(cores: usize, lines: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
         (c.clone(), l.clone()).prop_map(|(c, l)| Op::Read(c, l)),
         (c.clone(), l.clone()).prop_map(|(c, l)| Op::Write(c, l)),
-        (c.clone(), l.clone()).prop_map(|(c, l)| Op::LockLocal(c, l)),
-        (c.clone(), l.clone()).prop_map(|(c, l)| Op::LockDir(c, l)),
+        (c.clone(), l.clone()).prop_map(|(c, l)| Op::AcquireWrite(c, l)),
+        (c.clone(), l.clone()).prop_map(|(c, l)| Op::AcquireRead(c, l)),
         (c, l).prop_map(|(c, l)| Op::Unlock(c, l)),
     ]
 }
@@ -33,10 +35,10 @@ fn line(i: u64) -> CacheLine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Single-writer / single-owner invariants survive arbitrary op mixes.
-    /// Locks are only taken when the precondition holds (as the simulator
-    /// guarantees), and every access either succeeds or is denied by a
-    /// lock — never corrupts state.
+    /// Single-writer / single-owner invariants survive arbitrary op mixes,
+    /// and every access either succeeds or is denied by a lock — never
+    /// corrupts state. A local lock's holder keeps the line writable and
+    /// a directory lock's holder keeps a valid copy (§3.3).
     #[test]
     fn invariants_hold_under_random_traffic(
         ops in proptest::collection::vec(arb_op(4, 3), 1..200),
@@ -48,17 +50,8 @@ proptest! {
             match op {
                 Op::Read(c, l) => { let _ = sys.read(c, line(l), now); }
                 Op::Write(c, l) => { let _ = sys.write(c, line(l), now); }
-                Op::LockLocal(c, l) => {
-                    // acquire permission first, as the simulator does
-                    if sys.lock_of(line(l)).is_none() && sys.write(c, line(l), now).is_ok() {
-                        sys.lock(c, line(l), LockKind::Local).unwrap();
-                    }
-                }
-                Op::LockDir(c, l) => {
-                    if sys.lock_of(line(l)).is_none() && sys.read(c, line(l), now).is_ok() {
-                        sys.lock(c, line(l), LockKind::Directory).unwrap();
-                    }
-                }
+                Op::AcquireWrite(c, l) => { let _ = sys.acquire(c, line(l), now, false); }
+                Op::AcquireRead(c, l) => { let _ = sys.acquire(c, line(l), now, true); }
                 Op::Unlock(c, l) => {
                     if sys.lock_of(line(l)).map(|k| k.holder) == Some(c) {
                         sys.unlock(c, line(l));
@@ -66,6 +59,15 @@ proptest! {
                 }
             }
             prop_assert!(sys.check_invariants().is_ok(), "{:?}", sys.check_invariants());
+            for l in 0..3 {
+                if let Some(lock) = sys.lock_of(line(l)) {
+                    let state = sys.state_of(lock.holder, line(l));
+                    match lock.kind {
+                        LockKind::Local => prop_assert!(state.is_writable(), "{:?}: {:?}", lock, state),
+                        LockKind::Directory => prop_assert!(state.is_valid(), "{:?}: {:?}", lock, state),
+                    }
+                }
+            }
         }
     }
 
@@ -80,30 +82,51 @@ proptest! {
     ) {
         let base = {
             let mut s = CoherenceSystem::new(CoherenceConfig::small(4));
-            s.read(core, line(l), t1).unwrap().done_at - t1
+            s.read(core, line(l), t1).unwrap() - t1
         };
         let later = {
             let mut s = CoherenceSystem::new(CoherenceConfig::small(4));
-            s.read(core, line(l), t1 + dt).unwrap().done_at - (t1 + dt)
+            s.read(core, line(l), t1 + dt).unwrap() - (t1 + dt)
         };
         prop_assert_eq!(base, later);
     }
 
-    /// A denied access leaves all per-line states unchanged.
+    /// A denied read, write or acquisition changes nothing: every core's
+    /// state and the line's lock are as before, under either lock kind.
+    /// Only a sharer's read under a directory lock gets through.
     #[test]
     fn denial_is_side_effect_free(
-        reader in 0usize..4,
+        holder in 0usize..4,
         intruder in 0usize..4,
+        sharer in 0usize..4,
         l in 0u64..2,
+        case in (any::<bool>(), 0usize..4),
     ) {
-        prop_assume!(reader != intruder);
+        let (directory, request) = case;
+        prop_assume!(holder != intruder && holder != sharer);
+        let ln = line(l);
         let mut s = CoherenceSystem::new(CoherenceConfig::small(4));
-        s.write(reader, line(l), 0).unwrap();
-        s.lock(reader, line(l), LockKind::Local).unwrap();
-        let before: Vec<_> = (0..4).map(|c| s.state_of(c, line(l))).collect();
-        let r = s.write(intruder, line(l), 10);
-        prop_assert_eq!(r, Err(Denied::LockedBy(reader)));
-        let after: Vec<_> = (0..4).map(|c| s.state_of(c, line(l))).collect();
-        prop_assert_eq!(before, after);
+        if directory {
+            // A second valid copy makes the holder's read leave it S, so
+            // its read-permission acquisition locks at the directory.
+            s.read(sharer, ln, 0).unwrap();
+        }
+        s.acquire(holder, ln, 5, directory).unwrap();
+        let kind = if directory { LockKind::Directory } else { LockKind::Local };
+        prop_assert_eq!(s.lock_of(ln).map(|k| (k.holder, k.kind)), Some((holder, kind)));
+        let states = |s: &CoherenceSystem| (0..4).map(|c| s.state_of(c, ln)).collect::<Vec<_>>();
+        let before = (states(&s), s.lock_of(ln));
+        let r = match request {
+            0 => s.read(intruder, ln, 10),
+            1 => s.write(intruder, ln, 10),
+            2 => s.acquire(intruder, ln, 10, true),
+            _ => s.acquire(intruder, ln, 10, false),
+        };
+        if request == 0 && directory && before.0[intruder].is_valid() {
+            prop_assert!(r.is_ok());
+        } else {
+            prop_assert_eq!(r, Err(Denied::LockedBy(holder)));
+            prop_assert_eq!((states(&s), s.lock_of(ln)), before);
+        }
     }
 }

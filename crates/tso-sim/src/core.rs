@@ -38,17 +38,18 @@
 //! computed. A read or RMW acquisition denied by a foreign line lock
 //! records the line in `Shared::lock_waits`, and the release of the
 //! lock wakes it (see `Shared::release_lock`); a full buffer or a drain
-//! waits on the core's own completions. Blocked episodes burn no
-//! per-cycle work: they probe the non-mutating `coherence` denial
-//! predicates and attribute their whole duration to the stall counters
-//! in one add when they end, which yields exactly the same counts the
-//! per-cycle increments used to.
+//! waits on the core's own completions. A blocked core retries the
+//! denied transaction itself: a denial changes no coherence state, so
+//! lockstep's per-cycle retries and the event engine's one retry at the
+//! release leave the same state. Each blocked episode attributes its
+//! whole duration to the stall counters in one add when it ends, which
+//! yields exactly the same counts the per-cycle increments used to.
 
 use crate::config::SimConfig;
 use crate::stats::{NetTraffic, SimStats};
 use crate::trace::{Op, Reg, Src, Trace, NUM_REGS};
 use bloom::BloomFilter;
-use coherence::{CoherenceSystem, LockKind};
+use coherence::CoherenceSystem;
 use interconnect::{Cycle, Mesh};
 use rmw_types::fasthash::{FastHashMap, FastHashSet};
 use rmw_types::{Addr, Atomicity, CacheLine, RmwKind, Value};
@@ -558,33 +559,20 @@ impl Core {
             }
         }
         let line = addr.line(config.line_size);
-        if self.read_blocked_since.is_some() {
-            // Blocked re-poll: a non-mutating probe, so lockstep's
-            // per-cycle re-polls and the event engine's release-time
-            // re-probes leave identical protocol statistics.
-            if shared.coherence.read_denied_by(self.id, line).is_some() {
-                shared.lock_waits[self.id] = Some(line);
-                return false;
-            }
-        }
-        let acc = match shared.coherence.read(self.id, line, now) {
-            Ok(acc) => acc,
-            Err(_) => {
-                // First denial: blocked on a foreign lock until its
-                // release wakes us. Both engines attempt the transaction
-                // at this same cycle, so the denial count stays
-                // engine-identical.
-                self.read_blocked_since = Some(now);
-                shared.lock_waits[self.id] = Some(line);
-                return false;
-            }
+        let Ok(done) = shared.coherence.read(self.id, line, now) else {
+            // Blocked on a foreign lock until its release wakes us. A
+            // denied read changes nothing, so lockstep's per-cycle retries
+            // and the event engine's one retry at the release agree.
+            self.read_blocked_since.get_or_insert(now);
+            shared.lock_waits[self.id] = Some(line);
+            return false;
         };
         if let Some(since) = self.read_blocked_since.take() {
             self.stats.lock_retries += now - since;
         }
         let v = shared.memory.get(&addr).copied().unwrap_or(0);
         self.deliver_read(v, dest);
-        self.set_busy(now, acc.done_at, shared);
+        self.set_busy(now, done, shared);
         self.stats.mem_ops += 1;
         self.retire(now, shared);
         true
@@ -744,10 +732,10 @@ impl Core {
                 }
                 Some(arr) if now >= arr && all_prior_accepted => {
                     match shared.coherence.write(id, e.line, now) {
-                        Ok(acc) => {
+                        Ok(done) => {
                             shared.memory.insert(e.addr, e.value);
-                            e.issued_done = Some(acc.done_at);
-                            shared.sched.wake_core(now, acc.done_at.max(now + 1), id);
+                            e.issued_done = Some(done);
+                            shared.sched.wake_core(now, done.max(now + 1), id);
                         }
                         Err(_) => {
                             // Denied by a lock: retry from scratch (the
@@ -876,52 +864,27 @@ impl Core {
                 }
             }
             RmwPhase::Acquire => {
-                if shared
+                // §3.3: only type-3 with directory locking takes read
+                // permission; its fallback takes write permission, as
+                // type-1/2 do.
+                let read_permission =
+                    config.rmw_atomicity == Atomicity::Type3 && config.directory_locking;
+                let Ok(done) = shared
                     .coherence
-                    .acquire_denied_by(self.id, rmw.line)
-                    .is_some()
-                {
+                    .acquire(self.id, rmw.line, now, read_permission)
+                else {
                     // Blocked on a foreign lock until its release wakes
-                    // us. The episode length is attributed to
-                    // `lock_retries` below, one per denied cycle.
-                    if rmw.lock_blocked_since.is_none() {
-                        rmw.lock_blocked_since = Some(now);
-                    }
+                    // us; the denied acquisition changed nothing. The
+                    // episode length is attributed to `lock_retries`
+                    // below, one per denied cycle.
+                    rmw.lock_blocked_since.get_or_insert(now);
                     shared.lock_waits[self.id] = Some(rmw.line);
                     self.rmw = Some(rmw);
                     return false;
-                }
+                };
                 if let Some(since) = rmw.lock_blocked_since.take() {
                     self.stats.lock_retries += now - since;
                 }
-                let use_read_permission =
-                    config.rmw_atomicity == Atomicity::Type3 && config.directory_locking;
-                let done = if use_read_permission {
-                    let acc = shared
-                        .coherence
-                        .read(self.id, rmw.line, now)
-                        .expect("no foreign lock: read permission proceeds");
-                    let kind = if shared.coherence.state_of(self.id, rmw.line).is_writable() {
-                        LockKind::Local
-                    } else {
-                        LockKind::Directory
-                    };
-                    shared
-                        .coherence
-                        .lock(self.id, rmw.line, kind)
-                        .expect("no foreign lock: locking proceeds");
-                    acc.done_at
-                } else {
-                    let acc = shared
-                        .coherence
-                        .write(self.id, rmw.line, now)
-                        .expect("no foreign lock: write permission proceeds");
-                    shared
-                        .coherence
-                        .lock(self.id, rmw.line, LockKind::Local)
-                        .expect("no foreign lock: locking proceeds");
-                    acc.done_at
-                };
                 shared.sched.wake_core(now, done.max(now + 1), self.id);
                 rmw.phase = RmwPhase::Finish { at: done };
                 shared.last_progress = now;
@@ -965,12 +928,12 @@ impl Core {
                 if config.rmw_atomicity == Atomicity::Type1 {
                     // Write completes immediately under the lock.
                     shared.memory.insert(rmw.addr, new);
-                    let acc = shared
+                    let done = shared
                         .coherence
                         .write(self.id, rmw.line, now)
                         .expect("holder's own write cannot be denied");
                     shared.release_lock(self.id, rmw.line, now);
-                    self.set_busy(now, acc.done_at, shared);
+                    self.set_busy(now, done, shared);
                 } else {
                     if let Some(since) = self.wb_stall_since.take() {
                         self.stats.wb_full_stalls += now - since;

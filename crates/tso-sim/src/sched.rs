@@ -44,8 +44,8 @@
 //!    end-of-tick state demands a next-cycle action (phase-machine
 //!    advances, request sends and re-sends, fences over an empty buffer);
 //! 2. the one cross-core wait — a read or RMW acquisition blocked on a
-//!    *foreign* line lock — re-probes exactly when lockstep's per-cycle
-//!    re-poll could first succeed: only the release of that line's lock
+//!    *foreign* line lock — retries exactly when lockstep's per-cycle
+//!    retry could first succeed: only the release of that line's lock
 //!    can unblock it, and the release wakes the cores that lock denied,
 //!    each one above the releaser's id later in the release cycle and
 //!    each one below it in the next cycle;

@@ -14,6 +14,8 @@
 //!   32-core Table 2 machine and a scaled 128-core machine;
 //! * §3.2's coordinated filter resets on every §4 kernel, with broadcast
 //!   copies in flight across each reset;
+//! * §3.3's fallback: type-3 with directory locking off runs exactly as
+//!   type-2 on every §4 kernel, under each engine;
 //! * the Fig. 10 write-deadlock (watchdog equivalence in event time);
 //! * dense spin phases that wedge right at the
 //!   `last_progress + threshold + 1` watchdog edge and the `max_cycles`
@@ -119,6 +121,34 @@ fn paper_table2_machine_is_engine_equivalent() {
     let r = assert_engines_agree(cfg, traces, "raytrace 32-core table2");
     assert!(!r.deadlocked);
     assert!(r.stats.rmw_count > 0);
+}
+
+#[test]
+fn type3_without_directory_locking_is_type2() {
+    // §3.3's fallback: with directory locking off, a type-3 RMW takes
+    // write permission and locks the line in its L1, as a type-2 RMW
+    // does, so the two configurations must run identically under either
+    // engine. Only `dirlock_ablation` runs this configuration otherwise.
+    for (cores, memops) in [(4, 1000), (32, 300)] {
+        for bench in workloads::Benchmark::ALL {
+            let traces = workloads::benchmark(bench, cores, memops, 7);
+            let mut fallback = paper_scale(cores, Atomicity::Type3);
+            fallback.directory_locking = false;
+            for mode in [StepMode::Lockstep, StepMode::EventDriven] {
+                let run = |mut cfg: SimConfig| {
+                    cfg.step_mode = mode;
+                    Machine::new(cfg, traces.clone()).run()
+                };
+                let type2 = run(paper_scale(cores, Atomicity::Type2));
+                assert!(type2.stats.rmw_count > 0, "{bench}: no RMWs");
+                assert_eq!(
+                    run(fallback).first_difference(&type2),
+                    None,
+                    "{bench} {cores}x{memops} {mode:?}: the fallback differs from type-2"
+                );
+            }
+        }
+    }
 }
 
 #[test]
