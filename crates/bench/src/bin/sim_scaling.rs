@@ -25,7 +25,9 @@
 //! `tso-sim/tests/engine_equiv.rs`) beside the wall-clock ratio, and the
 //! event engine's work: its core ticks and the share of them that acted.
 //! The times are medians over [`PASSES`] pass pairs, and the speedup is
-//! the median of each pair's lockstep ÷ event ratio.
+//! the median of each pair's lockstep ÷ event ratio. A shape whose runs
+//! take under [`MIN_PASS_MS`] repeats them within each pass and records
+//! the time of one repetition.
 //!
 //! Every run checks the record's gates ([`gates`]) after writing the JSON
 //! and exits non-zero when one fails: the engines agree on every shape,
@@ -141,11 +143,13 @@ struct Row {
     name: String,
     cores: usize,
     runs: usize,
+    /// Repetitions of the runs in each timed pass.
+    repeats: usize,
     cycles: u64,
     /// Event-engine core ticks, and those that acted.
     ticks: u64,
     acting_ticks: u64,
-    /// Median pass times per engine.
+    /// Median times of one repetition per engine.
     event_ms: f64,
     lockstep_ms: f64,
     /// Median of each pass pair's lockstep ÷ event ratio.
@@ -160,23 +164,40 @@ const MIN_HEADLINE_SPEEDUP: f64 = 5.0;
 /// Gate: the sweep must include a scaled machine at least this wide.
 const SCALED_CORES: usize = 128;
 
-fn run_all(runs: &[(SimConfig, Vec<Trace>)], mode: StepMode) -> (Vec<SimResult>, f64) {
+/// Runs every one of `runs` `repeats` times under `mode`; returns the
+/// results of the first repetition and the mean time of one.
+fn run_all(
+    runs: &[(SimConfig, Vec<Trace>)],
+    mode: StepMode,
+    repeats: usize,
+) -> (Vec<SimResult>, f64) {
+    let run_once = || -> Vec<SimResult> {
+        runs.iter()
+            .map(|(cfg, traces)| {
+                let mut cfg = *cfg;
+                cfg.step_mode = mode;
+                Machine::new(cfg, traces.clone()).run()
+            })
+            .collect()
+    };
     let start = Instant::now();
-    let results: Vec<SimResult> = runs
-        .iter()
-        .map(|(cfg, traces)| {
-            let mut cfg = *cfg;
-            cfg.step_mode = mode;
-            Machine::new(cfg, traces.clone()).run()
-        })
-        .collect();
-    let ms = start.elapsed().as_secs_f64() * 1e3;
+    let results = run_once();
+    for _ in 1..repeats {
+        std::hint::black_box(run_once());
+    }
+    let ms = start.elapsed().as_secs_f64() * 1e3 / repeats as f64;
     (results, ms)
 }
 
 /// Timed pass pairs per shape, each pair one pass per engine back to
 /// back (odd, so every median is one pass).
 const PASSES: usize = 5;
+
+/// The shortest timed pass. A pass over the 16–24-thread litmus shape
+/// takes ~0.1 ms, and with identical ticks its speedup read 9.7×, 7.5×
+/// and 8.2× in three runs: a pass that short times the host's timer and
+/// scheduler, not the engine.
+const MIN_PASS_MS: f64 = 10.0;
 
 /// The median of an odd number of samples.
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -187,10 +208,14 @@ fn median(mut samples: Vec<f64>) -> f64 {
 fn measure(shape: &Shape) -> Row {
     let runs = shape.runs();
     // Warm-up (allocator growth, page faults) so no engine pays
-    // first-run costs; then timed passes over identical inputs.
-    let _ = run_all(&runs, StepMode::EventDriven);
-    let (ev, event_ms) = run_all(&runs, StepMode::EventDriven);
-    let (ls, lockstep_ms) = run_all(&runs, StepMode::Lockstep);
+    // first-run costs, doubling the repetitions until an event-engine
+    // pass lasts `MIN_PASS_MS`; then timed passes over identical inputs.
+    let mut repeats = 1;
+    while run_all(&runs, StepMode::EventDriven, repeats).1 * (repeats as f64) < MIN_PASS_MS {
+        repeats *= 2;
+    }
+    let (ev, event_ms) = run_all(&runs, StepMode::EventDriven, repeats);
+    let (ls, lockstep_ms) = run_all(&runs, StepMode::Lockstep, repeats);
     let mut pairs = vec![(event_ms, lockstep_ms)];
     // The remaining pairs alternate the engine order: slow drift in
     // machine speed (frequency scaling, throttling) would otherwise
@@ -202,7 +227,7 @@ fn measure(shape: &Shape) -> Row {
         let mut pair = (0.0, 0.0);
         for k in 0..ORDER.len() {
             let mode = ORDER[(p + k) % ORDER.len()];
-            let ms = run_all(&runs, mode).1;
+            let ms = run_all(&runs, mode, repeats).1;
             match mode {
                 StepMode::EventDriven => pair.0 = ms,
                 StepMode::Lockstep => pair.1 = ms,
@@ -224,6 +249,7 @@ fn measure(shape: &Shape) -> Row {
         name: shape.name(),
         cores: shape.cores(),
         runs: runs.len(),
+        repeats,
         cycles: ev.iter().map(|r| r.stats.cycles).sum(),
         ticks: ev.iter().map(|r| r.engine.ticks).sum(),
         acting_ticks: ev.iter().map(|r| r.engine.acting_ticks).sum(),
@@ -281,6 +307,7 @@ fn to_json(rows: &[Row], mode: &str) -> String {
             ("name", r.name.as_str().into()),
             ("cores", r.cores.into()),
             ("machine_runs", r.runs.into()),
+            ("pass_repeats", r.repeats.into()),
             ("simulated_cycles", r.cycles.into()),
             ("ticks", r.ticks.into()),
             ("acting_ticks", r.acting_ticks.into()),
@@ -405,6 +432,7 @@ mod tests {
             name: format!("{cores} cores"),
             cores,
             runs: 1,
+            repeats: 1,
             cycles: 1000,
             ticks: 2000,
             acting_ticks: 1500,

@@ -1,5 +1,5 @@
-//! The in-order core model: write buffer, RMW phase machine, and the
-//! per-op execution rules.
+//! The in-order core model: the RMW phase machine and the per-op
+//! execution rules, over the FIFO write buffer of `write_buffer.rs`.
 //!
 //! # Timing/visibility discipline
 //!
@@ -48,28 +48,13 @@
 use crate::config::SimConfig;
 use crate::stats::{NetTraffic, SimStats};
 use crate::trace::{Op, Reg, Src, Trace, NUM_REGS};
+use crate::write_buffer::WriteBuffer;
 use bloom::BloomFilter;
 use coherence::CoherenceSystem;
 use interconnect::{Cycle, Mesh};
 use rmw_types::fasthash::{FastHashMap, FastHashSet};
 use rmw_types::{Addr, Atomicity, CacheLine, RmwKind, Value};
 use std::collections::VecDeque;
-
-/// A pending write in the write buffer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WbEntry {
-    pub addr: Addr,
-    pub value: Value,
-    pub line: CacheLine,
-    /// Arrival time of the in-flight coherence request at the home
-    /// directory, if one has been sent. Lock denial happens at arrival —
-    /// this in-flight window is what makes write-deadlocks possible.
-    pub request_arrives: Option<Cycle>,
-    /// Completion cycle of the accepted coherence transaction, if accepted.
-    pub issued_done: Option<Cycle>,
-    /// True for an RMW's `Wa`: popping it releases the line lock.
-    pub unlock_on_pop: bool,
-}
 
 /// Phase of an in-flight RMW.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,7 +229,7 @@ pub(crate) struct Core {
     trace: Trace,
     pc: usize,
     busy_until: Cycle,
-    wb: VecDeque<WbEntry>,
+    wb: WriteBuffer,
     pub bloom: BloomFilter,
     rmw: Option<RmwInFlight>,
     fence_since: Option<Cycle>,
@@ -281,7 +266,7 @@ impl Core {
             trace,
             pc: 0,
             busy_until: 0,
-            wb: VecDeque::new(),
+            wb: WriteBuffer::default(),
             bloom: BloomFilter::new(config.bloom_bytes, config.bloom_hashes),
             rmw: None,
             fence_since: None,
@@ -335,16 +320,7 @@ impl Core {
     /// empty buffer. Called only after a tick that changed something —
     /// these conditions can only arise from acting ticks.
     fn arm_followup(&mut self, now: Cycle, shared: &mut Shared, config: &SimConfig) {
-        let window = if self.draining_for_rmw() {
-            self.wb.len()
-        } else {
-            config.wb_outstanding.min(self.wb.len())
-        };
-        let pending_send = self
-            .wb
-            .iter()
-            .take(window)
-            .any(|e| e.issued_done.is_none() && e.request_arrives.is_none());
+        let pending_send = self.wb.has_unsent(self.wb_window(config));
         let phase_steps = self.rmw.is_some_and(|r| match r.phase {
             RmwPhase::Bloom | RmwPhase::CheckConflicts => true,
             RmwPhase::Acquire => r.lock_blocked_since.is_none(),
@@ -542,21 +518,12 @@ impl Core {
         addr: Addr,
         dest: Option<Reg>,
     ) -> bool {
-        // Store forwarding from the youngest matching buffer entry — but
-        // only while that store is not yet globally visible. An accepted
-        // entry's value is already in memory (the slot only lingers for
-        // latency bookkeeping), and a foreign write may have been
-        // serialized after it; forwarding then would resurrect an
-        // overwritten value, which TSO forbids.
-        if let Some(e) = self.wb.iter().rev().find(|e| e.addr == addr) {
-            if e.issued_done.is_none() {
-                let v = e.value;
-                self.deliver_read(v, dest);
-                self.set_busy(now, now + config.coherence.l1_latency, shared);
-                self.stats.mem_ops += 1;
-                self.retire(now, shared);
-                return true;
-            }
+        if let Some(v) = self.wb.forward(addr) {
+            self.deliver_read(v, dest);
+            self.set_busy(now, now + config.coherence.l1_latency, shared);
+            self.stats.mem_ops += 1;
+            self.retire(now, shared);
+            return true;
         }
         let line = addr.line(config.line_size);
         let Ok(done) = shared.coherence.read(self.id, line, now) else {
@@ -604,14 +571,8 @@ impl Core {
         if let Some(since) = self.wb_stall_since.take() {
             self.stats.wb_full_stalls += now - since;
         }
-        self.wb.push_back(WbEntry {
-            addr,
-            value,
-            line: addr.line(config.line_size),
-            request_arrives: None,
-            issued_done: None,
-            unlock_on_pop: false,
-        });
+        self.wb
+            .push(addr, value, addr.line(config.line_size), false);
         self.set_busy(now, now + 1, shared);
         self.stats.mem_ops += 1;
         self.retire(now, shared);
@@ -688,16 +649,20 @@ impl Core {
         shared.sched.wake_core(now, until.max(now + 1), self.id);
     }
 
-    /// Sends coherence requests for write-buffer entries and pops completed
-    /// heads. While an RMW drains the buffer every entry's request is in
-    /// flight at once (the Table 2 baseline's parallel drain, after
-    /// Gharachorloo); otherwise at most `wb_outstanding` are.
-    ///
-    /// A request is *sent* (after `request_latency` it arrives at the home
-    /// directory), then *accepted* (the line was not locked: the write
-    /// becomes globally visible and the completion clock starts) or
-    /// *denied* (locked by another core's RMW: the request is re-sent).
-    /// Acceptance is kept in FIFO order so visibility respects TSO.
+    /// The write-buffer entries whose requests may be in flight: while an
+    /// RMW drains the buffer every entry's (the Table 2 baseline's
+    /// parallel drain, after Gharachorloo); otherwise the first
+    /// `wb_outstanding`.
+    fn wb_window(&self, config: &SimConfig) -> usize {
+        if self.draining_for_rmw() {
+            self.wb.len()
+        } else {
+            config.wb_outstanding.min(self.wb.len())
+        }
+    }
+
+    /// Sends, accepts and re-sends write-buffer requests (see
+    /// [`WriteBuffer::advance`]) and pops completed heads.
     fn process_write_buffer(
         &mut self,
         now: Cycle,
@@ -707,76 +672,29 @@ impl Core {
         if self.wb.is_empty() {
             return false;
         }
-        let mut changed = false;
-        let issue_count = if self.draining_for_rmw() {
-            self.wb.len()
-        } else {
-            config.wb_outstanding.min(self.wb.len())
-        };
-
-        let id = self.id;
-        let mut all_prior_accepted = true;
-        let mut lock_retries = 0;
-        for e in self.wb.iter_mut().take(issue_count) {
-            if e.issued_done.is_some() {
-                continue;
-            }
-            match e.request_arrives {
-                None => {
-                    let arrival = now + shared.coherence.request_latency(id, e.line);
-                    e.request_arrives = Some(arrival);
-                    // Clamped like every arm: a zero-latency arrival is
-                    // still acted on at the next tick, as in lockstep.
-                    shared.sched.wake_core(now, arrival.max(now + 1), id);
-                    changed = true;
-                }
-                Some(arr) if now >= arr && all_prior_accepted => {
-                    match shared.coherence.write(id, e.line, now) {
-                        Ok(done) => {
-                            shared.memory.insert(e.addr, e.value);
-                            e.issued_done = Some(done);
-                            shared.sched.wake_core(now, done.max(now + 1), id);
-                        }
-                        Err(_) => {
-                            // Denied by a lock: retry from scratch (the
-                            // re-send goes out next cycle, so the retry
-                            // cadence is one request round trip).
-                            lock_retries += 1;
-                            e.request_arrives = None;
-                        }
-                    }
-                    changed = true;
-                }
-                Some(_) => {} // in flight, or waiting for FIFO order
-            }
-            all_prior_accepted &= e.issued_done.is_some();
-        }
-        self.stats.lock_retries += lock_retries;
+        let window = self.wb_window(config);
+        let mut changed =
+            self.wb
+                .advance(self.id, now, window, shared, &mut self.stats.lock_retries);
 
         // Pop completed head entries (one per cycle is enough at this
         // timescale, but draining benefits from popping all ready heads).
-        while let Some(head) = self.wb.front() {
-            match head.issued_done {
-                Some(done) if done <= now => {
-                    let e = self.wb.pop_front().expect("head exists");
-                    // Release the line lock only once the *last* pending Wa
-                    // to this line commits: back-to-back RMWs to one line
-                    // keep it locked across both, whether the successor's
-                    // Wa is already buffered or its RMW is still in flight
-                    // holding the lock (Finish phase).
-                    let later_wa_same_line =
-                        self.wb.iter().any(|w| w.unlock_on_pop && w.line == e.line);
-                    let in_flight_same_line = self.rmw.is_some_and(|r| {
-                        r.line == e.line && matches!(r.phase, RmwPhase::Finish { .. })
-                    });
-                    if e.unlock_on_pop && !later_wa_same_line && !in_flight_same_line {
-                        shared.release_lock(self.id, e.line, now);
-                    }
-                    shared.last_progress = now;
-                    changed = true;
-                }
-                _ => break,
+        while let Some(e) = self.wb.pop_completed(now) {
+            // Release the line lock only once the *last* pending Wa to this
+            // line commits: back-to-back RMWs to one line keep it locked
+            // across both, whether the successor's Wa is already buffered
+            // or its RMW is still in flight holding the lock (Finish
+            // phase).
+            if e.unlock_on_pop
+                && !self.wb.holds_wa_on(e.line)
+                && !self
+                    .rmw
+                    .is_some_and(|r| r.line == e.line && matches!(r.phase, RmwPhase::Finish { .. }))
+            {
+                shared.release_lock(self.id, e.line, now);
             }
+            shared.last_progress = now;
+            changed = true;
         }
         changed
     }
@@ -829,12 +747,12 @@ impl Core {
                 // Wa, or data under its own lock) cannot participate in a
                 // deadlock cycle, so it is excluded from the conflict check
                 // even though its address is in the addr-list.
-                let conflict = self.wb.iter().any(|e| {
+                let conflict = self.wb.lines().any(|line| {
                     let self_locked = shared
                         .coherence
-                        .lock_of(e.line)
+                        .lock_of(line)
                         .is_some_and(|l| l.holder == self.id);
-                    !self_locked && self.bloom.maybe_contains(e.line.0)
+                    !self_locked && self.bloom.maybe_contains(line.0)
                 });
                 if conflict {
                     self.stats.rmw_drains += 1;
@@ -911,16 +829,10 @@ impl Core {
                 // Read value: with the deadlock-avoidance scheme a same-line
                 // pending write would have forced a drain, so the buffer is
                 // conflict-free here; forward anyway for the unsafe
-                // (bloom-disabled) configuration. As in `issue_read`, only a
-                // not-yet-visible entry may forward — an accepted one is
-                // already in memory and possibly overwritten.
+                // (bloom-disabled) configuration.
                 let old = self
                     .wb
-                    .iter()
-                    .rev()
-                    .find(|e| e.addr == rmw.addr)
-                    .filter(|e| e.issued_done.is_none())
-                    .map(|e| e.value)
+                    .forward(rmw.addr)
                     .unwrap_or_else(|| shared.memory.get(&rmw.addr).copied().unwrap_or(0));
                 self.deliver_read(old, rmw.dest);
                 let new = rmw.kind.apply(old);
@@ -938,14 +850,7 @@ impl Core {
                     if let Some(since) = self.wb_stall_since.take() {
                         self.stats.wb_full_stalls += now - since;
                     }
-                    self.wb.push_back(WbEntry {
-                        addr: rmw.addr,
-                        value: new,
-                        line: rmw.line,
-                        request_arrives: None,
-                        issued_done: None,
-                        unlock_on_pop: true,
-                    });
+                    self.wb.push(rmw.addr, new, rmw.line, true);
                     self.set_busy(now, now + 1, shared);
                 }
 

@@ -68,6 +68,7 @@ pub mod machine;
 pub mod sched;
 pub mod stats;
 pub mod trace;
+mod write_buffer;
 
 pub use config::{SimConfig, StepMode};
 pub use lower::{lower, lower_with_line_size, sim_addr};

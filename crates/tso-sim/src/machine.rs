@@ -287,12 +287,12 @@ impl Machine {
         let mut agg = SimStats::default();
         let mut per_core = Vec::with_capacity(self.cores.len());
         let mut reads = Vec::with_capacity(self.cores.len());
-        for core in &self.cores {
+        for core in &mut self.cores {
             let mut s = core.stats;
             s.cycles = self.now;
             agg.merge_core(&s);
             per_core.push(s);
-            reads.push(core.reads.clone());
+            reads.push(std::mem::take(&mut core.reads));
         }
         agg.cycles = self.now;
         agg.unique_rmw_addrs = self.shared.unique_rmw_lines.len() as u64;
@@ -555,6 +555,87 @@ mod tests {
             assert_eq!(ev.first_difference(&ls), None, "{a}");
             assert_eq!(ev.per_core[2].lock_retries, 3, "{a}: waiter above");
             assert_eq!(ev.per_core[0].lock_retries, 4, "{a}: waiter below");
+        }
+    }
+
+    #[test]
+    fn a_denied_head_store_is_resent_next_cycle_and_the_stores_behind_it_follow() {
+        // Core 1's RMW holds line L until it releases it at its last cycle,
+        // `release`. Core 0 buffers W(L), W(M), W(N) one a cycle from `s`,
+        // sending each the cycle after; W(L)'s request takes `lat` cycles
+        // to reach L's home, so it arrives at `release - 2 * (lat + 1) -
+        // 1`, is denied, is re-sent the next cycle and arrives again one
+        // `lat + 1` round later: three denials, accepted at `release +
+        // lat`. W(M) and W(N) arrived long before, but follow W(L) in FIFO
+        // order in that same cycle: core 2 reads N the cycle before and
+        // finds it unwritten, core 3 reads it in that cycle.
+        let (l, m, n) = (addr(0), addr(1), addr(2));
+        let cfg = SimConfig::small(4);
+        // L's home directory is core 0's own node.
+        let lat = cfg.coherence.l1_latency + Mesh::new(cfg.mesh()).latency(0, 0);
+        let cycles = |c: Cycle| Op::Compute(u32::try_from(c).unwrap());
+        for a in Atomicity::ALL {
+            let run = |traces: Vec<Trace>, mode: StepMode| {
+                let mut c = cfg;
+                c.rmw_atomicity = a;
+                c.step_mode = mode;
+                let r = Machine::new(c, traces).run();
+                assert!(!r.deadlocked, "{a} {mode:?}");
+                r
+            };
+            let holder = Trace::new(vec![Op::rmw(l)]);
+            let alone = run(
+                vec![Trace::default(), holder.clone()],
+                StepMode::EventDriven,
+            );
+            let release = alone.stats.cycles - 1;
+            let accept = release + lat;
+            let s = accept - 3 * (lat + 1) - (1 + lat);
+            let traces = vec![
+                Trace::new(vec![
+                    cycles(s),
+                    Op::write(l, 1),
+                    Op::write(m, 2),
+                    Op::write(n, 3),
+                ]),
+                holder,
+                Trace::new(vec![cycles(accept - 1), Op::read(n)]),
+                Trace::new(vec![cycles(accept), Op::read(n)]),
+            ];
+            let ev = run(traces.clone(), StepMode::EventDriven);
+            let ls = run(traces, StepMode::Lockstep);
+            assert_eq!(ev.first_difference(&ls), None, "{a}");
+            assert_eq!(ev.per_core[0].lock_retries, 3, "{a}: denials of W(L)");
+            assert_eq!(ev.reads[2], vec![0], "{a}: W(N) accepted before W(L)");
+            assert_eq!(ev.reads[3], vec![3], "{a}: W(N) not accepted with W(L)");
+            assert_eq!(ev.memory.get(&l), Some(&1), "{a}");
+        }
+    }
+
+    #[test]
+    fn a_read_does_not_forward_an_accepted_store_a_foreign_store_overwrote() {
+        // Core 0's W(X) = 1 is accepted a few cycles in, and its slot
+        // lingers until the cold write completes at `popped`. Core 1's
+        // W(X) = 2 is accepted at cycle 12. Core 0 reads X at cycle 30,
+        // while its own store still holds a slot: that store is visible
+        // and overwritten, so the read returns core 1's value.
+        let x = addr(0);
+        for mode in [StepMode::EventDriven, StepMode::Lockstep] {
+            let run = |traces: Vec<Trace>| {
+                let mut cfg = SimConfig::small(2);
+                cfg.step_mode = mode;
+                Machine::new(cfg, traces).run()
+            };
+            // Alone, core 0's slot pops at the run's last cycle.
+            let popped = run(vec![Trace::new(vec![Op::write(x, 1)])]).stats.cycles - 1;
+            assert!(popped > 30, "{mode:?}: the slot popped at {popped}");
+            let r = run(vec![
+                Trace::new(vec![Op::write(x, 1), Op::Compute(29), Op::read(x)]),
+                Trace::new(vec![Op::write(x, 2)]),
+            ]);
+            assert!(!r.deadlocked, "{mode:?}");
+            assert_eq!(r.reads[0], vec![2], "{mode:?}");
+            assert_eq!(r.memory.get(&x), Some(&2), "{mode:?}");
         }
     }
 
