@@ -37,7 +37,8 @@ pub struct SimConfig {
     /// the request round-trips overlap. While an RMW drains the buffer
     /// the whole buffer is in flight regardless of this limit: the
     /// drained writes send their read-exclusives in parallel
-    /// (Gharachorloo), as the paper's Table 2 baseline does.
+    /// (Gharachorloo), as the paper's Table 2 baseline does. At least 1:
+    /// with none, no store would leave the buffer outside a drain.
     pub wb_outstanding: usize,
     /// Which RMW implementation the machine uses.
     pub rmw_atomicity: Atomicity,
@@ -163,6 +164,9 @@ impl SimConfig {
         if self.write_buffer_entries == 0 {
             return Err("write buffer must have at least one entry".into());
         }
+        if self.wb_outstanding == 0 {
+            return Err("at least one write-buffer request must be in flight".into());
+        }
         if self.bloom_bytes == 0 || self.bloom_hashes == 0 {
             return Err("bloom filter configuration must be nonzero".into());
         }
@@ -227,6 +231,10 @@ mod tests {
     fn validate_catches_bad_configs() {
         let mut c = SimConfig::small(2);
         c.write_buffer_entries = 0;
+        assert!(c.validate().is_err());
+
+        let mut c = SimConfig::small(2);
+        c.wb_outstanding = 0;
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::small(2);

@@ -31,14 +31,18 @@
 //!
 //! `Core::tick` returns `true` iff the cycle changed anything (state or
 //! statistics); a tick that returns `false` was a pure wait and could have
-//! been skipped. Every *future* cycle at which this core can act without
-//! outside help — `busy_until`, write-buffer request arrivals and
-//! completions, the broadcast-ack deadline, the RMW `Finish` time — is
-//! armed in the shared [`Scheduler`](crate::sched::Scheduler) when it is
-//! computed. A read or RMW acquisition denied by a foreign line lock
-//! records the line in `Shared::lock_waits`, and the release of the
-//! lock wakes it (see `Shared::release_lock`); a full buffer or a drain
-//! waits on the core's own completions. A blocked core retries the
+//! been skipped. The core arms nothing for itself: after every tick the
+//! event engine asks `Core::next_wake` for the earliest cycle at which
+//! the core can act without outside help, read from its state alone —
+//! `busy_until`, the write buffer's next arrival or completion, the
+//! broadcast-ack deadline, the RMW `Finish` time, a futex resume, or the
+//! next cycle when a send, a phase step or a fence can proceed — and arms
+//! it in the shared [`Scheduler`](crate::sched::Scheduler). Since each
+//! tick re-derives the deadline, a wake may come early (the tick is then
+//! a pure wait) but never late. A read or RMW acquisition denied by a
+//! foreign line lock records the line in `Shared::lock_waits`, and the
+//! release of the lock wakes it (see `Shared::release_lock`); a futex
+//! wake arms the sleepers it resumes. A blocked core retries the
 //! denied transaction itself: a denial changes no coherence state, so
 //! lockstep's per-cycle retries and the event engine's one retry at the
 //! release leave the same state. Each blocked episode attributes its
@@ -87,16 +91,14 @@ struct RmwInFlight {
     started: Cycle,
     /// Start of the current drain, if any.
     drain_started: Option<Cycle>,
-    /// Start of the acquire phase.
-    acquire_started: Option<Cycle>,
+    /// Cycles spent draining so far: write-buffer cost, the rest of the
+    /// RMW's span is Ra/Wa cost.
+    drained: Cycle,
     /// First cycle of the current lock-denied acquire episode, if the
     /// acquisition is blocked on a foreign lock. The whole episode is
     /// attributed to `lock_retries` when it ends (one count per denied
     /// cycle, exactly as per-cycle retrying produced).
     lock_blocked_since: Option<Cycle>,
-    /// Cycles already attributed to Ra/Wa before the acquire phase
-    /// (bloom + ack wait).
-    pre_acquire_rawa: Cycle,
 }
 
 /// One copy of a §3.2 RMW-address broadcast, on its way to a core.
@@ -301,41 +303,55 @@ impl Core {
         )
     }
 
+    /// The earliest cycle after `now` at which this core's tick can act
+    /// without outside help, read from its state after the tick at `now`:
+    /// `now + 1` when a write-buffer send, an RMW phase step or a fence
+    /// can proceed, else the first of the write buffer's next deadline,
+    /// the ack deadline, the RMW read half's completion, a pending futex
+    /// resume and `busy_until`. `Cycle::MAX` when only a lock release or
+    /// a futex wake can move the core, or when it is done.
+    pub fn next_wake(&self, now: Cycle, shared: &Shared, config: &SimConfig) -> Cycle {
+        let next = now + 1;
+        let wb = if self.wb.has_unsent(self.wb_window(config)) {
+            next
+        } else {
+            self.wb.next_deadline()
+        };
+        let own = if let Some(rmw) = self.rmw {
+            match rmw.phase {
+                RmwPhase::Bloom | RmwPhase::CheckConflicts => next,
+                RmwPhase::WaitAcks { until } => until,
+                RmwPhase::Drain if self.wb.is_empty() => next,
+                RmwPhase::Acquire if rmw.lock_blocked_since.is_none() => next,
+                RmwPhase::Finish { at } if self.wb_stall_since.is_none() => at,
+                // A drain or a `Wa` stalled on a full buffer waits on the
+                // buffer; a denied acquisition on the lock's release.
+                _ => Cycle::MAX,
+            }
+        } else if self.fence_since.is_some() {
+            if self.wb.is_empty() {
+                next
+            } else {
+                Cycle::MAX
+            }
+        } else if self.futex_sleep.is_some() {
+            // Before the end-of-trace case: a trailing wait has retired.
+            shared.futex.woken[self.id].unwrap_or(Cycle::MAX)
+        } else if self.pc >= self.trace.len()
+            || self.read_blocked_since.is_some()
+            || self.wb_stall_since.is_some()
+        {
+            Cycle::MAX
+        } else {
+            self.busy_until
+        };
+        wb.min(own).max(next)
+    }
+
     /// One simulation cycle. Returns `true` iff anything (state or stats)
     /// changed — `false` means the tick was a pure wait that a
     /// cycle-skipping engine may elide.
     pub fn tick(&mut self, now: Cycle, shared: &mut Shared, config: &SimConfig) -> bool {
-        let changed = self.tick_inner(now, shared, config);
-        if changed {
-            self.arm_followup(now, shared, config);
-        }
-        changed
-    }
-
-    /// Arms a `now + 1` self-wakeup when the end-of-tick state demands an
-    /// action next cycle that no completion event covers: an unsent
-    /// write-buffer request inside the issue window (fresh store, denial
-    /// re-send, window shift after a pop, eager-drain expansion), an RMW
-    /// phase that executes on its next tick, or a fence over an already
-    /// empty buffer. Called only after a tick that changed something —
-    /// these conditions can only arise from acting ticks.
-    fn arm_followup(&mut self, now: Cycle, shared: &mut Shared, config: &SimConfig) {
-        let pending_send = self.wb.has_unsent(self.wb_window(config));
-        let phase_steps = self.rmw.is_some_and(|r| match r.phase {
-            RmwPhase::Bloom | RmwPhase::CheckConflicts => true,
-            RmwPhase::Acquire => r.lock_blocked_since.is_none(),
-            RmwPhase::Drain => self.wb.is_empty(),
-            RmwPhase::WaitAcks { .. } | RmwPhase::Finish { .. } => false,
-        });
-        let fence_ready = self.fence_since.is_some() && self.wb.is_empty();
-        if (pending_send || phase_steps || fence_ready) && self.busy_until != now + 1 {
-            // busy_until == now + 1 means set_busy already armed this
-            // exact wakeup during this tick.
-            shared.sched.wake_core(now, now + 1, self.id);
-        }
-    }
-
-    fn tick_inner(&mut self, now: Cycle, shared: &mut Shared, config: &SimConfig) -> bool {
         let mut changed = self.process_write_buffer(now, shared, config);
 
         if self.rmw.is_some() {
@@ -349,8 +365,7 @@ impl Core {
                 shared.last_progress = now;
                 changed = true;
             } else {
-                // Waiting on our own buffer: its completion events are
-                // already armed.
+                // Waiting on our own buffer.
                 return changed;
             }
         }
@@ -358,8 +373,7 @@ impl Core {
         if let Some(since) = self.futex_sleep {
             // Asleep on a futex queue. The buffer was drained before the
             // sleep, the phase machines are idle, so a sleeping core's
-            // tick is a pure wait until the waker-armed resume cycle —
-            // the event engine skips straight to it.
+            // tick is a pure wait until the resume cycle the waker set.
             match shared.futex.woken[self.id] {
                 Some(resume) if now >= resume => {
                     shared.futex.woken[self.id] = None;
@@ -382,7 +396,7 @@ impl Core {
         let op = self.trace.ops()[self.pc];
         match op {
             Op::Compute(n) => {
-                self.set_busy(now, now + Cycle::from(n), shared);
+                self.busy_until = now + Cycle::from(n);
                 self.retire(now, shared);
             }
             Op::Fence => {
@@ -416,16 +430,16 @@ impl Core {
             }
             Op::MovImm(reg, value) => {
                 self.regs[reg as usize] = value;
-                self.set_busy(now, now + 1, shared);
+                self.busy_until = now + 1;
                 self.retire(now, shared);
             }
             Op::AddImm(reg, value) => {
                 self.regs[reg as usize] = self.regs[reg as usize].wrapping_add(value);
-                self.set_busy(now, now + 1, shared);
+                self.busy_until = now + 1;
                 self.retire(now, shared);
             }
             Op::Jump(target) => {
-                self.set_busy(now, now + 1, shared);
+                self.busy_until = now + 1;
                 self.branch_to(now, target as usize, shared);
             }
             Op::Branch {
@@ -436,7 +450,7 @@ impl Core {
             } => {
                 let l = self.regs[lhs as usize];
                 let r = self.resolve(rhs);
-                self.set_busy(now, now + 1, shared);
+                self.busy_until = now + 1;
                 if cond.eval(l, r) {
                     self.branch_to(now, target as usize, shared);
                 } else {
@@ -470,7 +484,7 @@ impl Core {
                     // EAGAIN: the value moved on — never enqueued, so a
                     // failed check can never be woken.
                     self.stats.futex_immediate += 1;
-                    self.set_busy(now, now + config.futex_latency, shared);
+                    self.busy_until = now + config.futex_latency;
                 }
                 self.retire(now, shared);
             }
@@ -493,7 +507,7 @@ impl Core {
                     }
                 }
                 self.stats.futex_wakes += u64::from(woke);
-                self.set_busy(now, now + config.futex_latency, shared);
+                self.busy_until = now + config.futex_latency;
                 self.retire(now, shared);
             }
         }
@@ -520,7 +534,7 @@ impl Core {
     ) -> bool {
         if let Some(v) = self.wb.forward(addr) {
             self.deliver_read(v, dest);
-            self.set_busy(now, now + config.coherence.l1_latency, shared);
+            self.busy_until = now + config.coherence.l1_latency;
             self.stats.mem_ops += 1;
             self.retire(now, shared);
             return true;
@@ -539,7 +553,7 @@ impl Core {
         }
         let v = shared.memory.get(&addr).copied().unwrap_or(0);
         self.deliver_read(v, dest);
-        self.set_busy(now, done, shared);
+        self.busy_until = done;
         self.stats.mem_ops += 1;
         self.retire(now, shared);
         true
@@ -573,7 +587,7 @@ impl Core {
         }
         self.wb
             .push(addr, value, addr.line(config.line_size), false);
-        self.set_busy(now, now + 1, shared);
+        self.busy_until = now + 1;
         self.stats.mem_ops += 1;
         self.retire(now, shared);
         true
@@ -602,9 +616,8 @@ impl Core {
             phase,
             started: now,
             drain_started: (phase == RmwPhase::Drain).then_some(now),
-            acquire_started: (phase == RmwPhase::Acquire).then_some(now),
+            drained: 0,
             lock_blocked_since: None,
-            pre_acquire_rawa: 0,
         });
         self.retire(now, shared);
     }
@@ -639,14 +652,6 @@ impl Core {
         self.pc += 1;
         self.stats.ops += 1;
         shared.last_progress = now;
-    }
-
-    /// Sets `busy_until` and arms the issue wakeup (clamped to `now + 1`:
-    /// an already-expired deadline still needs the next tick, exactly as
-    /// lockstep would take it).
-    fn set_busy(&mut self, now: Cycle, until: Cycle, shared: &mut Shared) {
-        self.busy_until = until;
-        shared.sched.wake_core(now, until.max(now + 1), self.id);
     }
 
     /// The write-buffer entries whose requests may be in flight: while an
@@ -723,7 +728,6 @@ impl Core {
                             shared.reset_requested = true;
                         }
                     }
-                    shared.sched.wake_core(now, until.max(now + 1), self.id);
                     rmw.phase = RmwPhase::WaitAcks { until };
                 } else {
                     rmw.phase = RmwPhase::CheckConflicts;
@@ -740,7 +744,6 @@ impl Core {
             }
             RmwPhase::CheckConflicts => {
                 self.take_arrived(now, shared);
-                rmw.pre_acquire_rawa = now - rmw.started;
                 // Deadlock safety only requires that no pending write waits
                 // on a line locked by *another* processor. A pending write
                 // to a line this core itself holds locked (its own earlier
@@ -759,24 +762,22 @@ impl Core {
                     rmw.drain_started = Some(now);
                     rmw.phase = RmwPhase::Drain;
                 } else {
-                    rmw.acquire_started = Some(now);
                     rmw.phase = RmwPhase::Acquire;
                 }
                 shared.last_progress = now;
             }
             RmwPhase::Drain => {
                 if self.wb.is_empty() {
-                    let started = rmw.drain_started.expect("drain phase has a start");
+                    let started = rmw.drain_started.take().expect("drain phase has a start");
                     self.stats.rmw_cost.write_buffer_cycles += now - started;
+                    rmw.drained += now - started;
                     if config.rmw_atomicity == Atomicity::Type1 {
                         self.stats.rmw_drains += 1;
                     }
-                    rmw.drain_started = None;
-                    rmw.acquire_started = Some(now);
                     rmw.phase = RmwPhase::Acquire;
                     shared.last_progress = now;
                 } else {
-                    // Waiting on our own buffer: completions are armed.
+                    // Waiting on our own buffer.
                     self.rmw = Some(rmw);
                     return false;
                 }
@@ -803,7 +804,6 @@ impl Core {
                 if let Some(since) = rmw.lock_blocked_since.take() {
                     self.stats.lock_retries += now - since;
                 }
-                shared.sched.wake_core(now, done.max(now + 1), self.id);
                 rmw.phase = RmwPhase::Finish { at: done };
                 shared.last_progress = now;
             }
@@ -814,9 +814,8 @@ impl Core {
                 }
                 // The Wa of a type-2/3 RMW retires into the write buffer;
                 // if the buffer is full the RMW stays in flight and the
-                // stall is attributed when the slot frees (our own
-                // completion events wake us). Checked before the read half
-                // commits so nothing needs undoing.
+                // stall is attributed when the slot frees. Checked before
+                // the read half commits so nothing needs undoing.
                 if config.rmw_atomicity != Atomicity::Type1
                     && self.wb.len() >= config.write_buffer_entries
                 {
@@ -845,18 +844,16 @@ impl Core {
                         .write(self.id, rmw.line, now)
                         .expect("holder's own write cannot be denied");
                     shared.release_lock(self.id, rmw.line, now);
-                    self.set_busy(now, done, shared);
+                    self.busy_until = done;
                 } else {
                     if let Some(since) = self.wb_stall_since.take() {
                         self.stats.wb_full_stalls += now - since;
                     }
                     self.wb.push(rmw.addr, new, rmw.line, true);
-                    self.set_busy(now, now + 1, shared);
+                    self.busy_until = now + 1;
                 }
 
-                let acquire_started = rmw.acquire_started.expect("acquire phase ran");
-                self.stats.rmw_cost.ra_wa_cycles +=
-                    (now - acquire_started) + rmw.pre_acquire_rawa + 1;
+                self.stats.rmw_cost.ra_wa_cycles += now + 1 - rmw.started - rmw.drained;
                 // Wake-to-acquire: the first RMW a core completes after a
                 // futex resume is (in every zoo kernel) its lock
                 // re-acquisition — the handoff latency of Fig.-style

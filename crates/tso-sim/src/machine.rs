@@ -7,9 +7,9 @@
 //! [`crate::sched`] for the exactness contract and
 //! `tests/engine_equiv.rs` for the suite that enforces it. The event
 //! engine keeps no wake list of its own: each cycle it ticks the cores the
-//! scheduler hands out, and every wakeup — a core's own deadlines, a
-//! futex wake, a line-lock release waking that lock's waiters — is armed
-//! in the scheduler by the tick that causes it.
+//! scheduler hands out and arms each one at the cycle its state names
+//! (`Core::next_wake`); a futex wake or a line-lock release arms the
+//! cores it wakes.
 
 use crate::config::{SimConfig, StepMode};
 use crate::core::{Core, FutexTable, Shared};
@@ -237,15 +237,20 @@ impl Machine {
         }
     }
 
-    /// Ticks one core and maintains the live count (the core arms its own
-    /// follow-up wakeups, and those of the cores it wakes).
+    /// Ticks one core, maintains the live count and arms the core's next
+    /// wake (the tick itself arms the cores it wakes).
     fn tick_core(&mut self, i: usize) {
-        let acted = self.cores[i].tick(self.now, &mut self.shared, &self.config);
+        let core = &mut self.cores[i];
+        let acted = core.tick(self.now, &mut self.shared, &self.config);
         self.engine.ticks += 1;
         self.engine.acting_ticks += u64::from(acted);
-        if acted && self.live[i] && self.cores[i].done() {
+        if acted && self.live[i] && core.done() {
             self.live[i] = false;
             self.num_live -= 1;
+        }
+        let at = core.next_wake(self.now, &self.shared, &self.config);
+        if at != Cycle::MAX {
+            self.shared.sched.wake_core(self.now, at, i);
         }
     }
 
@@ -907,6 +912,57 @@ mod tests {
             // The wake drained the waker's buffer first, so the sleeper's
             // post-resume read observes the store that preceded the wake.
             assert_eq!(r.reads[0], vec![7], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn waits_past_the_horizon_wake_early_and_never_late() {
+        // The scheduler arms at most 511 cycles ahead, so a longer wait
+        // reaches its deadline through early wakes, each re-armed from the
+        // core's state. A 100,000-cycle `Compute` between a store and an
+        // RMW; futex resumes 511, 512 and 2,000 cycles after the wake, the
+        // sleeper's `FutexWait` being the last op of its trace. Each run
+        // equals lockstep's, and the event engine's ticks exceed its
+        // acting ticks by at most one early wake per 511 cycles.
+        let (flag, x) = (addr(0), addr(1));
+        for a in Atomicity::ALL {
+            let run = |futex_latency: Cycle, traces: Vec<Trace>| {
+                let mut cfg = SimConfig::small(2);
+                cfg.rmw_atomicity = a;
+                cfg.futex_latency = futex_latency;
+                cfg.deadlock_threshold = 200_000;
+                let ev = Machine::new(cfg, traces.clone()).run();
+                cfg.step_mode = StepMode::Lockstep;
+                let ls = Machine::new(cfg, traces).run();
+                assert_eq!(ev.first_difference(&ls), None, "{a} {futex_latency}");
+                assert!(!ev.deadlocked && !ev.truncated, "{a} {futex_latency}");
+                let idle = ev.engine.ticks - ev.engine.acting_ticks;
+                assert!(
+                    idle <= ev.stats.cycles / 511 + 2,
+                    "{a} {futex_latency}: {idle} idle ticks in {} cycles",
+                    ev.stats.cycles
+                );
+                ev
+            };
+            let long = Trace::new(vec![
+                Op::write(x, 1),
+                Op::Compute(100_000),
+                Op::rmw(x),
+                Op::read(x),
+            ]);
+            let r = run(30, vec![long]);
+            assert_eq!(r.reads[0], vec![1, 2], "{a}");
+            assert!(r.stats.cycles > 100_000, "{a}");
+            for futex_latency in [511, 512, 2_000] {
+                let sleeper = Trace::new(vec![Op::rmw(x), Op::FutexWait(flag, Src::Imm(0))]);
+                let waker = Trace::new(vec![Op::Compute(1_000), Op::FutexWake(flag, 1)]);
+                let r = run(futex_latency, vec![sleeper, waker]);
+                assert_eq!(r.stats.futex_wakeups, 1, "{a} {futex_latency}");
+                assert!(
+                    r.stats.cycles > 1_000 + futex_latency,
+                    "{a} {futex_latency}"
+                );
+            }
         }
     }
 

@@ -3,13 +3,11 @@
 //! The lockstep engine advances time by ticking every core every cycle; at
 //! paper scale (300-cycle memory, 32 cores) almost all of those ticks are
 //! idle stall-waiting. The event-driven engine instead keeps a queue of
-//! core wakeups keyed by cycle: whenever a core computes a completion
-//! time — instruction-ready (`busy_until`), a write-buffer request arrival
-//! or transaction completion, a broadcast-ack deadline, an RMW `Finish`
-//! time — it arms a wakeup for itself at that cycle, and a futex wake or a
-//! line-lock release arms one for each core it wakes. `Machine::run` jumps
-//! `now` straight to the earliest armed cycle and ticks **only the due
-//! cores**, lowest id first.
+//! core wakeups keyed by cycle. After each tick the machine arms the
+//! ticked core at the cycle its state says it can next act
+//! (`Core::next_wake`), and a futex wake or a line-lock release arms one
+//! for each core it wakes. `Machine::run` jumps `now` straight to the
+//! earliest armed cycle and ticks **only the due cores**, lowest id first.
 //!
 //! Nothing else needs a wakeup. In particular a §3.2 broadcast copy waits
 //! on its receiver's arrival list until that core next reads its filter,
@@ -18,10 +16,12 @@
 //! # Queue structure
 //!
 //! The queue is a **calendar wheel** (bucket per cycle modulo the wheel
-//! size, with a bitmap for next-event scans) backed by a
-//! binary-heap overflow for arms beyond the wheel horizon. Every latency
-//! the Table 2 machine can produce (300-cycle memory + mesh traversals)
-//! fits the horizon, so in practice arming and visiting are O(1).
+//! size, with a bitmap for next-event scans). An arm past the wheel's
+//! horizon is clamped to it: the core wakes early, finds nothing to do,
+//! and re-arms from its state, so a long wait costs one idle tick per
+//! `WHEEL_SIZE - 1` cycles and no second structure. Every latency the
+//! Table 2 machine composes (300-cycle memory + mesh traversals) fits the
+//! horizon, so arming and visiting are O(1).
 //! Each bucket is a per-core **bitmap** rather than an event list:
 //! arming is a single OR (duplicates are absorbed for free), and visiting
 //! a cycle merges the bucket's words straight into the **due bitmap**,
@@ -29,20 +29,20 @@
 //! queue costs a fraction of a core tick even on kernels that arm
 //! millions of `now + 1` wakeups. A wake for the current cycle sets its
 //! bit in the due bitmap directly. Two invariants keep the wheel exact:
-//! every other arm is strictly in the future, and the machine visits
-//! *every* armed cycle, so a bucket is fully drained at its cycle and
-//! never holds entries from two different cycles.
+//! every other arm lies in `(now, now + WHEEL_SIZE)`, and the machine
+//! visits *every* armed cycle, so a bucket is fully drained at its cycle
+//! and never holds entries from two different cycles.
 //!
 //! # Exactness contract
 //!
 //! The engine remains **cycle-identical** to lockstep (asserted by
 //! `tests/engine_equiv.rs`) because skipped work is provably a no-op:
 //!
-//! 1. a core's tick can only *act* (mutate state or statistics) at a cycle
-//!    it armed for itself — every future deadline is armed when computed,
-//!    and a tick that acted arms `now + 1` for the same core whenever its
-//!    end-of-tick state demands a next-cycle action (phase-machine
-//!    advances, request sends and re-sends, fences over an empty buffer);
+//! 1. a core's tick can only *act* (mutate state or statistics) at or
+//!    after the cycle its own state names: after every tick the machine
+//!    arms `Core::next_wake`, the earliest cycle at which the core can act
+//!    without outside help, so a wake may come early (at the horizon, or
+//!    for a deadline that has since moved) but never late;
 //! 2. the one cross-core wait — a read or RMW acquisition blocked on a
 //!    *foreign* line lock — retries exactly when lockstep's per-cycle
 //!    retry could first succeed: only the release of that line's lock
@@ -53,19 +53,18 @@
 //!    an unlock first) are preserved bit-for-bit.
 //!
 //! [`Scheduler::next_cycle`] never returns a cycle at or before `now`
-//! (time is monotone) nor skips past an armed wakeup — both
-//! property-tested in `tests/engine_equiv.rs`.
+//! (time is monotone), never passes an armed wakeup, and visits an arm
+//! within the horizon at exactly its cycle — property-tested in
+//! `tests/engine_equiv.rs`.
 //!
 //! [`StepMode::EventDriven`]: crate::StepMode::EventDriven
 
 use interconnect::Cycle;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Wheel size in cycles. Must be a power of two, and comfortably larger
 /// than any single latency the machine composes (memory 300 + mesh round
-/// trips); longer waits (huge `Compute` bubbles, exotic configs) spill to
-/// the overflow heap.
+/// trips); a longer wait (a huge `Compute` bubble, a slow futex) is armed
+/// at the horizon, `WHEEL_SIZE - 1` cycles out, and re-armed from there.
 const WHEEL_SIZE: usize = 512;
 const WHEEL_MASK: u64 = WHEEL_SIZE as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SIZE / 64;
@@ -83,8 +82,8 @@ const BITMAP_WORDS: usize = WHEEL_SIZE / 64;
 /// (the bitmap absorbs them), missing ones are not — see the module docs
 /// for the exactness contract. A scheduler constructed disabled
 /// ([`Scheduler::new(false)`](Scheduler::new)) ignores all arms; the
-/// lockstep engine uses one so `Core` can arm unconditionally without
-/// filling a queue nobody drains.
+/// lockstep engine uses one so a lock release or a futex wake can arm
+/// unconditionally without filling a queue nobody drains.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     /// Occupancy bit per bucket.
@@ -101,14 +100,11 @@ pub struct Scheduler {
     /// from the bucket index, which the invariant makes unambiguous).
     #[cfg(debug_assertions)]
     bucket_cycle: Box<[Cycle; WHEEL_SIZE]>,
-    /// Arms at or beyond the wheel horizon, as `(cycle, core)`.
-    overflow: BinaryHeap<Reverse<(Cycle, usize)>>,
     /// The current cycle's due cores, one bit per core id.
     /// [`Scheduler::take_due`] hands them out lowest id first, so the
     /// tick order is sort-free and duplicate-free by construction.
     due_bits: Vec<u64>,
     enabled: bool,
-    pending: usize,
     armed: u64,
 }
 
@@ -122,26 +118,21 @@ impl Scheduler {
             core_words: 0,
             #[cfg(debug_assertions)]
             bucket_cycle: Box::new([0; WHEEL_SIZE]),
-            overflow: BinaryHeap::new(),
             due_bits: Vec::new(),
             enabled,
-            pending: 0,
             armed: 0,
         }
-    }
-
-    /// Whether this scheduler records events.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Arms a wakeup for `core` at `at`, from the tick executing at `now`.
     ///
     /// `at == now` makes `core` due in the current cycle. The machine takes
     /// due cores lowest id first, so a current-cycle wake must name a core
-    /// above the one ticking. A later `at` lands in the wheel (or, past its
-    /// horizon, the overflow heap), and the machine visits every armed
-    /// cycle — that keeps each bucket single-cycled.
+    /// above the one ticking. A later `at` lands in the wheel, clamped to
+    /// the horizon `now + WHEEL_SIZE - 1`: the woken core re-derives its
+    /// deadline when it ticks, so an early wake costs one idle tick and a
+    /// late one is never made. The machine visits every armed cycle —
+    /// that keeps each bucket single-cycled.
     pub fn wake_core(&mut self, now: Cycle, at: Cycle, core: usize) {
         if !self.enabled {
             return;
@@ -150,10 +141,8 @@ impl Scheduler {
         self.armed += 1;
         if at == now {
             self.mark_due(core);
-        } else if at - now >= WHEEL_SIZE as u64 {
-            self.overflow.push(Reverse((at, core)));
-            self.pending += 1;
         } else {
+            let at = at.min(now + WHEEL_MASK);
             let idx = (at & WHEEL_MASK) as usize;
             #[cfg(debug_assertions)]
             {
@@ -169,10 +158,7 @@ impl Scheduler {
                 self.core_words = w + 1;
                 self.wheel_bits.resize(self.core_words * WHEEL_SIZE, 0);
             }
-            let word = &mut self.wheel_bits[w * WHEEL_SIZE + idx];
-            let bit = 1u64 << (core % 64);
-            self.pending += usize::from(*word & bit == 0);
-            *word |= bit;
+            self.wheel_bits[w * WHEEL_SIZE + idx] |= 1 << (core % 64);
             self.bitmap[idx / 64] |= 1 << (idx % 64);
         }
     }
@@ -200,34 +186,15 @@ impl Scheduler {
     /// it, with every wakeup armed for it in the due bitmap. Returns
     /// `None` when nothing is armed — for the machine that means no tick
     /// can ever change state again (completion or wedge).
-    ///
-    /// A core due at that cycle is taken at the same position whether its
-    /// arm sat in a wheel bucket or spilled to the overflow heap, so the
-    /// tick order does not depend on how far ahead a wakeup was armed.
     pub fn next_cycle(&mut self, now: Cycle) -> Option<Cycle> {
-        let wheel = self.next_bucket_cycle(now);
-        let spilled = self.overflow.peek().map(|&Reverse((at, _))| at);
-        let at = wheel.into_iter().chain(spilled).min()?;
-        debug_assert!(at > now, "an arm was not visited at its cycle");
-        if wheel == Some(at) {
-            let idx = (at & WHEEL_MASK) as usize;
-            self.bitmap[idx / 64] &= !(1 << (idx % 64));
-            if self.due_bits.len() < self.core_words {
-                self.due_bits.resize(self.core_words, 0);
-            }
-            for cw in 0..self.core_words {
-                let cell = std::mem::take(&mut self.wheel_bits[cw * WHEEL_SIZE + idx]);
-                self.pending -= cell.count_ones() as usize;
-                self.due_bits[cw] |= cell;
-            }
+        let at = self.next_bucket_cycle(now)?;
+        let idx = (at & WHEEL_MASK) as usize;
+        self.bitmap[idx / 64] &= !(1 << (idx % 64));
+        if self.due_bits.len() < self.core_words {
+            self.due_bits.resize(self.core_words, 0);
         }
-        while let Some(&Reverse((t, core))) = self.overflow.peek() {
-            if t > at {
-                break;
-            }
-            self.overflow.pop();
-            self.pending -= 1;
-            self.mark_due(core);
+        for cw in 0..self.core_words {
+            self.due_bits[cw] |= std::mem::take(&mut self.wheel_bits[cw * WHEEL_SIZE + idx]);
         }
         Some(at)
     }
@@ -261,12 +228,6 @@ impl Scheduler {
         None
     }
 
-    /// Wakeups armed for a later cycle and not yet moved to the due
-    /// bitmap.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// Total events armed so far.
     pub fn armed(&self) -> u64 {
         self.armed
@@ -287,8 +248,6 @@ mod tests {
         let mut s = Scheduler::new(false);
         s.wake_core(0, 5, 0);
         s.wake_core(0, 0, 1);
-        assert!(!s.enabled());
-        assert_eq!(s.pending(), 0);
         assert_eq!(s.armed(), 0);
         assert_eq!(s.take_due(), None);
         assert_eq!(s.next_cycle(0), None);
@@ -306,21 +265,23 @@ mod tests {
         assert_eq!(s.armed(), 4);
         assert_eq!(s.next_cycle(10), Some(20));
         assert_eq!(take_all(&mut s), vec![0]);
-        assert_eq!(s.pending(), 0);
         assert_eq!(s.next_cycle(20), None);
     }
 
     #[test]
-    fn far_future_arms_spill_to_the_overflow() {
+    fn a_far_arm_wakes_at_the_horizon() {
+        // An arm past the wheel lands `WHEEL_SIZE - 1` cycles out, after
+        // every nearer one; an arm at the horizon itself is exact.
         let mut s = Scheduler::new(true);
-        let far = 3 + 10 * WHEEL_SIZE as u64;
-        s.wake_core(3, far, 2);
+        let horizon = 3 + WHEEL_SIZE as u64 - 1;
+        s.wake_core(3, 3 + 10 * WHEEL_SIZE as u64, 2);
+        s.wake_core(3, horizon, 7);
         s.wake_core(3, 4, 5);
         assert_eq!(s.next_cycle(3), Some(4));
         assert_eq!(take_all(&mut s), vec![5]);
-        assert_eq!(s.next_cycle(4), Some(far));
-        assert_eq!(take_all(&mut s), vec![2]);
-        assert_eq!(s.pending(), 0);
+        assert_eq!(s.next_cycle(4), Some(horizon));
+        assert_eq!(take_all(&mut s), vec![2, 7]);
+        assert_eq!(s.next_cycle(horizon), None);
     }
 
     #[test]
@@ -336,32 +297,7 @@ mod tests {
         }
         assert_eq!(s.next_cycle(0), Some(7));
         assert_eq!(take_all(&mut s), (0..256).collect::<Vec<_>>());
-        assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn wheel_and_overflow_arms_drain_in_the_same_order() {
-        // The same set of (cycle, core) arms must tick in the same order
-        // whether each arm sat in a wheel bucket or spilled to the
-        // overflow heap — the drain order is a function of the armed set,
-        // not of the horizon the arm happened to land on.
-        let at = 600u64;
-        let cores = [9usize, 2, 7, 2, 0, 31, 7];
-        let mut wheel = Scheduler::new(true);
-        let mut spilled = Scheduler::new(true);
-        for &c in &cores {
-            // now_hint 200: at - 200 < WHEEL_SIZE, lands in a bucket.
-            wheel.wake_core(200, at, c);
-            // now_hint 0: at - 0 >= WHEEL_SIZE, spills to the heap.
-            spilled.wake_core(0, at, c);
-        }
-        assert_eq!(wheel.next_cycle(200), Some(at));
-        assert_eq!(spilled.next_cycle(0), Some(at));
-        let (a, b) = (take_all(&mut wheel), take_all(&mut spilled));
-        assert_eq!(a, b);
-        assert_eq!(a, vec![0, 2, 7, 9, 31]);
-        assert_eq!(wheel.pending(), 0);
-        assert_eq!(spilled.pending(), 0);
+        assert_eq!(s.next_cycle(7), None);
     }
 
     #[test]
@@ -375,7 +311,7 @@ mod tests {
             assert_eq!(take_all(&mut s), vec![(round % 5) as usize]);
             now = at;
         }
-        assert_eq!(s.pending(), 0);
+        assert_eq!(s.next_cycle(now), None);
     }
 
     #[test]

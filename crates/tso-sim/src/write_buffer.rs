@@ -94,6 +94,24 @@ impl WriteBuffer {
         self.denied || self.sent < window
     }
 
+    /// The first cycle at which a sent request can be accepted or the head
+    /// popped: the first in-flight request's arrival or the accepted
+    /// head's completion, whichever comes first; `Cycle::MAX` when neither
+    /// exists. (A denied head is not in flight: it waits to be re-sent.)
+    pub fn next_deadline(&self) -> Cycle {
+        let completes = if self.accepted > 0 {
+            self.entries[0].done
+        } else {
+            Cycle::MAX
+        };
+        let arrives = if self.accepted < self.sent && !self.denied {
+            self.entries[self.accepted].arrives
+        } else {
+            Cycle::MAX
+        };
+        completes.min(arrives)
+    }
+
     /// The lines of every buffered store, oldest first.
     pub fn lines(&self) -> impl Iterator<Item = CacheLine> + '_ {
         self.entries.iter().map(|e| e.line)
@@ -141,7 +159,6 @@ impl WriteBuffer {
                 };
                 shared.memory.insert(e.addr, e.value);
                 e.done = done;
-                shared.sched.wake_core(now, done.max(now + 1), id);
                 self.accepted += 1;
             }
         }
@@ -156,9 +173,6 @@ impl WriteBuffer {
     fn send(&mut self, i: usize, id: usize, now: Cycle, shared: &mut Shared) {
         let e = &mut self.entries[i];
         e.arrives = now + shared.coherence.request_latency(id, e.line);
-        // Clamped like every arm: a zero-latency arrival is still acted on
-        // at the next tick, as in lockstep.
-        shared.sched.wake_core(now, e.arrives.max(now + 1), id);
     }
 
     /// Pops the head if its write has completed by `now`.

@@ -21,16 +21,19 @@
 //!   `last_progress + threshold + 1` watchdog edge and the `max_cycles`
 //!   truncation boundary;
 //! * random traces (proptest) over all atomicities;
-//! * scheduler-level properties: time never moves backwards, never skips
-//!   past an armed wakeup, and drains the same-cycle due set in the same
-//!   order whether the arms landed in a wheel bucket or in the overflow
-//!   heap.
+//! * scheduler-level properties: time never moves backwards, no wake is
+//!   ever late, and wakes are exact within the wheel's horizon (an arm
+//!   past it wakes the core at the horizon, to re-arm from there).
 
 use proptest::prelude::*;
 use rmw_types::{Addr, Atomicity, RmwKind};
 use tso_sim::{
     lower_with_line_size, Machine, Op, Scheduler, SimConfig, SimResult, Src, StepMode, Trace,
 };
+
+/// How far ahead the scheduler arms a wake: one cycle short of its
+/// 512-cycle wheel.
+const HORIZON: u64 = 511;
 
 /// Takes every core due in the scheduler's current cycle, in order.
 fn take_all(sched: &mut Scheduler) -> Vec<usize> {
@@ -238,8 +241,8 @@ fn fig10_deadlock_is_engine_equivalent() {
 fn zero_latency_config_terminates_and_is_engine_equivalent() {
     // Degenerate all-zero latencies make coherence transactions complete
     // in the cycle they issue; every event arm must still land strictly
-    // in the future (the `.max(now + 1)` clamps), or the event engine
-    // would never advance time.
+    // in the future (`Core::next_wake` names no cycle before `now + 1`),
+    // or the event engine would never advance time.
     let mut cfg = SimConfig::small(2);
     cfg.coherence.l1_latency = 0;
     cfg.coherence.l2_latency = 0;
@@ -443,99 +446,82 @@ proptest! {
         }
     }
 
-    /// Scheduler property: `next_cycle` is strictly monotone (time never
-    /// moves backwards) and never skips past an armed wakeup — every armed
-    /// cycle in the future is visited, in order, with its due cores
-    /// reported exactly once in ascending id order.
+    /// Scheduler property: time never goes backwards, no wake is ever
+    /// late, and wakes are exact within the horizon. Each arm wakes its
+    /// core at its deadline or, past the wheel's horizon, `HORIZON`
+    /// cycles after it was armed; a woken core re-arms every deadline it
+    /// still has ahead, as `Core::next_wake` re-derives one, so a far
+    /// deadline is reached through early wakes. Every visited cycle's due
+    /// set is exactly the cores armed for it, in ascending id order.
     #[test]
     fn scheduler_never_regresses_nor_skips(
-        arms in proptest::collection::vec((1u64..2_000, 0usize..7), 1..60),
+        deadlines in proptest::collection::vec((1u64..2_000, 0usize..7), 1..60),
     ) {
         let mut sched = Scheduler::new(true);
-        for &(at, core) in &arms {
+        // The wake each live arm must produce, with its core.
+        let mut wakes: Vec<(u64, usize)> = Vec::new();
+        for &(at, core) in &deadlines {
             sched.wake_core(0, at, core);
+            wakes.push((at.min(HORIZON), core));
         }
-        let mut expected: Vec<u64> = arms.iter().map(|&(at, _)| at).collect();
-        expected.sort_unstable();
-        expected.dedup();
         let mut now = 0u64;
-        let mut visited = Vec::new();
         while let Some(next) = sched.next_cycle(now) {
             prop_assert!(next > now, "time moved backwards: {now} -> {next}");
-            visited.push(next);
             now = next;
+            prop_assert!(wakes.iter().all(|&(w, _)| w >= now), "a wake was skipped");
             let due = take_all(&mut sched);
-            let mut want: Vec<usize> = arms
+            let mut want: Vec<usize> = wakes
                 .iter()
-                .filter(|&&(at, _)| at == now)
+                .filter(|&&(w, _)| w == now)
                 .map(|&(_, core)| core)
                 .collect();
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(&due, &want, "due set wrong at {}", now);
+            wakes.retain(|&(w, _)| w > now);
+            for &(at, core) in &deadlines {
+                prop_assert!(at != now || due.contains(&core), "core {} late for {}", core, at);
+                if at > now && due.contains(&core) {
+                    sched.wake_core(now, at, core);
+                    wakes.push((at.min(now + HORIZON), core));
+                }
+            }
         }
-        prop_assert_eq!(visited, expected, "armed wakeups skipped or invented");
-        prop_assert_eq!(sched.pending(), 0);
+        prop_assert!(wakes.is_empty(), "armed wakeups skipped");
+        prop_assert!(deadlines.iter().all(|&(at, _)| at <= now), "a deadline never came");
     }
 
-    /// Arms landing at the same cycle drain in the same ascending-id tick
-    /// order whether they sit in a wheel bucket (armed near the target) or
-    /// spilled to the overflow heap (armed from beyond the wheel horizon)
-    /// — the batched bitmap drain makes the order canonical by
-    /// construction, so the machine's tick order cannot depend on how far
-    /// in advance an event was armed.
-    #[test]
-    fn wheel_and_overflow_drains_are_order_identical(
-        cores in proptest::collection::vec(0usize..200, 1..40),
-        at in 600u64..5_000,
-    ) {
-        let mut wheel = Scheduler::new(true);
-        let mut overflow = Scheduler::new(true);
-        for &core in &cores {
-            // Armed one cycle out: lands in a wheel bucket.
-            wheel.wake_core(at - 1, at, core);
-            // Armed from cycle 0: beyond the horizon, lands in the
-            // overflow heap.
-            overflow.wake_core(0, at, core);
-        }
-        prop_assert_eq!(wheel.next_cycle(at - 1), Some(at));
-        prop_assert_eq!(overflow.next_cycle(0), Some(at));
-        let (wd, od) = (take_all(&mut wheel), take_all(&mut overflow));
-        let mut want = cores.clone();
-        want.sort_unstable();
-        want.dedup();
-        prop_assert_eq!(&wd, &want, "wheel drain order not ascending ids");
-        prop_assert_eq!(wd, od, "tick order depends on arm distance");
-        prop_assert_eq!(wheel.pending(), 0);
-        prop_assert_eq!(overflow.pending(), 0);
-    }
-
-    /// Late arms interleaved with visits (the machine's actual usage
-    /// pattern) still never pull time backwards or past a pending arm —
-    /// including arms beyond the wheel horizon.
+    /// Arms interleaved with visits (the machine's actual usage pattern)
+    /// keep the same three properties: the next cycle is the earliest
+    /// live wake, a deadline within the horizon is met exactly, and one
+    /// past it is met through re-arms from each early wake.
     #[test]
     fn scheduler_interleaved_arms_stay_monotone(
         steps in proptest::collection::vec((1u64..2_000, any::<bool>()), 1..80),
     ) {
         let mut sched = Scheduler::new(true);
         let mut now = 0u64;
-        let mut pending: Vec<u64> = Vec::new();
+        // Live arms of core 0 as (wake, deadline).
+        let mut arms: Vec<(u64, u64)> = Vec::new();
         for (delta, advance) in steps {
             if advance {
                 let next = sched.next_cycle(now);
-                pending.sort_unstable();
-                pending.dedup();
-                prop_assert_eq!(next, pending.first().copied(), "wrong next wakeup");
+                prop_assert_eq!(next, arms.iter().map(|&(w, _)| w).min(), "wrong next wakeup");
                 if let Some(t) = next {
                     prop_assert!(t > now);
                     now = t;
                     prop_assert_eq!(take_all(&mut sched), vec![0], "due set wrong at {}", now);
-                    pending.retain(|&p| p > now);
+                    let woken: Vec<u64> = arms.iter().filter(|&&(w, _)| w == now).map(|&(_, d)| d).collect();
+                    arms.retain(|&(w, _)| w > now);
+                    for deadline in woken.into_iter().filter(|&d| d > now) {
+                        sched.wake_core(now, deadline, 0);
+                        arms.push((deadline.min(now + HORIZON), deadline));
+                    }
                 }
             } else {
                 let at = now + delta;
                 sched.wake_core(now, at, 0);
-                pending.push(at);
+                arms.push((at.min(now + HORIZON), at));
             }
         }
     }
