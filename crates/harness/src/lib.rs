@@ -3,14 +3,16 @@
 //! Every litmus test is run two ways and the results are compared:
 //!
 //! 1. **Model verdict** — [`Litmus::check`] on the streaming axiomatic
-//!    search, against the test's expectation (with a witness execution
-//!    attached to any failure);
-//! 2. **Differential check** — for each of the three RMW atomicities, the
-//!    program is rewritten to that atomicity
-//!    ([`Program::with_atomicity`](tso_model::Program::with_atomicity)),
-//!    lowered onto simulator traces ([`tso_sim::lower()`]), executed on the
-//!    timing machine configured to match, and the simulator's outcome
-//!    (read values *and* final memory) must be in the model's allowed set.
+//!    search, against the test's expectation (with the counterexample
+//!    execution attached when a forbidden outcome is observed);
+//! 2. **Differential check** — the program is lowered once onto simulator
+//!    traces ([`tso_sim::lower()`]; an RMW's atomicity is a machine
+//!    setting, so the traces serve all three), and for each of the three
+//!    RMW atomicities the timing machine configured to that atomicity runs
+//!    them. The simulator's outcome (read values *and* final memory) must
+//!    be in the model's allowed set for the program rewritten to that
+//!    atomicity
+//!    ([`Program::with_atomicity`](tso_model::Program::with_atomicity)).
 //!
 //! The batch runner ([`run_batch`]) distributes tests over the shared
 //! [`exec_pool`] worker pool — tests are pulled from a shared queue, so an
@@ -146,8 +148,9 @@ pub struct TestOutcome {
     pub observed_allowed: bool,
     /// Model verdict matched the expectation.
     pub model_passed: bool,
-    /// Human-readable failure report (with witness execution) when the
-    /// model verdict failed.
+    /// Human-readable failure report (with the counterexample execution
+    /// when a forbidden outcome was observed) when the model verdict
+    /// failed.
     pub failure_detail: Option<String>,
     /// Differential comparison per atomicity (type-1, type-2, type-3).
     pub differential: Vec<DiffOutcome>,
@@ -274,15 +277,21 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
     let mut model_queries = 1u32;
     let mut model_cache_hits = u32::from(check.cache_hit);
 
+    // Lowering drops `Instr::Rmw`'s atomicity (the machine's
+    // `rmw_atomicity` decides it), so one set of traces serves all three
+    // machines; only the model query needs the rewritten program.
+    let base = machine.config(l.program.num_threads());
+    let line_size = base.line_size;
+    let traces = lower_with_line_size(&l.program, line_size);
     let mut differential = Vec::with_capacity(Atomicity::ALL.len());
     for atomicity in Atomicity::ALL {
-        let prog = l.program.with_atomicity(atomicity);
-        let mut cfg = machine.config(prog.num_threads());
-        cfg.rmw_atomicity = atomicity;
-        let line_size = cfg.line_size;
-        let result = Machine::new(cfg, lower_with_line_size(&prog, line_size)).run();
+        let cfg = SimConfig {
+            rmw_atomicity: atomicity,
+            ..base
+        };
+        let result = Machine::new(cfg, traces.clone()).run();
         let sim_reads: Vec<Value> = result.reads.iter().flatten().copied().collect();
-        let allowed = allowed_outcomes_cached(&prog);
+        let allowed = allowed_outcomes_cached(&l.program.with_atomicity(atomicity));
         model_stats.absorb(&allowed.stats);
         model_queries += 1;
         model_cache_hits += u32::from(allowed.hit);

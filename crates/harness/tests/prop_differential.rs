@@ -1,15 +1,11 @@
-//! Property-based differential tests:
-//!
-//! 1. for random well-formed programs, the deterministic simulator outcome
-//!    under each of the three atomicities is in the axiomatic model's
-//!    allowed set (reads *and* final memory);
-//! 2. the litmus text format's `parse ∘ print` is the identity on
-//!    generated tests.
+//! Property-based differential test: for random well-formed programs, the
+//! deterministic simulator outcome under each of the three atomicities is
+//! in the axiomatic model's allowed set (reads *and* final memory).
 //!
 //! Programs are drawn through `litmus::gen`'s seeded generator (the same
 //! one the corpus uses), so proptest only has to supply seeds.
 
-use litmus::{fmt, gen};
+use litmus::gen;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,38 +98,6 @@ proptest! {
                 "{atomicity}, seed {seed}: sim outcome {sim_reads:?} not in model set {:?}",
                 allowed.iter().map(|o| o.read_values()).collect::<Vec<_>>()
             );
-        }
-    }
-
-    /// `parse(print(t)) == t` and the reprint is byte-identical, for
-    /// generated litmus tests (random programs, targets, verdicts).
-    #[test]
-    fn fmt_parse_print_is_identity_on_generated_tests(
-        seed in 0u64..1_000_000,
-        index in 0usize..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = gen::random_litmus(&mut rng, index);
-        let printed = fmt::print(&t);
-        let reparsed = fmt::parse(&printed)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{printed}"));
-        prop_assert_eq!(&reparsed, &t, "structural round trip, seed {}", seed);
-        prop_assert_eq!(fmt::print(&reparsed), printed, "byte round trip, seed {}", seed);
-    }
-
-    /// The generated-family corpus entries also survive the text format —
-    /// including names with spaces and every atomicity spelling.
-    #[test]
-    fn fmt_round_trips_the_family_corpus(n in 2usize..6) {
-        for t in [
-            gen::sb_ring(n),
-            gen::mp_chain(n),
-            gen::lb_ring(n),
-            gen::two_two_w_ring(n),
-            gen::dekker_rounds(2, 1, Atomicity::Type2, gen::DekkerFlavor::WriteReplacement),
-        ] {
-            let printed = fmt::print(&t);
-            prop_assert_eq!(&fmt::parse(&printed).expect("parses"), &t);
         }
     }
 }

@@ -43,12 +43,7 @@ fn x(i: usize) -> Addr {
 /// consult later for the same program, so verdict derivation at
 /// generation time doubles as cache warm-up instead of duplicated work.
 fn expect_from_model(program: &Program, target: &Target) -> Expect {
-    let cached = allowed_outcomes_cached(program);
-    if cached
-        .outcomes
-        .iter()
-        .any(|o| target.matches(&o.read_values()))
-    {
+    if target.observed_in(&allowed_outcomes_cached(program)) {
         Expect::Allowed
     } else {
         Expect::Forbidden

@@ -25,11 +25,11 @@
 
 use rmw_types::{Atomicity, Value};
 use tso_model::{
-    allowed_outcomes_cached, find_execution, CandidateExecution, Program, SearchStats,
+    allowed_outcomes_cached, find_execution, CachedOutcomes, CandidateExecution, Program,
+    SearchStats,
 };
 
 pub mod classic;
-pub mod fmt;
 pub mod gen;
 pub mod paper;
 
@@ -64,6 +64,15 @@ impl Target {
     /// Panics if a constraint index is out of bounds for `reads`.
     pub fn matches(&self, reads: &[Value]) -> bool {
         self.0.iter().all(|&(i, v)| reads[i] == v)
+    }
+
+    /// True iff some outcome in `cached` satisfies the target: the one
+    /// membership question every verdict in this crate asks.
+    pub(crate) fn observed_in(&self, cached: &CachedOutcomes) -> bool {
+        cached
+            .outcomes
+            .iter()
+            .any(|o| self.matches(&o.read_values()))
     }
 }
 
@@ -101,11 +110,12 @@ pub struct CheckResult {
     pub expect: Expect,
     /// `observed == expected`.
     pub passed: bool,
-    /// When the target outcome was observed, the valid execution exhibiting
-    /// it — `rf`, `ws`, and resolved read values. `None` exactly when
-    /// `observed_allowed` is false (non-observation has no single-execution
-    /// witness). In particular, a **failed** `Forbidden` expectation always
-    /// carries the counterexample execution.
+    /// When a `Forbidden` expectation is contradicted, the valid execution
+    /// exhibiting the target — `rf`, `ws`, and resolved read values — that
+    /// [`report`](Self::report) prints. `None` on every other check, so a
+    /// passing check costs one outcome-set lookup and no search; code that
+    /// wants the execution behind an allowed outcome calls
+    /// [`find_execution`] itself.
     pub witness: Option<CandidateExecution>,
     /// Stats of the model search behind this verdict. On a cache hit the
     /// numbers are *attributed* — the search ran once, when the program's
@@ -126,8 +136,9 @@ pub struct CheckResult {
 }
 
 impl CheckResult {
-    /// Human-readable verdict, including the witness execution (its `rf`,
-    /// `ws`, and read values) whenever the target outcome was observed.
+    /// Human-readable verdict, including the counterexample execution (its
+    /// `rf`, `ws`, and read values) when a `Forbidden` expectation was
+    /// contradicted.
     pub fn report(&self) -> String {
         let mut s = format!(
             "{}: expected {}, model observed allowed={} — {}",
@@ -156,23 +167,12 @@ impl Litmus {
     /// proven once per equivalence class, and the target is tested against
     /// that set. Checking the same program again — or any of its permuted
     /// siblings, or its `with_atomicity` rewrites when it has no RMWs —
-    /// costs a lookup, not a search. When the target is observed, a
-    /// concrete witness execution is recovered with an early-exit
-    /// [`find_execution`] and kept as [`CheckResult::witness`].
+    /// costs a lookup, not a search. Only a contradicted `Forbidden`
+    /// expectation searches again, with an early-exit [`find_execution`],
+    /// for the counterexample kept as [`CheckResult::witness`].
     pub fn check(&self) -> CheckResult {
         let cached = allowed_outcomes_cached(&self.program);
-        let observed_allowed = cached
-            .outcomes
-            .iter()
-            .any(|o| self.target.matches(&o.read_values()));
-        let witness = if observed_allowed {
-            Some(
-                find_execution(&self.program, |reads| self.target.matches(reads))
-                    .expect("an observed outcome has a witness execution"),
-            )
-        } else {
-            None
-        };
+        let observed_allowed = self.target.observed_in(&cached);
         // Budget-truncated outcome sets are sound subsets: observation is
         // conclusive, non-observation is not (see `CheckResult::unknown`).
         let unknown = cached.unknown && !observed_allowed;
@@ -181,6 +181,10 @@ impl Litmus {
                 Expect::Allowed => observed_allowed,
                 Expect::Forbidden => !observed_allowed,
             };
+        let witness = (self.expect == Expect::Forbidden && observed_allowed).then(|| {
+            find_execution(&self.program, |reads| self.target.matches(reads))
+                .expect("an observed outcome has a witness execution")
+        });
         CheckResult {
             name: self.name.clone(),
             observed_allowed,
@@ -234,10 +238,7 @@ pub fn table1() -> Vec<Table1Row> {
 }
 
 fn observed(l: Litmus) -> bool {
-    allowed_outcomes_cached(&l.program)
-        .outcomes
-        .iter()
-        .any(|o| l.target.matches(&o.read_values()))
+    l.target.observed_in(&allowed_outcomes_cached(&l.program))
 }
 
 #[cfg(test)]
@@ -265,28 +266,30 @@ mod tests {
         assert!(failures.is_empty());
     }
 
+    /// A check carries a witness exactly when a `Forbidden` expectation is
+    /// contradicted: the one case with a counterexample to print.
     #[test]
     fn check_attaches_a_witness_exactly_when_observed() {
-        // Allowed + observed: SB carries a witness matching the target.
-        let sb = classic::sb();
-        let r = sb.check();
+        // Allowed + observed: passes on the lookup alone, no witness.
+        let r = classic::sb().check();
         assert!(r.passed && r.observed_allowed);
-        let w = r
-            .witness
-            .as_ref()
-            .expect("observed outcome must carry a witness");
-        assert!(sb.target.matches(&w.read_values()));
-        assert!(r.report().contains("witness execution"));
-        assert!(r.report().contains("rf:"), "witness report shows rf edges");
+        assert!(r.witness.is_none());
+        assert!(!r.report().contains("witness execution"));
 
         // Forbidden + not observed: no witness, report has no execution.
-        let mp = classic::mp();
-        let r = mp.check();
+        let r = classic::mp().check();
         assert!(r.passed && !r.observed_allowed);
         assert!(r.witness.is_none());
         assert!(!r.report().contains("witness execution"));
 
-        // A *failing* Forbidden expectation carries the counterexample.
+        // A contradicted Allowed expectation has no execution to show.
+        let mut unmet = classic::mp();
+        unmet.expect = Expect::Allowed;
+        let r = unmet.check();
+        assert!(!r.passed && !r.observed_allowed);
+        assert!(r.witness.is_none());
+
+        // A contradicted Forbidden expectation carries the counterexample.
         let mut broken = classic::sb();
         broken.expect = Expect::Forbidden;
         let r = broken.check();
@@ -295,8 +298,12 @@ mod tests {
             .witness
             .as_ref()
             .expect("failure against Forbidden has a counterexample");
+        assert!(broken.target.matches(&w.read_values()));
         assert_eq!(w.read_values(), vec![0, 0]);
-        assert!(r.report().contains("FAIL"));
+        let report = r.report();
+        assert!(report.contains("FAIL"));
+        assert!(report.contains("witness execution"));
+        assert!(report.contains("rf:"), "witness report shows rf edges");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::event::EventId;
 use crate::execution::CandidateExecution;
 use crate::graph::DiGraph;
-use crate::validity::{atomicity_disjuncts, check_validity, Disjunct};
+use crate::validity::{atomicity_disjuncts, check_validity, solve};
 
 /// True iff `a → b` holds in every valid `ghb` of this candidate.
 ///
@@ -32,16 +32,15 @@ pub fn ordering_enforced(exec: &CandidateExecution, a: EventId, b: EventId) -> b
     }
     let mut base = constraint_graph(exec);
     base.add_edge(b.index(), a.index());
-    all_solutions_exist(exec, base).is_empty()
+    !some_solution(exec, base, |_| true)
 }
 
 /// True iff some valid `ato` choice yields a committed relation whose
 /// transitive closure contains `a → b`.
 pub fn ordering_derivable(exec: &CandidateExecution, a: EventId, b: EventId) -> bool {
-    let base = constraint_graph(exec);
-    all_solutions_exist(exec, base)
-        .iter()
-        .any(|g| g.transitive_closure().has_edge(a.index(), b.index()))
+    some_solution(exec, constraint_graph(exec), |g| {
+        g.transitive_closure().has_edge(a.index(), b.index())
+    })
 }
 
 /// True iff the ordering `a → b` can be *imposed* on this candidate without
@@ -57,7 +56,7 @@ pub fn ordering_consistent(exec: &CandidateExecution, a: EventId, b: EventId) ->
     }
     let mut base = constraint_graph(exec);
     base.add_edge(a.index(), b.index());
-    !all_solutions_exist(exec, base).is_empty()
+    some_solution(exec, base, |_| true)
 }
 
 /// The fixed (non-ato) part of the `ghb` constraint: `com ∪ ppo ∪ bar`.
@@ -68,33 +67,18 @@ fn constraint_graph(exec: &CandidateExecution) -> DiGraph {
     g
 }
 
-/// Enumerates *all* acyclic solutions of the atomicity disjunctions over the
-/// given base graph (exponential; litmus scale only).
-fn all_solutions_exist(exec: &CandidateExecution, mut base: DiGraph) -> Vec<DiGraph> {
-    fn go(graph: &mut DiGraph, ds: &[Disjunct], idx: usize, out: &mut Vec<DiGraph>) {
-        if !graph.is_acyclic() {
-            return;
-        }
-        let Some(d) = ds.get(idx) else {
-            out.push(graph.clone());
-            return;
-        };
-        for (u, v) in [(d.m, d.ra), (d.wa, d.m)] {
-            let already = graph.has_edge(u.index(), v.index());
-            if !already {
-                graph.add_edge(u.index(), v.index());
-            }
-            go(graph, ds, idx + 1, out);
-            if !already {
-                graph.remove_edge(u.index(), v.index());
-            }
-        }
-    }
-
+/// True iff some acyclic solution of the atomicity disjunctions over
+/// `base` satisfies `accept`; the search stops at the first that does
+/// (exponential in the worst case; litmus scale only).
+fn some_solution(
+    exec: &CandidateExecution,
+    mut base: DiGraph,
+    mut accept: impl FnMut(&DiGraph) -> bool,
+) -> bool {
     let disjuncts = atomicity_disjuncts(exec.events());
-    let mut out = Vec::new();
-    go(&mut base, &disjuncts, 0, &mut out);
-    out
+    solve(&mut base, &disjuncts, &mut Vec::new(), &mut |g, _| {
+        accept(g)
+    })
 }
 
 /// Convenience: every *valid* candidate execution of a program, collected

@@ -12,10 +12,13 @@
 //!
 //! Two solvers decide the existential in condition 2:
 //!
-//! * [`check_validity`] is the **reference**: a backtracking search over
-//!   the disjunctions in order, with a cycle check at every level; on
-//!   success it extracts a [`Witness`] — a concrete `ghb` linearization
-//!   demonstrating validity.
+//! * `solve` is the **reference**: a backtracking search over the
+//!   disjunctions in order, with a cycle check at every level, that hands
+//!   each solution to a visitor. [`check_validity`] stops at the first and
+//!   extracts a [`Witness`] — a concrete `ghb` linearization demonstrating
+//!   validity; the lemma predicates ([`crate::lemmas`]) ask whether a
+//!   solution exists, or stop at the first whose closure derives an
+//!   ordering.
 //! * `ato_satisfiable` is the **search engine's leaf test**
 //!   ([`crate::search`]): it takes the transitive closure of
 //!   `com ∪ ppo ∪ bar` that the search keeps closed as it adds edges,
@@ -126,52 +129,56 @@ pub fn check_validity(exec: &CandidateExecution) -> Validity {
     base.union_with(&exec.bar_graph());
 
     let disjuncts = atomicity_disjuncts(exec.events());
-    let mut ato = Vec::new();
-    let Some(graph) = solve(&mut base, &disjuncts, 0, &mut ato) else {
-        return Validity::Cyclic;
-    };
-    let order = graph.topo_order().expect("solver returns acyclic graph");
-    let ghb: Vec<EventId> = order
-        .into_iter()
-        .map(EventId)
-        .filter(|&id| exec.event(id).is_mem())
-        .collect();
-    Validity::Valid(Witness {
-        ghb,
-        ato_edges: ato,
-    })
+    let mut witness = None;
+    solve(&mut base, &disjuncts, &mut Vec::new(), &mut |graph, ato| {
+        let order = graph.topo_order().expect("solutions are acyclic");
+        let ghb = order
+            .into_iter()
+            .map(EventId)
+            .filter(|&id| exec.event(id).is_mem())
+            .collect();
+        witness = Some(Witness {
+            ghb,
+            ato_edges: ato.to_vec(),
+        });
+        true
+    });
+    witness.map_or(Validity::Cyclic, Validity::Valid)
 }
 
-/// Backtracking over disjunctions. Returns the final acyclic graph on
-/// success; `ato` accumulates the committed edges.
-fn solve(
+/// Backtracking over the disjunctions in order, `m → ra` before
+/// `wa → m`, with a cycle check at every level. Calls `visit` with each
+/// acyclic solution and the edges `ato` committed to reach it, stops at
+/// the first solution `visit` accepts, and returns whether one was.
+/// `graph` and `ato` are restored before it returns.
+pub(crate) fn solve(
     graph: &mut DiGraph,
     disjuncts: &[Disjunct],
-    idx: usize,
     ato: &mut Vec<(EventId, EventId)>,
-) -> Option<DiGraph> {
+    visit: &mut impl FnMut(&DiGraph, &[(EventId, EventId)]) -> bool,
+) -> bool {
     if !graph.is_acyclic() {
-        return None;
+        return false;
     }
-    let Some(d) = disjuncts.get(idx) else {
-        return Some(graph.clone());
+    let Some((d, rest)) = disjuncts.split_first() else {
+        return visit(graph, ato);
     };
-    // Option A: M → Ra.
     for (u, v) in [(d.m, d.ra), (d.wa, d.m)] {
         let already = graph.has_edge(u.index(), v.index());
         if !already {
             graph.add_edge(u.index(), v.index());
         }
         ato.push((u, v));
-        if let Some(solved) = solve(graph, disjuncts, idx + 1, ato) {
-            return Some(solved);
-        }
+        let accepted = solve(graph, rest, ato, visit);
         ato.pop();
         if !already {
             graph.remove_edge(u.index(), v.index());
         }
+        if accepted {
+            return true;
+        }
     }
-    None
+    false
 }
 
 /// True iff some choice of one edge per disjunction keeps `base ∪ ato`
@@ -298,7 +305,7 @@ mod tests {
 
     /// The reference backtracking solver's answer on a hand-built leaf.
     fn reference(g: &DiGraph, ds: &[Disjunct]) -> bool {
-        solve(&mut g.clone(), ds, 0, &mut Vec::new()).is_some()
+        solve(&mut g.clone(), ds, &mut Vec::new(), &mut |_, _| true)
     }
 
     #[test]

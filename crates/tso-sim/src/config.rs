@@ -50,7 +50,10 @@ pub struct SimConfig {
     /// unsafe; used to demonstrate the Fig. 10 write-deadlock).
     pub bloom_enabled: bool,
     /// Reset all filters once this many addresses were inserted
-    /// (`None` = never; the paper's runs never needed a reset).
+    /// (`None` = never). Off by default: [`small`](Self::small) and
+    /// [`paper_table2`](Self::paper_table2) leave it `None`. The unit test
+    /// `bloom_reset_threshold_fires`, `engine_equiv`'s `Some(6)` shapes and
+    /// `sim_golden`'s `Some(6)` shape exercise it.
     pub bloom_reset_threshold: Option<u64>,
     /// Use the §3.3 directory-locking protocol for type-3 RMWs on shared
     /// lines (ablation: `false` falls back to acquiring exclusive
