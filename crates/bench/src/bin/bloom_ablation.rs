@@ -5,9 +5,8 @@
 //! write-buffer drains* (Table 3's "% write-buffer drains" column grows);
 //! correctness is unaffected.
 
-use bench::{cli_scale, config_for, SEED};
+use bench::{cli_scale, config_for, run_stats, SEED};
 use rmw_types::Atomicity;
-use tso_sim::Machine;
 use workloads::Benchmark;
 
 fn main() {
@@ -19,25 +18,22 @@ fn main() {
         "{:<12} {:>7} {:>12} {:>14} {:>14}",
         "size bytes", "hashes", "% drains", "avg RMW cost", "theoretical fpp"
     );
+    let traces = workloads::benchmark(bench, cores, memops, SEED);
     for size in [8usize, 16, 32, 64, 128, 512] {
         for hashes in [1u32, 3, 5] {
             let mut cfg = config_for(cores, Atomicity::Type2);
             cfg.bloom_bytes = size;
             cfg.bloom_hashes = hashes;
-            let traces = workloads::benchmark(bench, cores, memops, SEED);
-            let r = Machine::new(cfg, traces).run();
-            assert!(
-                !r.deadlocked,
-                "deadlock avoidance must hold at any filter size"
-            );
+            // Deadlock avoidance must hold at any filter size.
+            let s = run_stats(cfg, &traces);
             let filter = bloom::BloomFilter::new(size, hashes);
             println!(
                 "{:<12} {:>7} {:>12.2} {:>14.1} {:>14.6}",
                 size,
                 hashes,
-                r.stats.pct_drains(),
-                r.stats.avg_rmw_cost(),
-                filter.theoretical_fpp(r.stats.unique_rmw_addrs)
+                s.pct_drains(),
+                s.avg_rmw_cost(),
+                filter.theoretical_fpp(s.unique_rmw_addrs)
             );
         }
     }

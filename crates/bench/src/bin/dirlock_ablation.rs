@@ -8,9 +8,8 @@
 //! round trip. The paper credits this optimization for type-3's extra
 //! savings over type-2 (up to 64.3 % vs 58.9 % off type-1).
 
-use bench::{cli_scale, config_for, SEED};
+use bench::{cli_scale, config_for, run_stats, SEED};
 use rmw_types::Atomicity;
-use tso_sim::Machine;
 use workloads::Benchmark;
 
 fn main() {
@@ -21,15 +20,13 @@ fn main() {
         "benchmark", "RaWa (dirlock on)", "RaWa (dirlock off)", "saving %"
     );
     for bench in Benchmark::ALL {
-        let mut costs = [0.0f64; 2];
-        for (i, dirlock) in [true, false].into_iter().enumerate() {
+        let traces = workloads::benchmark(bench, cores, memops, SEED);
+        let costs = [true, false].map(|dirlock| {
             let mut cfg = config_for(cores, Atomicity::Type3);
             cfg.directory_locking = dirlock;
-            let traces = workloads::benchmark(bench, cores, memops, SEED);
-            let r = Machine::new(cfg, traces).run();
-            assert!(!r.deadlocked);
-            costs[i] = r.stats.rmw_cost.ra_wa_cycles as f64 / r.stats.rmw_count as f64;
-        }
+            let s = run_stats(cfg, &traces);
+            s.rmw_cost.ra_wa_cycles as f64 / s.rmw_count as f64
+        });
         println!(
             "{:<14} {:>18.1} {:>18.1} {:>9.1}%",
             bench.name(),

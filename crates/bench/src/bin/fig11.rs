@@ -36,8 +36,7 @@ fn table3(rows: &[Fig11Row], cores: usize, memops: usize) {
         "Code", "RMWs/1000 memops", "% Unique", "% WB drains (t2/t3)", "Broadcasts/100 RMWs"
     );
     for row in rows {
-        let [_, t2, _] = &row.by_type;
-        let s = &t2.stats;
+        let [_, s, _] = &row.by_type;
         println!(
             "{:<14} {:>16.2} {:>10.2} {:>22.2} {:>20.2}",
             row.bench.name(),
@@ -74,11 +73,11 @@ fn fig11a(rows: &[Fig11Row], cores: usize, memops: usize) {
     let mut wb_shares = Vec::new();
     for row in rows {
         let [t1, t2, t3] = &row.by_type;
-        let c1 = t1.stats.avg_rmw_cost();
-        let c2 = t2.stats.avg_rmw_cost();
-        let c3 = t3.stats.avg_rmw_cost();
-        let wb1 = t1.stats.rmw_cost.write_buffer_cycles as f64 / t1.stats.rmw_count as f64;
-        let rawa1 = t1.stats.rmw_cost.ra_wa_cycles as f64 / t1.stats.rmw_count as f64;
+        let c1 = t1.avg_rmw_cost();
+        let c2 = t2.avg_rmw_cost();
+        let c3 = t3.avg_rmw_cost();
+        let wb1 = t1.rmw_cost.write_buffer_cycles as f64 / t1.rmw_count as f64;
+        let rawa1 = t1.rmw_cost.ra_wa_cycles as f64 / t1.rmw_count as f64;
         let save2 = 100.0 * (c1 - c2) / c1;
         let save3 = 100.0 * (c1 - c3) / c1;
         savings2.push(save2);
@@ -123,13 +122,11 @@ fn fig11b(rows: &[Fig11Row], cores: usize, memops: usize) {
     );
     for row in rows {
         let [t1, t2, t3] = &row.by_type;
-        let o1 = 100.0 * t1.stats.rmw_overhead_fraction();
-        let o2 = 100.0 * t2.stats.rmw_overhead_fraction();
-        let o3 = 100.0 * t3.stats.rmw_overhead_fraction();
-        let sp2 =
-            100.0 * (t1.stats.cycles as f64 - t2.stats.cycles as f64) / t1.stats.cycles as f64;
-        let sp3 =
-            100.0 * (t1.stats.cycles as f64 - t3.stats.cycles as f64) / t1.stats.cycles as f64;
+        let o1 = 100.0 * t1.rmw_overhead_fraction();
+        let o2 = 100.0 * t2.rmw_overhead_fraction();
+        let o3 = 100.0 * t3.rmw_overhead_fraction();
+        let sp2 = 100.0 * (t1.cycles as f64 - t2.cycles as f64) / t1.cycles as f64;
+        let sp3 = 100.0 * (t1.cycles as f64 - t3.cycles as f64) / t1.cycles as f64;
         println!(
             "{:<14} {:>10.2} {:>10.2} {:>10.2} {:>14.2} {:>14.2}",
             row.bench.name(),

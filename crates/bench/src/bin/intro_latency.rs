@@ -7,9 +7,8 @@
 //! drain. We reproduce the check on the simulator: the fence is nearly free
 //! after a type-1 RMW but costs real time after a type-2 RMW.
 
-use bench::{cli_scale, config_for, SEED};
+use bench::{cli_scale, config_for, run_stats, SEED};
 use rmw_types::Atomicity;
-use tso_sim::Machine;
 use workloads::Benchmark;
 
 fn main() {
@@ -20,25 +19,24 @@ fn main() {
         "{:<22} {:>12} {:>14} {:>10}",
         "config", "avg RMW cost", "total cycles", "fence Δ%"
     );
+    let traces = workloads::benchmark(Benchmark::Radiosity, cores, memops, SEED);
     for atomicity in [Atomicity::Type1, Atomicity::Type2] {
         let mut base_cycles = 0u64;
         for fenced in [false, true] {
             let mut cfg = config_for(cores, atomicity);
             cfg.fence_after_rmw = fenced;
-            let traces = workloads::benchmark(Benchmark::Radiosity, cores, memops, SEED);
-            let r = Machine::new(cfg, traces).run();
-            assert!(!r.deadlocked);
+            let s = run_stats(cfg, &traces);
             let delta = if fenced {
-                100.0 * (r.stats.cycles as f64 - base_cycles as f64) / base_cycles as f64
+                100.0 * (s.cycles as f64 - base_cycles as f64) / base_cycles as f64
             } else {
-                base_cycles = r.stats.cycles;
+                base_cycles = s.cycles;
                 0.0
             };
             println!(
                 "{:<22} {:>12.1} {:>14} {:>9.1}%",
                 format!("{atomicity}{}", if fenced { " + mfence" } else { "" }),
-                r.stats.avg_rmw_cost(),
-                r.stats.cycles,
+                s.avg_rmw_cost(),
+                s.cycles,
                 delta
             );
         }

@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use rmw_types::Atomicity;
-use tso_sim::{Machine, SimConfig, SimResult};
+use tso_sim::{Machine, SimConfig, SimStats, Trace};
 use workloads::Benchmark;
 
 /// Default core count for experiment binaries (paper: 32; override with the
@@ -133,39 +133,43 @@ pub fn config_for(cores: usize, atomicity: Atomicity) -> SimConfig {
     cfg
 }
 
-/// Runs one benchmark under one RMW implementation.
-pub fn run(bench: Benchmark, atomicity: Atomicity, cores: usize, memops: usize) -> SimResult {
-    let cfg = config_for(cores, atomicity);
-    let traces = workloads::benchmark(bench, cores, memops, SEED);
-    let result = Machine::new(cfg, traces).run();
+/// Runs `traces` on a machine configured by `cfg` and returns its
+/// statistics. The machine shares the traces' ops, so one trace set
+/// serves every configuration an experiment compares.
+///
+/// # Panics
+///
+/// Panics if the run deadlocks: the avoidance scheme failed.
+pub fn run_stats(cfg: SimConfig, traces: &[Trace]) -> SimStats {
+    let result = Machine::new(cfg, traces.to_vec()).run();
     assert!(
         !result.deadlocked,
-        "{bench} deadlocked under {atomicity} — the avoidance scheme failed"
+        "deadlocked on {cfg:?} — the avoidance scheme failed"
     );
-    result
+    result.stats
 }
 
-/// Per-benchmark, per-type results for the Table 3 and Fig. 11
+/// Per-benchmark, per-type statistics for the Table 3 and Fig. 11
 /// experiments.
 #[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// The benchmark.
     pub bench: Benchmark,
-    /// Results for type-1, type-2, type-3 (in that order).
-    pub by_type: [SimResult; 3],
+    /// Statistics for type-1, type-2, type-3 (in that order).
+    pub by_type: [SimStats; 3],
 }
 
-/// Runs all benchmarks under all three RMW types.
+/// Runs all benchmarks under all three RMW types, drawing each
+/// benchmark's traces once for its three runs.
 pub fn fig11_sweep(cores: usize, memops: usize) -> Vec<Fig11Row> {
     Benchmark::ALL
         .iter()
-        .map(|&bench| Fig11Row {
-            bench,
-            by_type: [
-                run(bench, Atomicity::Type1, cores, memops),
-                run(bench, Atomicity::Type2, cores, memops),
-                run(bench, Atomicity::Type3, cores, memops),
-            ],
+        .map(|&bench| {
+            let traces = workloads::benchmark(bench, cores, memops, SEED);
+            Fig11Row {
+                bench,
+                by_type: Atomicity::ALL.map(|a| run_stats(config_for(cores, a), &traces)),
+            }
         })
         .collect()
 }
@@ -303,8 +307,26 @@ mod tests {
 
     #[test]
     fn smoke_run_radiosity() {
-        let r = run(Benchmark::Radiosity, Atomicity::Type2, 2, 1_000);
-        assert!(r.stats.rmw_count > 0);
-        assert!(r.stats.cycles > 0);
+        let traces = workloads::benchmark(Benchmark::Radiosity, 2, 1_000, SEED);
+        let s = run_stats(config_for(2, Atomicity::Type2), &traces);
+        assert!(s.rmw_count > 0);
+        assert!(s.cycles > 0);
+    }
+
+    #[test]
+    fn sweep_stats_equal_runs_on_fresh_draws() {
+        for (cores, memops) in [(2, 500), (4, 1_000)] {
+            for row in fig11_sweep(cores, memops) {
+                for (atomicity, stats) in Atomicity::ALL.into_iter().zip(&row.by_type) {
+                    let traces = workloads::benchmark(row.bench, cores, memops, SEED);
+                    let fresh = Machine::new(config_for(cores, atomicity), traces).run();
+                    assert_eq!(
+                        &fresh.stats, stats,
+                        "{} under {atomicity} at {cores}x{memops}",
+                        row.bench
+                    );
+                }
+            }
+        }
     }
 }

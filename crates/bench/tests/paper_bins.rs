@@ -1,7 +1,14 @@
 //! The paper-artifact binaries, run end to end at 2 cores × 300 memops:
-//! each exits 0 (so none of its runs deadlocked, which `bench::run`
-//! asserts), prints no NaN, and prints every row its table promises.
+//! each exits 0 (so none of its runs deadlocked, which `bench::run_stats`
+//! asserts), prints no NaN, prints every row its table promises, and
+//! prints exactly the bytes its stdout digest pins.
+//!
+//! The digests follow `sim_golden`'s rule: a change meant to move a
+//! printed number updates the digests it moves and says in CHANGES.md
+//! why; any other change leaves them alone.
 
+use rmw_types::fasthash::FastHasher;
+use std::hash::Hasher;
 use std::process::{Command, Output};
 use workloads::Benchmark;
 
@@ -72,6 +79,21 @@ fn ablation_and_latency_bins_print_every_row() {
     ] {
         let out = run_small(bin);
         assert_eq!(rows(&out, header).len(), want, "{bin}:\n{out}");
+    }
+}
+
+#[test]
+fn every_bin_prints_the_bytes_its_digest_pins() {
+    for (bin, pinned) in [
+        (env!("CARGO_BIN_EXE_fig11"), 9848588306639625802),
+        (env!("CARGO_BIN_EXE_intro_latency"), 6735475610994156612),
+        (env!("CARGO_BIN_EXE_bloom_ablation"), 7040197203396657145),
+        (env!("CARGO_BIN_EXE_dirlock_ablation"), 6714348928633118109),
+    ] {
+        let out = run_small(bin);
+        let mut h = FastHasher::default();
+        h.write(out.as_bytes());
+        assert_eq!(h.finish(), pinned, "{bin} 2 300 printed:\n{out}");
     }
 }
 

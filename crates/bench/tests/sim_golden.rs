@@ -110,11 +110,7 @@ fn golden_shapes_are_unchanged() {
     let mut d = Digest::default();
 
     // The Fig. 11 sweep (all three types) on a 4-core machine.
-    for row in bench::fig11_sweep(4, 1000) {
-        for r in &row.by_type {
-            d.add(r);
-        }
-    }
+    d.benchmarks(&SimConfig::paper_scaled(4), 1000, &Atomicity::ALL);
 
     // The Table 2 machine, where a broadcast crosses the whole mesh.
     let paper = SimConfig::paper_scaled(32);

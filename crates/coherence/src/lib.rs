@@ -138,6 +138,13 @@ impl CoherenceConfig {
             },
         }
     }
+
+    /// The home node (directory slice / L2 bank) of a line: 64-byte
+    /// lines interleaved across the cores. The simulator's config
+    /// rejects any other line size, which would leave slices unused.
+    fn home_of(&self, line: CacheLine) -> usize {
+        ((line.0 >> 6) % self.num_cores as u64) as usize
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -237,19 +244,13 @@ impl CoherenceSystem {
         }
     }
 
-    /// The home node (directory slice / L2 bank) of a line: address
-    /// interleaved across cores.
-    fn home_of(&self, line: CacheLine) -> usize {
-        ((line.0 >> 6) % self.config.num_cores as u64) as usize
-    }
-
     /// Time for a coherence request from `core` to *reach* the line's home
     /// directory (L1 lookup + mesh traversal). The simulator uses this to
     /// model requests in flight: a request is checked against line locks
     /// when it **arrives**, not when it is sent — which is what makes the
     /// Fig. 10 write-deadlock physically possible.
     pub fn request_latency(&self, core: usize, line: CacheLine) -> Cycle {
-        self.config.l1_latency + self.mesh.latency(core, self.home_of(line))
+        self.config.l1_latency + self.mesh.latency(core, self.config.home_of(line))
     }
 
     /// Current MOESI state of `line` in `core`'s L1.
@@ -288,7 +289,7 @@ impl CoherenceSystem {
         if state.is_valid() {
             return Ok(now + self.config.l1_latency);
         }
-        let home = ((line.0 >> 6) % self.config.num_cores as u64) as usize;
+        let home = self.config.home_of(line);
         let mut t =
             now + self.config.l1_latency + self.mesh.latency(core, home) + self.config.l2_latency;
 
@@ -346,7 +347,7 @@ impl CoherenceSystem {
             l.owner = Some((core as u32, LineState::M));
             return Ok(now + self.config.l1_latency);
         }
-        let home = ((line.0 >> 6) % self.config.num_cores as u64) as usize;
+        let home = self.config.home_of(line);
         let mut t =
             now + self.config.l1_latency + self.mesh.latency(core, home) + self.config.l2_latency;
 
@@ -490,7 +491,7 @@ mod tests {
     #[test]
     fn cold_read_pays_memory_and_becomes_exclusive() {
         let mut s = sys();
-        let (c, home) = (s.config, s.home_of(L));
+        let (c, home) = (s.config, s.config.home_of(L));
         let done = s.read(0, L, 0).unwrap();
         let fetch = c.l1_latency
             + s.mesh.latency(0, home)
@@ -506,7 +507,7 @@ mod tests {
     #[test]
     fn second_reader_gets_shared_via_forward() {
         let mut s = sys();
-        let (c, home) = (s.config, s.home_of(L));
+        let (c, home) = (s.config, s.config.home_of(L));
         s.read(0, L, 0).unwrap(); // core 0: E
         let done = s.read(1, L, 100).unwrap();
         // The owner forwards the data; nothing comes from memory.
@@ -557,7 +558,7 @@ mod tests {
     #[test]
     fn upgrade_from_shared_costs_invalidations_not_data() {
         let mut s = sys();
-        let (c, home) = (s.config, s.home_of(L));
+        let (c, home) = (s.config, s.config.home_of(L));
         s.write(0, L, 0).unwrap();
         s.read(1, L, 100).unwrap(); // 0: O, 1: S
         let done = s.write(1, L, 200).unwrap();
@@ -688,8 +689,9 @@ mod tests {
     #[test]
     fn home_distribution_covers_all_cores() {
         let s = sys();
-        let homes: std::collections::BTreeSet<usize> =
-            (0..64u64).map(|i| s.home_of(CacheLine(i * 64))).collect();
+        let homes: std::collections::BTreeSet<usize> = (0..64u64)
+            .map(|i| s.config.home_of(CacheLine(i * 64)))
+            .collect();
         assert_eq!(homes.len(), 4, "interleaving reaches every slice");
     }
 

@@ -278,8 +278,9 @@ pub fn differential_check_on(l: &Litmus, machine: MachineKind) -> TestOutcome {
     let mut model_cache_hits = u32::from(check.cache_hit);
 
     // Lowering drops `Instr::Rmw`'s atomicity (the machine's
-    // `rmw_atomicity` decides it), so one set of traces serves all three
-    // machines; only the model query needs the rewritten program.
+    // `rmw_atomicity` decides it), so the three machines share one set
+    // of traces (a cloned `Trace` copies no ops); only the model query
+    // needs the rewritten program.
     let base = machine.config(l.program.num_threads());
     let line_size = base.line_size;
     let traces = lower_with_line_size(&l.program, line_size);

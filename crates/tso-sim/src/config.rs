@@ -73,7 +73,8 @@ pub struct SimConfig {
     /// Kernel-trap latency of a futex call (`wait`/`wake`), in cycles.
     /// Must be ≥ 1: a woken core resumes strictly after the waking cycle.
     pub futex_latency: u64,
-    /// Cache line size in bytes.
+    /// Cache line size in bytes: 64, the only size
+    /// [`validate`](Self::validate) accepts.
     pub line_size: u64,
 }
 
@@ -173,8 +174,11 @@ impl SimConfig {
         if self.bloom_bytes == 0 || self.bloom_hashes == 0 {
             return Err("bloom filter configuration must be nonzero".into());
         }
-        if !self.line_size.is_power_of_two() {
-            return Err(format!("line size {} not a power of two", self.line_size));
+        if self.line_size != 64 {
+            // The coherence layer interleaves 64-byte lines across the
+            // home slices: with 128-byte lines only the even slices
+            // would ever serve as a home.
+            return Err(format!("line size {} is not 64 bytes", self.line_size));
         }
         if self.coherence.num_cores > self.coherence.mesh.num_nodes() {
             return Err("more cores than mesh nodes".into());
@@ -246,6 +250,11 @@ mod tests {
 
         let mut c = SimConfig::small(2);
         c.line_size = 48;
+        assert!(c.validate().is_err());
+
+        // A power of two, but the home slices assume 64-byte lines.
+        let mut c = SimConfig::small(2);
+        c.line_size = 128;
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::small(2);

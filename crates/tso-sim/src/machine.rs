@@ -36,7 +36,7 @@ pub struct SimResult {
     /// Mesh traffic of the §3.2 RMW-address broadcast scheme (messages
     /// and link traversals, broadcast copies + acks).
     pub net: NetTraffic,
-    /// Host-side engine diagnostics (visited cycles, ticks, armed
+    /// Host-side engine diagnostics (ticks, acting ticks, armed
     /// events); differs between step modes by design.
     pub engine: EngineStats,
     /// True if the machine stopped because no core made progress for the
@@ -178,7 +178,6 @@ impl Machine {
                 self.engine.acting_ticks += u64::from(acted);
             }
             self.apply_filter_reset(&mut bloom_resets);
-            self.engine.visited_cycles += 1;
             self.now += 1;
         }
     }
@@ -197,7 +196,6 @@ impl Machine {
             self.shared.sched.wake_core(0, 0, i);
         }
         loop {
-            self.engine.visited_cycles += 1;
             while let Some(i) = self.shared.sched.take_due() {
                 self.tick_core(i);
             }

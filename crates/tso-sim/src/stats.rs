@@ -36,8 +36,6 @@ pub struct NetTraffic {
 /// two engines — the equivalence contract covers everything else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Cycles the engine executed (== `cycles` for lockstep).
-    pub visited_cycles: u64,
     /// Core ticks executed.
     pub ticks: u64,
     /// Core ticks that acted (changed state or statistics).

@@ -14,6 +14,7 @@
 //! cross-validation identify positionally.
 
 use rmw_types::{Addr, RmwKind, Value};
+use std::sync::Arc;
 
 /// Number of architectural registers per core (zero-initialized).
 pub const NUM_REGS: usize = 4;
@@ -159,16 +160,19 @@ impl Op {
     }
 }
 
-/// A core's instruction sequence.
+/// A core's instruction sequence: an immutable value that machines
+/// share. Cloning a trace copies no ops, so every machine run on one
+/// trace set reads the same buffer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
-    ops: Vec<Op>,
+    // Not `Arc<[Op]>`: building one from a `Vec` copies every op.
+    ops: Arc<Vec<Op>>,
 }
 
 impl Trace {
-    /// Wraps an op sequence.
+    /// Wraps an op sequence, moving it in without a copy.
     pub fn new(ops: Vec<Op>) -> Self {
-        Trace { ops }
+        Trace { ops: Arc::new(ops) }
     }
 
     /// The operations.
@@ -203,12 +207,6 @@ impl Trace {
 impl FromIterator<Op> for Trace {
     fn from_iter<I: IntoIterator<Item = Op>>(iter: I) -> Self {
         Trace::new(iter.into_iter().collect())
-    }
-}
-
-impl Extend<Op> for Trace {
-    fn extend<I: IntoIterator<Item = Op>>(&mut self, iter: I) {
-        self.ops.extend(iter);
     }
 }
 
@@ -281,10 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_extend() {
-        let mut t = Trace::new(vec![Op::Fence]);
-        t.extend([Op::read(Addr(0))]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.ops()[1], Op::read(Addr(0)));
+    fn a_trace_shares_its_ops() {
+        let ops = vec![Op::Fence, Op::read(Addr(0))];
+        let buffer = ops.as_ptr();
+        let t = Trace::new(ops);
+        assert_eq!(t.ops().as_ptr(), buffer, "new moves the ops in");
+        assert_eq!(t.clone().ops().as_ptr(), buffer, "a clone copies no op");
     }
 }
